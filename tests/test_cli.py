@@ -1,4 +1,8 @@
 import json
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,166 @@ def test_reports_sorted_and_stable(trivial_pair, capsys):
     _, r2 = run(capsys, "peiffer", *trivial_pair)
     assert r1 == r2
     assert list(r1) == sorted(r1)
+
+
+# Golden transcript: the exact stdout and exit code of every verb, kept in
+# cli_golden.json beside this file.  Re-record with `python tests/test_cli.py`
+# (with the package importable) only when a report is meant to change.
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def golden_inputs(directory) -> dict:
+    """Write every input of the transcript; returns file name -> path."""
+    from peiffer.groups import subgroup_group
+    from peiffer.lie import lie_induced_actions, trivial_lie_action
+    from peiffer.xmod import inclusion_xmod, induced_mutual_actions
+
+    t = next(x for x in S3.elements() if S3.element_order(x) == 2)
+    reflect = Action(Z2, S3, (tuple(range(6)), tuple(S3.conj(t, x) for x in range(6))))
+    conj_bad = pio.action_to_dict(conjugation_action(S3))
+    conj_bad["table"][0] = list(range(1, 6)) + [0]
+    no_table = pio.action_to_dict(conjugation_action(S3))
+    del no_table["table"]
+    id_xm_bad = pio.xmod_to_dict(identity_xmod(S3))
+    id_xm_bad["action"] = {"table": [list(range(6))] * 6}
+    A3, incl = subgroup_group(S3, [x for x in S3.elements() if S3.element_order(x) in (1, 3)])
+    a3_xm = inclusion_xmod(S3, incl)
+    induced = induced_mutual_actions(a3_xm, identity_xmod(S3))
+
+    L, I, lie_xm_m, lie_xm_n = solvable_files(None)
+    lie_mut = lie_induced_actions(lie_xm_m, lie_xm_n)
+    ad_bad = pio.lie_action_to_dict(adjoint_action(L))
+    ad_bad["rho"][0] = [["1", "0"], ["0", "1"]]
+    lie_xm_bad = LieCrossedModule(identity_lie_map(L), trivial_lie_action(L, L))
+
+    data = {
+        "s3": pio.group_to_dict(S3),
+        "z2": pio.group_to_dict(Z2),
+        "a3": pio.group_to_dict(A3),
+        "no_inverse": {"order": 2, "table": [[0, 1], [1, 1]]},
+        "order_mismatch": {"order": 3, "table": [[0, 1], [1, 0]]},
+        "not_an_object": [1, 2],
+        "conj": pio.action_to_dict(conjugation_action(S3)),
+        "conj_bad": conj_bad,
+        "no_table": no_table,
+        "triv_nm": pio.action_to_dict(trivial_action(Z2, S3)),
+        "triv_mn": pio.action_to_dict(trivial_action(S3, Z2)),
+        "reflect_nm": pio.action_to_dict(reflect),
+        "z2_on_z3": pio.action_to_dict(trivial_action(Z2, Z3)),
+        "id_xm": pio.xmod_to_dict(identity_xmod(S3)),
+        "id_xm_bad": id_xm_bad,
+        "a3_xm": pio.xmod_to_dict(a3_xm),
+        "ind_nm": {"table": [list(r) for r in induced.xi_nm.table]},
+        "ind_mn": {"table": [list(r) for r in induced.xi_mn.table]},
+        "L": pio.lie_to_dict(L),
+        "I": pio.lie_to_dict(I),
+        "own_partner": {"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "coeffs": ["0", "1"]},
+            {"i": 1, "j": 0, "coeffs": ["0", "1"]},
+        ]},
+        "one": {"dim": 1, "brackets": []},
+        "id1": {"rho": [[["1"]]]},
+        "ad": pio.lie_action_to_dict(adjoint_action(L)),
+        "ad_bad": ad_bad,
+        "L_on_I": pio.lie_action_to_dict(LieAction(L, I, [[[1]], [[0]]])),
+        "rho_nm": pio.lie_action_to_dict(lie_mut.rho_nm),
+        "rho_mn": pio.lie_action_to_dict(lie_mut.rho_mn),
+        "lie_xm_m": pio.lie_xmod_to_dict(lie_xm_m),
+        "lie_xm_n": pio.lie_xmod_to_dict(lie_xm_n),
+        "lie_xm_bad": pio.lie_xmod_to_dict(lie_xm_bad),
+    }
+    paths = {name: write(directory, f"{name}.json", d) for name, d in data.items()}
+    malformed = directory / "malformed.json"
+    malformed.write_text("{not json")
+    paths["malformed"] = str(malformed)
+    paths["report"] = str(directory / "report.json")
+    return paths
+
+
+TRIVIAL = ("s3", "z2", "triv_nm", "triv_mn")
+REFLECT = ("s3", "z2", "reflect_nm", "triv_mn")
+LIE_PAIR = ("I", "L", "rho_nm", "rho_mn")
+SCALAR = ("one", "one", "id1", "id1")
+
+# strong-check has no exit-1 case: it needs well-defined induced actions,
+# which hold exactly for compatible pairs, and for those the strong
+# relation is a theorem (acceptance criterion 5).
+GOLDEN_CASES = {
+    "validate": ("validate", "s3"),
+    "validate-no-inverse": ("validate", "no_inverse"),
+    "validate-order-mismatch": ("validate", "order_mismatch"),
+    "validate-not-an-object": ("validate", "not_an_object"),
+    "validate-malformed-json": ("validate", "malformed"),
+    "check-action": ("check-action", "conj"),
+    "check-action-fails": ("check-action", "conj_bad"),
+    "check-action-missing-table": ("check-action", "no_table"),
+    "check-compat": ("check-compat", *TRIVIAL),
+    "check-compat-fails": ("check-compat", *REFLECT),
+    "check-compat-out": ("check-compat", *REFLECT, "--out", "report"),
+    "semidirect": ("semidirect", "z2_on_z3"),
+    "semidirect-cap": ("semidirect", "triv_nm", "--semidirect-cap", "4"),
+    "peiffer": ("peiffer", *TRIVIAL),
+    "peiffer-incompatible": ("peiffer", *REFLECT),
+    "strong-check": ("strong-check", *TRIVIAL, "--strong-word-bound", "1"),
+    "strong-check-incompatible": ("strong-check", *REFLECT),
+    "peiffer-xmods": ("peiffer-xmods", *TRIVIAL),
+    "peiffer-xmods-incompatible": ("peiffer-xmods", *REFLECT),
+    "universal-map": ("universal-map", "a3", "s3", "ind_nm", "ind_mn", "a3_xm", "id_xm"),
+    "universal-map-wrong-groups": ("universal-map", *TRIVIAL, "a3_xm", "id_xm"),
+    "xmod-check": ("xmod-check", "id_xm"),
+    "xmod-check-fails": ("xmod-check", "id_xm_bad"),
+    "induce-actions": ("induce-actions", "a3_xm", "id_xm"),
+    "enumerate": ("enumerate", "--max-order", "4"),
+    "lie-validate": ("lie-validate", "L"),
+    "lie-validate-own-partner": ("lie-validate", "own_partner"),
+    "lie-check-action": ("lie-check-action", "ad"),
+    "lie-check-action-fails": ("lie-check-action", "ad_bad"),
+    "lie-check-compat": ("lie-check-compat", *LIE_PAIR),
+    "lie-check-compat-fails": ("lie-check-compat", *SCALAR),
+    "lie-semidirect": ("lie-semidirect", "L_on_I"),
+    "lie-peiffer": ("lie-peiffer", *LIE_PAIR),
+    "lie-xmod-check": ("lie-xmod-check", "lie_xm_m"),
+    "lie-xmod-check-fails": ("lie-xmod-check", "lie_xm_bad"),
+    "lie-induce-actions": ("lie-induce-actions", "lie_xm_m", "lie_xm_n"),
+    "lie-peiffer-xmods": ("lie-peiffer-xmods", *LIE_PAIR),
+    "lie-peiffer-xmods-ill-defined": ("lie-peiffer-xmods", *SCALAR),
+    "lie-universal-map": ("lie-universal-map", *LIE_PAIR, "lie_xm_m", "lie_xm_n"),
+}
+
+
+def run_case(paths, argv):
+    """Exit code and exact stdout of one verb call; file names become paths."""
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main([paths.get(token, token) for token in argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden_paths(tmp_path_factory):
+    return golden_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_transcript(golden_paths, case):
+    expected = json.loads(GOLDEN.read_text())[case]
+    code, stdout = run_case(golden_paths, GOLDEN_CASES[case])
+    assert (code, stdout) == (expected["code"], expected["stdout"])
+    if "--out" in GOLDEN_CASES[case]:
+        assert Path(golden_paths["report"]).read_text() == stdout
+
+
+def test_golden_transcript_covers_every_verb():
+    assert len({argv[0] for argv in GOLDEN_CASES.values()}) == 20
+    assert set(json.loads(GOLDEN.read_text())) == set(GOLDEN_CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = golden_inputs(Path(tmp))
+        record = {}
+        for case, argv in sorted(GOLDEN_CASES.items()):
+            code, stdout = run_case(paths, argv)
+            record[case] = {"argv": list(argv), "code": code, "stdout": stdout}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
