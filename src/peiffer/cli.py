@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import is_dataclass, asdict
 from fractions import Fraction
@@ -17,9 +16,12 @@ from . import io as pio
 from .actions import DEFAULT_SEMIDIRECT_CAP, check_action_table, semidirect
 from .catalog import census
 from .compat import MutualActions, check_compatible
-from .groups import GroupError, validate_table
+from .groups import GroupError, Hom, validate_table
 from .lie import (
+    LieAction,
+    LieCrossedModule,
     LieError,
+    LieMap,
     LieMutualActions,
     check_lie_action,
     check_lie_xmod,
@@ -29,7 +31,6 @@ from .lie import (
     lie_induced_actions,
     lie_semidirect,
     lie_universal_map,
-    validate_lie,
 )
 from .product import (
     NotWellDefined,
@@ -39,7 +40,7 @@ from .product import (
     universal_map,
 )
 from .words import WordError
-from .xmod import check_xmod, induced_mutual_actions
+from .xmod import CrossedModule, check_xmod, induced_mutual_actions
 
 
 def _jsonable(v):
@@ -54,12 +55,16 @@ def _jsonable(v):
     return v
 
 
-def _emit(report, out_path):
-    text = pio.dump_json(_jsonable(report), out_path)
-    print(text)
+def _verdict(key, diag, fail_code=1):
+    """The report {key: ok} with the reason and witness of a failure, and its exit code."""
+    report = {key: diag.ok}
+    if not diag.ok:
+        report["reason"] = diag.reason
+        report["witness"] = diag.witness
+    return report, 0 if diag.ok else fail_code
 
 
-def _load_mutual(args) -> MutualActions:
+def _group_pair(args) -> MutualActions:
     M = pio.group_from_dict(pio.load_json(args.m))
     N = pio.group_from_dict(pio.load_json(args.n))
     xi_nm = pio.action_from_dict(pio.load_json(args.xi_nm), acting=N, target=M)
@@ -67,7 +72,7 @@ def _load_mutual(args) -> MutualActions:
     return MutualActions(xi_nm, xi_mn)
 
 
-def _load_lie_mutual(args) -> LieMutualActions:
+def _lie_pair(args) -> LieMutualActions:
     M = pio.lie_from_dict(pio.load_json(args.m))
     N = pio.lie_from_dict(pio.load_json(args.n))
     rho_nm = pio.lie_action_from_dict(pio.load_json(args.rho_nm), acting=N, target=M)
@@ -75,241 +80,154 @@ def _load_lie_mutual(args) -> LieMutualActions:
     return LieMutualActions(rho_nm, rho_mn)
 
 
-def cmd_validate(args):
+def _xmod_pair(args, load):
+    return load(pio.load_json(args.xm_m)), load(pio.load_json(args.xm_n))
+
+
+def _product(args):
+    return peiffer_product(_group_pair(args), cap=args.semidirect_cap)
+
+
+def _on_sides(xmods, to_dict) -> dict:
+    return {"on_M": to_dict(xmods[0]), "on_N": to_dict(xmods[1])}
+
+
+def _validate(args):
     d = pio.load_json(args.group)
     if not isinstance(d, dict) or "table" not in d:
         raise GroupError("group data must be an object with a table")
     table = tuple(tuple(row) for row in d["table"])
     diag = validate_table(table)
     if diag.ok and "order" in d and d["order"] != len(table):
-        _emit({"valid": False, "reason": "declared order does not match the table"}, args.out)
-        return 2
-    report = {"valid": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 2
+        return {"valid": False, "reason": "declared order does not match the table"}, 2
+    return _verdict("valid", diag, fail_code=2)
 
 
-def cmd_check_action(args):
+def _check_action(args):
     d = pio.load_json(args.action)
     acting = pio.group_from_dict(d["acting"])
     target = pio.group_from_dict(d["target"])
-    table = tuple(tuple(int(v) for v in row) for row in d["table"])
-    diag = check_action_table(acting, target, table)
-    report = {"valid": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
+    table = tuple(pio.int_entries(row, "action table") for row in d["table"])
+    return _verdict("valid", check_action_table(acting, target, table))
 
 
-def cmd_check_compat(args):
-    mut = _load_mutual(args)
-    verdict = check_compatible(mut)
+def _check_compat(args):
+    verdict = check_compatible(_group_pair(args))
     report = {"compatible": verdict.compatible}
     if verdict.witness is not None:
         report["witness"] = verdict.witness
-    _emit(report, args.out)
-    return 0 if verdict.compatible else 1
+    return report, 0 if verdict.compatible else 1
 
 
-def cmd_semidirect(args):
-    d = pio.load_json(args.action)
-    psi = pio.action_from_dict(d)
-    sd = semidirect(psi, cap=args.semidirect_cap)
+def _semidirect(args):
+    sd = semidirect(pio.action_from_dict(pio.load_json(args.action)), cap=args.semidirect_cap)
     report = {
         "group": pio.group_to_dict(sd.group),
-        "jX": list(sd.jX.mapping),
-        "jA": list(sd.jA.mapping),
-        "pi": list(sd.pi.mapping),
+        "jX": sd.jX.mapping,
+        "jA": sd.jA.mapping,
+        "pi": sd.pi.mapping,
     }
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_peiffer(args):
-    mut = _load_mutual(args)
-    pp = peiffer_product(mut, cap=args.semidirect_cap)
-    _emit(pio.peiffer_to_dict(pp), args.out)
-    return 0
+def _universal_map(args):
+    pp = _product(args)
+    h = universal_map(pp, *_xmod_pair(args, pio.xmod_from_dict))
+    return {"order": pp.product.order, "mapping": h.mapping}, 0
 
 
-def cmd_strong_check(args):
-    mut = _load_mutual(args)
-    pp = peiffer_product(mut, cap=args.semidirect_cap)
-    diag = strong_relation_check(pp, bound=args.strong_word_bound)
-    report = {"ok": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
-
-
-def cmd_peiffer_xmods(args):
-    mut = _load_mutual(args)
-    pp = peiffer_product(mut, cap=args.semidirect_cap)
-    xm_m, xm_n = peiffer_xmods(pp)
-    report = {"on_M": pio.xmod_to_dict(xm_m), "on_N": pio.xmod_to_dict(xm_n)}
-    _emit(report, args.out)
-    return 0
-
-
-def cmd_universal_map(args):
-    mut = _load_mutual(args)
-    pp = peiffer_product(mut, cap=args.semidirect_cap)
-    xm_m = pio.xmod_from_dict(pio.load_json(args.xm_m))
-    xm_n = pio.xmod_from_dict(pio.load_json(args.xm_n))
-    h = universal_map(pp, xm_m, xm_n)
-    report = {"order": pp.product.order, "mapping": list(h.mapping)}
-    _emit(report, args.out)
-    return 0
-
-
-def cmd_xmod_check(args):
+def _xmod_check(args):
     d = pio.load_json(args.xmod)
-    from .groups import Hom
-    from .xmod import CrossedModule
-
     dom = pio.group_from_dict(d["dom"])
     cod = pio.group_from_dict(d["cod"])
-    boundary = Hom(dom, cod, d["boundary"], check=True)
+    boundary = Hom(dom, cod, pio.int_entries(d["boundary"], "boundary"), check=True)
     action = pio.action_from_dict(d["action"], acting=cod, target=dom)
-    diag = check_xmod(CrossedModule(boundary, action))
-    report = {"valid": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
+    return _verdict("valid", check_xmod(CrossedModule(boundary, action)))
 
 
-def cmd_induce_actions(args):
-    xm_m = pio.xmod_from_dict(pio.load_json(args.xm_m))
-    xm_n = pio.xmod_from_dict(pio.load_json(args.xm_n))
-    mut = induced_mutual_actions(xm_m, xm_n)
-    report = {
-        "xi_nm": {"table": [list(r) for r in mut.xi_nm.table]},
-        "xi_mn": {"table": [list(r) for r in mut.xi_mn.table]},
-    }
-    _emit(report, args.out)
-    return 0
+def _induce_actions(args):
+    mut = induced_mutual_actions(*_xmod_pair(args, pio.xmod_from_dict))
+    return {"xi_nm": {"table": mut.xi_nm.table}, "xi_mn": {"table": mut.xi_mn.table}}, 0
 
 
-def cmd_enumerate(args):
-    rows = census(max_pair_order=args.max_order, cap=args.semidirect_cap)
-    _emit({"rows": rows}, args.out)
-    return 0
-
-
-def cmd_lie_validate(args):
+def _lie_validate(args):
     d = pio.load_json(args.algebra)
     try:
         pio.lie_from_dict(d)
     except LieError as exc:
-        _emit({"valid": False, "reason": str(exc)}, args.out)
-        return 2
-    _emit({"valid": True}, args.out)
-    return 0
+        return {"valid": False, "reason": str(exc)}, 2
+    return {"valid": True}, 0
 
 
-def cmd_lie_check_action(args):
+def _lie_check_action(args):
     d = pio.load_json(args.action)
-    from .lie import LieAction
-
     acting = pio.lie_from_dict(d["acting"])
     target = pio.lie_from_dict(d["target"])
-    act = LieAction(acting, target, d["rho"], check=False)
-    diag = check_lie_action(act)
-    report = {"valid": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
+    return _verdict("valid", check_lie_action(LieAction(acting, target, d["rho"], check=False)))
 
 
-def cmd_lie_check_compat(args):
-    mut = _load_lie_mutual(args)
-    diag = lie_compatible(mut)
-    report = {"compatible": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
+def _lie_semidirect(args):
+    sd = lie_semidirect(pio.lie_action_from_dict(pio.load_json(args.action)))
+    return {"algebra": pio.lie_to_dict(sd.algebra)}, 0
 
 
-def cmd_lie_semidirect(args):
-    d = pio.load_json(args.action)
-    rho = pio.lie_action_from_dict(d)
-    sd = lie_semidirect(rho)
-    _emit({"algebra": pio.lie_to_dict(sd.algebra)}, args.out)
-    return 0
+def _lie_peiffer(args):
+    pp = lie_peiffer(_lie_pair(args))
+    return {"algebra": pio.lie_to_dict(pp.algebra), "l_m": pp.l_m.matrix, "l_n": pp.l_n.matrix}, 0
 
 
-def cmd_lie_peiffer(args):
-    mut = _load_lie_mutual(args)
-    pp = lie_peiffer(mut)
-    report = {
-        "algebra": pio.lie_to_dict(pp.algebra),
-        "l_m": [[str(x) for x in row] for row in pp.l_m.matrix],
-        "l_n": [[str(x) for x in row] for row in pp.l_n.matrix],
-    }
-    _emit(report, args.out)
-    return 0
-
-
-def cmd_lie_xmod_check(args):
+def _lie_xmod_check(args):
     d = pio.load_json(args.xmod)
-    from .lie import LieCrossedModule, LieMap
-
     dom = pio.lie_from_dict(d["dom"])
     cod = pio.lie_from_dict(d["cod"])
     boundary = LieMap(dom, cod, d["boundary"], check=False)
     action = pio.lie_action_from_dict(d["action"], acting=cod, target=dom)
-    diag = check_lie_xmod(LieCrossedModule(boundary, action))
-    report = {"valid": diag.ok}
-    if not diag.ok:
-        report["reason"] = diag.reason
-        report["witness"] = diag.witness
-    _emit(report, args.out)
-    return 0 if diag.ok else 1
+    return _verdict("valid", check_lie_xmod(LieCrossedModule(boundary, action)))
 
 
-def cmd_lie_induce_actions(args):
-    xm_m = pio.lie_xmod_from_dict(pio.load_json(args.xm_m))
-    xm_n = pio.lie_xmod_from_dict(pio.load_json(args.xm_n))
-    mut = lie_induced_actions(xm_m, xm_n)
-    report = {
-        "rho_nm": {"rho": [[[str(x) for x in row] for row in m] for m in mut.rho_nm.rho]},
-        "rho_mn": {"rho": [[[str(x) for x in row] for row in m] for m in mut.rho_mn.rho]},
-    }
-    _emit(report, args.out)
-    return 0
+def _lie_induce_actions(args):
+    mut = lie_induced_actions(*_xmod_pair(args, pio.lie_xmod_from_dict))
+    return {"rho_nm": {"rho": mut.rho_nm.rho}, "rho_mn": {"rho": mut.rho_mn.rho}}, 0
 
 
-def cmd_lie_peiffer_xmods(args):
-    mut = _load_lie_mutual(args)
-    pp = lie_peiffer(mut)
-    xm_m, xm_n = lie_peiffer_xmods(pp)
-    report = {"on_M": pio.lie_xmod_to_dict(xm_m), "on_N": pio.lie_xmod_to_dict(xm_n)}
-    _emit(report, args.out)
-    return 0
+def _lie_universal_map(args):
+    pp = lie_peiffer(_lie_pair(args))
+    h = lie_universal_map(pp, *_xmod_pair(args, pio.lie_xmod_from_dict))
+    return {"matrix": h.matrix}, 0
 
 
-def cmd_lie_universal_map(args):
-    mut = _load_lie_mutual(args)
-    pp = lie_peiffer(mut)
-    xm_m = pio.lie_xmod_from_dict(pio.load_json(args.xm_m))
-    xm_n = pio.lie_xmod_from_dict(pio.load_json(args.xm_n))
-    h = lie_universal_map(pp, xm_m, xm_n)
-    report = {"matrix": [[str(x) for x in row] for row in h.matrix]}
-    _emit(report, args.out)
-    return 0
+GROUP_PAIR = ("m", "n", "xi_nm", "xi_mn")
+LIE_PAIR = ("m", "n", "rho_nm", "rho_mn")
+XMOD_PAIR = ("xm_m", "xm_n")
+
+# verb -> (positional arguments, run); run(args) returns (report, exit code)
+VERBS = {
+    "validate": (("group",), _validate),
+    "check-action": (("action",), _check_action),
+    "check-compat": (GROUP_PAIR, _check_compat),
+    "semidirect": (("action",), _semidirect),
+    "peiffer": (GROUP_PAIR, lambda args: (pio.peiffer_to_dict(_product(args)), 0)),
+    "strong-check": (GROUP_PAIR, lambda args: _verdict(
+        "ok", strong_relation_check(_product(args), bound=args.strong_word_bound))),
+    "peiffer-xmods": (GROUP_PAIR, lambda args: (
+        _on_sides(peiffer_xmods(_product(args)), pio.xmod_to_dict), 0)),
+    "universal-map": (GROUP_PAIR + XMOD_PAIR, _universal_map),
+    "xmod-check": (("xmod",), _xmod_check),
+    "induce-actions": (XMOD_PAIR, _induce_actions),
+    "enumerate": ((), lambda args: (
+        {"rows": census(max_pair_order=args.max_order, cap=args.semidirect_cap)}, 0)),
+    "lie-validate": (("algebra",), _lie_validate),
+    "lie-check-action": (("action",), _lie_check_action),
+    "lie-check-compat": (LIE_PAIR, lambda args: _verdict(
+        "compatible", lie_compatible(_lie_pair(args)))),
+    "lie-semidirect": (("action",), _lie_semidirect),
+    "lie-peiffer": (LIE_PAIR, _lie_peiffer),
+    "lie-xmod-check": (("xmod",), _lie_xmod_check),
+    "lie-induce-actions": (XMOD_PAIR, _lie_induce_actions),
+    "lie-peiffer-xmods": (LIE_PAIR, lambda args: (
+        _on_sides(lie_peiffer_xmods(lie_peiffer(_lie_pair(args))), pio.lie_xmod_to_dict), 0)),
+    "lie-universal-map": (LIE_PAIR + XMOD_PAIR, _lie_universal_map),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,46 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compatible actions, Peiffer products and crossed modules",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, *positional):
-        p = sub.add_parser(name, parents=[common])
+    for verb, (positional, _) in VERBS.items():
+        p = sub.add_parser(verb, parents=[common])
         for arg in positional:
             p.add_argument(arg)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, "group")
-    add("check-action", cmd_check_action, "action")
-    add("check-compat", cmd_check_compat, "m", "n", "xi_nm", "xi_mn")
-    add("semidirect", cmd_semidirect, "action")
-    add("peiffer", cmd_peiffer, "m", "n", "xi_nm", "xi_mn")
-    add("strong-check", cmd_strong_check, "m", "n", "xi_nm", "xi_mn")
-    add("peiffer-xmods", cmd_peiffer_xmods, "m", "n", "xi_nm", "xi_mn")
-    add("universal-map", cmd_universal_map, "m", "n", "xi_nm", "xi_mn", "xm_m", "xm_n")
-    add("xmod-check", cmd_xmod_check, "xmod")
-    add("induce-actions", cmd_induce_actions, "xm_m", "xm_n")
-    add("enumerate", cmd_enumerate)
-
-    add("lie-validate", cmd_lie_validate, "algebra")
-    add("lie-check-action", cmd_lie_check_action, "action")
-    add("lie-check-compat", cmd_lie_check_compat, "m", "n", "rho_nm", "rho_mn")
-    add("lie-semidirect", cmd_lie_semidirect, "action")
-    add("lie-peiffer", cmd_lie_peiffer, "m", "n", "rho_nm", "rho_mn")
-    add("lie-xmod-check", cmd_lie_xmod_check, "xmod")
-    add("lie-induce-actions", cmd_lie_induce_actions, "xm_m", "xm_n")
-    add("lie-peiffer-xmods", cmd_lie_peiffer_xmods, "m", "n", "rho_nm", "rho_mn")
-    add("lie-universal-map", cmd_lie_universal_map, "m", "n", "rho_nm", "rho_mn", "xm_m", "xm_n")
     return parser
 
 
 def main(argv=None) -> int:
-    # accepted for interface compatibility; all operations are deterministic
-    # and single-threaded regardless of the requested worker count
-    os.environ.get("PEIFFER_THREADS")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report, code = VERBS[args.verb][1](args)
+        print(pio.dump_json(_jsonable(report), args.out))
+        return code
     except (GroupError, WordError, LieError, NotWellDefined) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         return 2

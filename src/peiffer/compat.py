@@ -92,24 +92,18 @@ def check_compatible(mut: MutualActions) -> CompatVerdict:
     Equation 1: ( (m n) acting on m' ) = ( m n m^-1 acting on m' ), where
     (m n) means n acted on by m; symmetrically for equation 2.
     """
-    M, N = mut.M, mut.N
-    xi_nm, xi_mn = mut.xi_nm, mut.xi_mn
-    for m in M.elements():
-        for n in N.elements():
-            mn = xi_mn.table[m][n]
-            word = ((M_SIDE, m), (N_SIDE, n), (M_SIDE, M.inv(m)))
-            for m2 in M.elements():
-                lhs = xi_nm.table[mn][m2]
-                rhs = coproduct_eval(mut, word, M_SIDE, m2)
-                if lhs != rhs:
-                    return CompatVerdict(False, CompatWitness(1, m, n, m2, lhs, rhs))
-    for n in N.elements():
-        for m in M.elements():
-            nm = xi_nm.table[n][m]
-            word = ((N_SIDE, n), (M_SIDE, m), (N_SIDE, N.inv(n)))
-            for n2 in N.elements():
-                lhs = xi_mn.table[nm][n2]
-                rhs = coproduct_eval(mut, word, N_SIDE, n2)
-                if lhs != rhs:
-                    return CompatVerdict(False, CompatWitness(2, m, n, n2, lhs, rhs))
+    # equation 2 is equation 1 for the swapped pair; its witness names m, n
+    # of the original pair
+    for equation, pair in ((1, mut), (2, mut.swapped())):
+        A, B = pair.M, pair.N
+        for a in A.elements():
+            for b in B.elements():
+                ab = pair.xi_mn.table[a][b]
+                word = ((M_SIDE, a), (N_SIDE, b), (M_SIDE, A.inv(a)))
+                for x in A.elements():
+                    lhs = pair.xi_nm.table[ab][x]
+                    rhs = coproduct_eval(pair, word, M_SIDE, x)
+                    if lhs != rhs:
+                        m, n = (a, b) if equation == 1 else (b, a)
+                        return CompatVerdict(False, CompatWitness(equation, m, n, x, lhs, rhs))
     return CompatVerdict(True)

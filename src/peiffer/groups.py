@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
+from operator import eq
 
 
 class GroupError(ValueError):
@@ -29,17 +31,23 @@ class Diagnosis:
 VALID = Diagnosis(True)
 
 
-def validate_table(table) -> Diagnosis:
-    """Full group-axiom check of a raw multiplication table (O(n^3))."""
+def _axioms(table, check: bool):
+    """The identity and the inverses of a table, or the first failed axiom.
+
+    With check the raw table is validated in full: shape, entry types and
+    ranges, and associativity (O(n^3)).  The identity and inverse search is
+    the same pass either way.
+    """
     n = len(table)
     if n == 0:
         return Diagnosis(False, "empty table", ())
-    for i, row in enumerate(table):
-        if len(row) != n:
-            return Diagnosis(False, "table is not square", (i,))
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                return Diagnosis(False, "entry out of range", (i, j, v))
+    if check:
+        for i, row in enumerate(table):
+            if len(row) != n:
+                return Diagnosis(False, "table is not square", (i,))
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    return Diagnosis(False, "entry out of range", (i, j, v))
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -47,56 +55,46 @@ def validate_table(table) -> Diagnosis:
             break
     if identity is None:
         return Diagnosis(False, "no identity element", ())
+    inverses = []
     for x in range(n):
         invs = [y for y in range(n) if table[x][y] == identity and table[y][x] == identity]
         if not invs:
             return Diagnosis(False, f"no inverse for element {x}", (x,))
         if len(invs) > 1:
             return Diagnosis(False, f"inverse of element {x} not unique", (x,))
-    for a in range(n):
-        ra = table[a]
-        for b in range(n):
-            ab = ra[b]
-            rb = table[b]
-            for c in range(n):
-                if table[ab][c] != ra[rb[c]]:
-                    return Diagnosis(False, "associativity fails", (a, b, c))
-    return VALID
+        inverses.append(invs[0])
+    if check:
+        for a in range(n):
+            ra = table[a]
+            for b in range(n):
+                ab = ra[b]
+                rb = table[b]
+                for c in range(n):
+                    if table[ab][c] != ra[rb[c]]:
+                        return Diagnosis(False, "associativity fails", (a, b, c))
+    return identity, tuple(inverses)
+
+
+def validate_table(table) -> Diagnosis:
+    """Full group-axiom check of a raw multiplication table (O(n^3))."""
+    found = _axioms(table, check=True)
+    return found if isinstance(found, Diagnosis) else VALID
 
 
 class FiniteGroup:
-    """A finite group as an order x order multiplication table."""
+    """A finite group as an order x order multiplication table.
+
+    check validates the table as given, before any entry is converted.
+    """
 
     def __init__(self, table, name: str | None = None, check: bool = False):
+        found = _axioms(table, check)
+        if isinstance(found, Diagnosis):
+            found.expect("group axioms")
+        self.identity, self.inverses = found
         self.table = tuple(tuple(int(v) for v in row) for row in table)
         self.order = len(self.table)
         self.name = name
-        if self.order == 0:
-            raise GroupError("empty table")
-        if check:
-            validate_table(self.table).expect("group axioms")
-        identity = None
-        rng = range(self.order)
-        for e in rng:
-            if all(self.table[e][x] == x for x in rng) and all(
-                self.table[x][e] == x for x in rng
-            ):
-                identity = e
-                break
-        if identity is None:
-            raise GroupError("no identity element")
-        self.identity = identity
-        inverses = []
-        for x in rng:
-            ys = [
-                y
-                for y in rng
-                if self.table[x][y] == identity and self.table[y][x] == identity
-            ]
-            if len(ys) != 1:
-                raise GroupError(f"element {x} has no unique inverse")
-            inverses.append(ys[0])
-        self.inverses = tuple(inverses)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -353,20 +351,35 @@ def _map_from_images(G, H, gens, order, parent, images):
     return tuple(phi)
 
 
-def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
-    """Every homomorphism G -> H, by generator-image search."""
+SEARCH_BUDGET = 10**6  # image tuples per search; Aut(Z2^4) takes 50,625
+
+
+def _hom_search(G: FiniteGroup, H: FiniteGroup, fits, bijective: bool):
+    """Maps G -> H fixed by images of greedy generators of G, in search order.
+
+    fits(og, oh) says whether an element of order oh may be the image of a
+    generator of order og.  The number of image tuples is bounded before the
+    search starts.
+    """
     gens = _greedy_generators(G)
     order, parent = _bfs_tree(G, gens)
     candidates = []
     for g in gens:
         og = G.element_order(g)
-        candidates.append([h for h in range(H.order) if og % H.element_order(h) == 0])
-    out = []
+        candidates.append([h for h in range(H.order) if fits(og, H.element_order(h))])
+    size = prod(len(c) for c in candidates)
+    if size > SEARCH_BUDGET:
+        raise GroupError(f"search budget exceeded: {size} image tuples > {SEARCH_BUDGET}")
     for images in iproduct(*candidates):
         phi = _map_from_images(G, H, gens, order, parent, images)
-        if phi is not None:
-            out.append(Hom(G, H, phi, check=False))
-    return out
+        if phi is not None and (not bijective or len(set(phi)) == G.order):
+            yield phi
+
+
+def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
+    """Every homomorphism G -> H, by generator-image search."""
+    search = _hom_search(G, H, lambda og, oh: og % oh == 0, bijective=False)
+    return [Hom(G, H, phi, check=False) for phi in search]
 
 
 DEFAULT_SEARCH_CAP = 64
@@ -376,18 +389,8 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Hom]:
     """All automorphisms of G, sorted by their map for a stable indexing."""
     if G.order > cap:
         raise GroupError(f"cap exceeded: order {G.order} > {cap}")
-    gens = _greedy_generators(G)
-    order, parent = _bfs_tree(G, gens)
-    candidates = []
-    for g in gens:
-        og = G.element_order(g)
-        candidates.append([h for h in range(G.order) if G.element_order(h) == og])
-    out = []
-    for images in iproduct(*candidates):
-        phi = _map_from_images(G, G, gens, order, parent, images)
-        if phi is not None and len(set(phi)) == G.order:
-            out.append(phi)
-    return [Hom(G, G, phi, check=False) for phi in sorted(out)]
+    found = sorted(_hom_search(G, G, eq, bijective=True))
+    return [Hom(G, G, phi, check=False) for phi in found]
 
 
 def aut_group(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP):
@@ -411,14 +414,5 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP)
         return identity_hom(G)
     if G.order_multiset() != H.order_multiset():
         return None
-    gens = _greedy_generators(G)
-    order, parent = _bfs_tree(G, gens)
-    candidates = []
-    for g in gens:
-        og = G.element_order(g)
-        candidates.append([h for h in range(H.order) if H.element_order(h) == og])
-    for images in iproduct(*candidates):
-        phi = _map_from_images(G, H, gens, order, parent, images)
-        if phi is not None and len(set(phi)) == G.order:
-            return Hom(G, H, phi, check=False)
-    return None
+    phi = next(_hom_search(G, H, eq, bijective=True), None)
+    return None if phi is None else Hom(G, H, phi, check=False)

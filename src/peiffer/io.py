@@ -9,21 +9,23 @@ import json
 from fractions import Fraction
 
 from .actions import Action, check_action_table
-from .compat import MutualActions
-from .groups import FiniteGroup, GroupError, Hom, validate_table
-from .lie import (
-    LieAction,
-    LieAlgebra,
-    LieCrossedModule,
-    LieError,
-    LieMap,
-    LieMutualActions,
-    check_lie_action,
-    validate_lie,
-    vec,
-)
+from .groups import FiniteGroup, GroupError, Hom
+from .lie import LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
 from .product import PeifferProduct
 from .xmod import CrossedModule
+
+
+def int_entries(values, what: str, error=GroupError) -> tuple:
+    """values as a tuple, refusing every entry that is not an int.
+
+    int() would turn 1.7 into 1 and true into 1; both are refused, as are
+    strings.
+    """
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise error(f"{what}: {v!r} is not an integer")
+    return values
 
 
 def group_to_dict(G: FiniteGroup) -> dict:
@@ -39,8 +41,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
     table = d["table"]
     if "order" in d and d["order"] != len(table):
         raise GroupError("declared order does not match the table")
-    validate_table(tuple(tuple(row) for row in table)).expect("group axioms")
-    return FiniteGroup(table, name=d.get("name"))
+    return FiniteGroup(tuple(tuple(row) for row in table), name=d.get("name"), check=True)
 
 
 def action_to_dict(a: Action) -> dict:
@@ -68,7 +69,7 @@ def action_from_dict(d: dict, acting: FiniteGroup | None = None,
         target = group_from_dict(d["target"])
     elif "target" in d and group_from_dict(d["target"]) != target:
         raise GroupError("inline target group disagrees with the supplied one")
-    table = tuple(tuple(int(v) for v in row) for row in d["table"])
+    table = tuple(int_entries(row, "action table") for row in d["table"])
     check_action_table(acting, target, table).expect("action axioms")
     return Action(acting, target, table, check=False)
 
@@ -87,11 +88,9 @@ def xmod_from_dict(d: dict) -> CrossedModule:
         raise GroupError("crossed module data needs boundary, action, dom, cod")
     dom = group_from_dict(d["dom"])
     cod = group_from_dict(d["cod"])
-    boundary = Hom(dom, cod, d["boundary"], check=True)
+    boundary = Hom(dom, cod, int_entries(d["boundary"], "boundary"), check=True)
     action = action_from_dict(d["action"], acting=cod, target=dom)
-    xm = CrossedModule(boundary, action)
-    xm.check().expect("crossed module axioms")
-    return xm
+    return CrossedModule(boundary, action, check=True)
 
 
 def peiffer_to_dict(pp: PeifferProduct) -> dict:
@@ -111,17 +110,13 @@ def peiffer_to_dict(pp: PeifferProduct) -> dict:
     return d
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def lie_to_dict(L: LieAlgebra) -> dict:
     entries = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             coeffs = L.brackets[i][j]
             if any(c != 0 for c in coeffs):
-                entries.append({"i": i, "j": j, "coeffs": [_frac_str(c) for c in coeffs]})
+                entries.append({"i": i, "j": j, "coeffs": [str(c) for c in coeffs]})
     d = {"dim": L.dim, "brackets": entries}
     if L.name:
         d["name"] = L.name
@@ -131,27 +126,31 @@ def lie_to_dict(L: LieAlgebra) -> dict:
 def lie_from_dict(d: dict) -> LieAlgebra:
     if not isinstance(d, dict) or "dim" not in d:
         raise LieError("Lie data must be an object with a dim")
-    n = int(d["dim"])
-    brackets = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    (n,) = int_entries((d["dim"],), "dim", LieError)
+    given = {}
     for entry in d.get("brackets", ()):
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = int_entries((entry["i"], entry["j"]), "bracket index", LieError)
         coeffs = vec(entry["coeffs"])
         if len(coeffs) != n or not (0 <= i < n and 0 <= j < n):
             raise LieError("bracket entry out of range")
+        if (i, j) in given:
+            raise LieError(f"bracket entry ({i}, {j}) is given twice")
+        given[i, j] = coeffs
+    brackets = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in given.items():
         brackets[i][j] = list(coeffs)
-        # fill the antisymmetric partner unless the file lists it itself
-        if not any(int(e["i"]) == j and int(e["j"]) == i for e in d["brackets"]):
+        # fill the antisymmetric partner unless the file lists it itself; a
+        # listed partner that is not the negative fails antisymmetry below
+        if (j, i) not in given:
             brackets[j][i] = [-c for c in coeffs]
-    L = LieAlgebra(n, brackets, name=d.get("name"), check=False)
-    validate_lie(L).expect("Lie axioms")
-    return L
+    return LieAlgebra(n, brackets, name=d.get("name"))
 
 
 def lie_action_to_dict(a: LieAction) -> dict:
     return {
         "acting": lie_to_dict(a.acting),
         "target": lie_to_dict(a.target),
-        "rho": [[[_frac_str(x) for x in row] for row in m] for m in a.rho],
+        "rho": [[[str(x) for x in row] for row in m] for m in a.rho],
     }
 
 
@@ -163,15 +162,13 @@ def lie_action_from_dict(d: dict, acting: LieAlgebra | None = None,
         acting = lie_from_dict(d["acting"])
     if target is None:
         target = lie_from_dict(d["target"])
-    act = LieAction(acting, target, d["rho"], check=False)
-    check_lie_action(act).expect("Lie action axioms")
-    return act
+    return LieAction(acting, target, d["rho"])
 
 
 def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
     return {
-        "boundary": [[_frac_str(x) for x in row] for row in xm.boundary.matrix],
-        "action": {"rho": [[[_frac_str(x) for x in row] for row in m] for m in xm.action.rho]},
+        "boundary": [[str(x) for x in row] for row in xm.boundary.matrix],
+        "action": {"rho": [[[str(x) for x in row] for row in m] for m in xm.action.rho]},
         "dom": lie_to_dict(xm.X),
         "cod": lie_to_dict(xm.A),
     }
@@ -184,9 +181,7 @@ def lie_xmod_from_dict(d: dict) -> LieCrossedModule:
     cod = lie_from_dict(d["cod"])
     boundary = LieMap(dom, cod, d["boundary"], check=True)
     action = lie_action_from_dict(d["action"], acting=cod, target=dom)
-    xm = LieCrossedModule(boundary, action)
-    xm.check().expect("Lie crossed module axioms")
-    return xm
+    return LieCrossedModule(boundary, action, check=True)
 
 
 def load_json(path: str):

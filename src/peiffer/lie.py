@@ -8,7 +8,8 @@ Fractions; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+
+from .groups import VALID, Diagnosis
 
 
 class LieError(ValueError):
@@ -141,7 +142,7 @@ class LieAlgebra:
         ):
             raise LieError("structure constants have the wrong shape")
         if check:
-            validate_lie(self).expect("Lie axioms")
+            _expect(validate_lie(self), "Lie axioms")
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.brackets[i][j]
@@ -175,29 +176,19 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}{tag})"
 
 
-class LieDiagnosis:
-    """ok, or a reason with an exact residual witness."""
-
-    def __init__(self, ok: bool, reason=None, witness=None):
-        self.ok = ok
-        self.reason = reason
-        self.witness = witness
-
-    def expect(self, what: str = "check") -> None:
-        if not self.ok:
-            raise LieError(f"{what} failed: {self.reason}, witness={self.witness}")
+def _expect(diag: Diagnosis, what: str) -> None:
+    """Diagnosis.expect for the Lie side, which raises LieError."""
+    if not diag.ok:
+        raise LieError(f"{what} failed: {diag.reason}, witness={diag.witness}")
 
 
-LIE_VALID = LieDiagnosis(True)
-
-
-def validate_lie(L: LieAlgebra) -> LieDiagnosis:
+def validate_lie(L: LieAlgebra) -> Diagnosis:
     n = L.dim
     for i in range(n):
         for j in range(n):
             resid = vadd(L.brackets[i][j], L.brackets[j][i])
             if any(x != 0 for x in resid):
-                return LieDiagnosis(False, "antisymmetry fails", (i, j, resid))
+                return Diagnosis(False, "antisymmetry fails", (i, j, resid))
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -209,8 +200,8 @@ def validate_lie(L: LieAlgebra) -> LieDiagnosis:
                     L.bracket(basis_vec(n, k), L.brackets[i][j]),
                 )
                 if any(x != 0 for x in resid):
-                    return LieDiagnosis(False, "Jacobi fails", (i, j, k, resid))
-    return LIE_VALID
+                    return Diagnosis(False, "Jacobi fails", (i, j, k, resid))
+    return VALID
 
 
 class LieMap:
@@ -223,12 +214,12 @@ class LieMap:
         if len(self.matrix) != cod.dim or any(len(r) != dom.dim for r in self.matrix):
             raise LieError("matrix shape does not match the algebras")
         if check:
-            self.check().expect("Lie homomorphism")
+            _expect(self.check(), "Lie homomorphism")
 
     def __call__(self, v) -> tuple:
         return mat_vec(self.matrix, vec(v))
 
-    def check(self) -> LieDiagnosis:
+    def check(self) -> Diagnosis:
         n = self.dom.dim
         for i in range(n):
             fi = self(basis_vec(n, i))
@@ -238,8 +229,8 @@ class LieMap:
                     self.cod.bracket(fi, self(basis_vec(n, j))),
                 )
                 if any(x != 0 for x in resid):
-                    return LieDiagnosis(False, "bracket not preserved", (i, j, resid))
-        return LIE_VALID
+                    return Diagnosis(False, "bracket not preserved", (i, j, resid))
+        return VALID
 
     def compose(self, other: "LieMap") -> "LieMap":
         if other.cod is not self.dom and other.cod != self.dom:
@@ -275,7 +266,7 @@ class LieAction:
         ):
             raise LieError("action matrices have the wrong shape")
         if check:
-            check_lie_action(self).expect("Lie action axioms")
+            _expect(check_lie_action(self), "Lie action axioms")
 
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
@@ -300,7 +291,7 @@ class LieAction:
         return f"LieAction({self.acting.dim} on {self.target.dim})"
 
 
-def check_lie_action(act: LieAction) -> LieDiagnosis:
+def check_lie_action(act: LieAction) -> Diagnosis:
     """rho must be a Lie homomorphism into derivations of the target."""
     A, X = act.acting, act.target
     for a in range(A.dim):
@@ -310,7 +301,7 @@ def check_lie_action(act: LieAction) -> LieDiagnosis:
             )
             resid = mat_sub(act.of(A.brackets[a][b]), commutator)
             if any(x != 0 for row in resid for x in row):
-                return LieDiagnosis(False, "rho is not a Lie homomorphism", (a, b))
+                return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
     for a in range(A.dim):
         R = act.rho[a]
         for i in range(X.dim):
@@ -324,8 +315,8 @@ def check_lie_action(act: LieAction) -> LieDiagnosis:
                     ),
                 )
                 if any(x != 0 for x in resid):
-                    return LieDiagnosis(False, "rho(a) is not a derivation", (a, i, j))
-    return LIE_VALID
+                    return Diagnosis(False, "rho(a) is not a derivation", (a, i, j))
+    return VALID
 
 
 def trivial_lie_action(acting: LieAlgebra, target: LieAlgebra) -> LieAction:
@@ -378,39 +369,29 @@ class LieMutualActions:
         )
 
 
-def lie_compatible(mut: LieMutualActions) -> LieDiagnosis:
+def lie_compatible(mut: LieMutualActions) -> Diagnosis:
     """The two compatibility equations on basis triples.
 
     (C1): rho_NM(rho_MN(m) n) m' = [m, rho_NM(n) m'] - rho_NM(n) [m, m']
     (C2): rho_MN(rho_NM(n) m) n' = [n, rho_MN(m) n'] - rho_MN(m) [n, n']
     """
-    M, N = mut.M, mut.N
-    nm, mn = mut.rho_nm, mut.rho_mn
-    for i in range(M.dim):
-        m = basis_vec(M.dim, i)
-        for j in range(N.dim):
-            n = basis_vec(N.dim, j)
-            act = nm.of(mn(m, n))
-            for k in range(M.dim):
-                m2 = basis_vec(M.dim, k)
-                lhs = mat_vec(act, m2)
-                rhs = vsub(M.bracket(m, nm(n, m2)), nm(n, M.bracket(m, m2)))
-                resid = vsub(lhs, rhs)
-                if any(x != 0 for x in resid):
-                    return LieDiagnosis(False, "first equation fails", (i, j, k, resid))
-    for j in range(N.dim):
-        n = basis_vec(N.dim, j)
+    # (C2) is (C1) for the swapped pair, with the same witness layout
+    for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
+        M, N = pair.M, pair.N
+        nm, mn = pair.rho_nm, pair.rho_mn
         for i in range(M.dim):
             m = basis_vec(M.dim, i)
-            act = mn.of(nm(n, m))
-            for k in range(N.dim):
-                n2 = basis_vec(N.dim, k)
-                lhs = mat_vec(act, n2)
-                rhs = vsub(N.bracket(n, mn(m, n2)), mn(m, N.bracket(n, n2)))
-                resid = vsub(lhs, rhs)
-                if any(x != 0 for x in resid):
-                    return LieDiagnosis(False, "second equation fails", (j, i, k, resid))
-    return LIE_VALID
+            for j in range(N.dim):
+                n = basis_vec(N.dim, j)
+                act = nm.of(mn(m, n))
+                for k in range(M.dim):
+                    m2 = basis_vec(M.dim, k)
+                    lhs = mat_vec(act, m2)
+                    rhs = vsub(M.bracket(m, nm(n, m2)), nm(n, M.bracket(m, m2)))
+                    resid = vsub(lhs, rhs)
+                    if any(x != 0 for x in resid):
+                        return Diagnosis(False, reason, (i, j, k, resid))
+    return VALID
 
 
 class LieCrossedModule:
@@ -424,16 +405,16 @@ class LieCrossedModule:
         self.X = boundary.dom
         self.A = boundary.cod
         if check:
-            self.check().expect("Lie crossed module axioms")
+            _expect(self.check(), "Lie crossed module axioms")
 
-    def check(self) -> LieDiagnosis:
+    def check(self) -> Diagnosis:
         return check_lie_xmod(self)
 
     def __repr__(self):
         return f"LieCrossedModule({self.X.dim} -> {self.A.dim})"
 
 
-def check_lie_xmod(xm: LieCrossedModule) -> LieDiagnosis:
+def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
     X, A = xm.X, xm.A
     d, rho = xm.boundary, xm.action
     diag = d.check()
@@ -447,22 +428,22 @@ def check_lie_xmod(xm: LieCrossedModule) -> LieDiagnosis:
                 A.bracket(ea, d(basis_vec(X.dim, i))),
             )
             if any(x != 0 for x in resid):
-                return LieDiagnosis(False, "boundary is not equivariant", (a, i, resid))
+                return Diagnosis(False, "boundary is not equivariant", (a, i, resid))
     for i in range(X.dim):
         ei = basis_vec(X.dim, i)
         R = rho.of(d(ei))
         for j in range(X.dim):
             resid = vsub(mat_vec(R, basis_vec(X.dim, j)), X.brackets[i][j])
             if any(x != 0 for x in resid):
-                return LieDiagnosis(False, "Peiffer identity fails", (i, j, resid))
-    return LIE_VALID
+                return Diagnosis(False, "Peiffer identity fails", (i, j, resid))
+    return VALID
 
 
 def lie_induced_actions(xm_m: LieCrossedModule, xm_n: LieCrossedModule) -> LieMutualActions:
     if xm_m.A != xm_n.A:
         raise LieError("crossed modules have different base algebras")
-    check_lie_xmod(xm_m).expect("Lie crossed module axioms (first)")
-    check_lie_xmod(xm_n).expect("Lie crossed module axioms (second)")
+    _expect(check_lie_xmod(xm_m), "Lie crossed module axioms (first)")
+    _expect(check_lie_xmod(xm_n), "Lie crossed module axioms (second)")
     rho_nm = pullback_lie_action(xm_n.boundary, xm_m.action)
     rho_mn = pullback_lie_action(xm_m.boundary, xm_n.action)
     return LieMutualActions(rho_nm, rho_mn)
@@ -508,9 +489,9 @@ def lie_semidirect(rho: LieAction) -> LieSemidirect:
     pi = _lie_map_from_columns(
         S, N, [zero_vec(dn)] * dm + [basis_vec(dn, j) for j in range(dn)]
     )
-    j_m.check().expect("section into the semidirect sum")
-    j_n.check().expect("section into the semidirect sum")
-    pi.check().expect("projection from the semidirect sum")
+    _expect(j_m.check(), "section into the semidirect sum")
+    _expect(j_n.check(), "section into the semidirect sum")
+    _expect(pi.check(), "projection from the semidirect sum")
     return LieSemidirect(S, j_m, j_n, pi, rho)
 
 
@@ -590,7 +571,7 @@ def lie_peiffer(mut: LieMutualActions) -> LiePeifferProduct:
     P = LieAlgebra(dim, tuple(brackets), check=True)
     proj = _lie_map_from_columns(S, P, [project(basis_vec(S.dim, c)) for c in range(S.dim)])
     lift = _lie_map_from_columns(P, S, [basis_vec(S.dim, free[a]) for a in range(dim)])
-    proj.check().expect("projection onto the quotient")
+    _expect(proj.check(), "projection onto the quotient")
     l_m = proj.compose(sd.j_m)
     l_n = proj.compose(sd.j_n)
     return LiePeifferProduct(P, sd, proj, lift, l_m, l_n, mut, rows, pivots)
@@ -640,8 +621,8 @@ def lie_peiffer_xmods(pp: LiePeifferProduct) -> tuple[LieCrossedModule, LieCross
     on_m, on_n = lie_peiffer_actions(pp)
     xm_m = LieCrossedModule(pp.l_m, on_m)
     xm_n = LieCrossedModule(pp.l_n, on_n)
-    check_lie_xmod(xm_m).expect("crossed module structure on M")
-    check_lie_xmod(xm_n).expect("crossed module structure on N")
+    _expect(check_lie_xmod(xm_m), "crossed module structure on M")
+    _expect(check_lie_xmod(xm_n), "crossed module structure on N")
     return xm_m, xm_n
 
 
@@ -670,7 +651,7 @@ def lie_universal_map(pp: LiePeifferProduct, xm_m: LieCrossedModule, xm_n: LieCr
     P = pp.algebra
     out_cols = [h_s(pp.lift(basis_vec(P.dim, c))) for c in range(P.dim)]
     out = _lie_map_from_columns(P, L, out_cols)
-    out.check().expect("Lie homomorphism")
+    _expect(out.check(), "Lie homomorphism")
     for j in range(dm):
         resid = vsub(out(pp.l_m(basis_vec(dm, j))), mu(basis_vec(dm, j)))
         if any(x != 0 for x in resid):

@@ -89,43 +89,36 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     if subgroup_closure(P, gens) != frozenset(range(P.order)):
         raise GroupError("images of M and N do not generate the quotient")
 
-    M, N = mut.M, mut.N
-    nn = N.order
-    # induced actions, built coset by coset; every representative must agree
-    tab_on_m = [[None] * M.order for _ in range(P.order)]
-    tab_on_n = [[None] * N.order for _ in range(P.order)]
-    disagreement = None
-    rep_of = [None] * P.order
-    for s in range(S.order):
-        p = proj(s)
-        m, n = divmod(s, nn)
-        word = ((M_SIDE, m), (N_SIDE, n))
-        if rep_of[p] is None:
-            rep_of[p] = s
-        for x in M.elements():
-            v = coproduct_eval(mut, word, M_SIDE, x)
-            if tab_on_m[p][x] is None:
-                tab_on_m[p][x] = v
-            elif tab_on_m[p][x] != v:
-                disagreement = (p, rep_of[p], s, M_SIDE, x, tab_on_m[p][x], v)
-                break
-        if disagreement:
-            break
-        for x in N.elements():
-            v = coproduct_eval(mut, word, N_SIDE, x)
-            if tab_on_n[p][x] is None:
-                tab_on_n[p][x] = v
-            elif tab_on_n[p][x] != v:
-                disagreement = (p, rep_of[p], s, N_SIDE, x, tab_on_n[p][x], v)
-                break
-        if disagreement:
-            break
+    nn = mut.N.order
+    groups = (mut.M, mut.N)  # indexed by side
+    # induced actions on M and on N, built coset by coset; every
+    # representative must agree
+    tabs = [[[None] * G.order for _ in range(P.order)] for G in groups]
 
+    def first_disagreement():
+        rep_of = [None] * P.order
+        for s in range(S.order):
+            p = proj(s)
+            m, n = divmod(s, nn)
+            word = ((M_SIDE, m), (N_SIDE, n))
+            if rep_of[p] is None:
+                rep_of[p] = s
+            for side, G in enumerate(groups):
+                row = tabs[side][p]
+                for x in G.elements():
+                    v = coproduct_eval(mut, word, side, x)
+                    if row[x] is None:
+                        row[x] = v
+                    elif row[x] != v:
+                        return (p, rep_of[p], s, side, x, row[x], v)
+        return None
+
+    disagreement = first_disagreement()
     actions = None
     if disagreement is None:
-        on_m = Action(P, M, tuple(tuple(row) for row in tab_on_m))
-        on_n = Action(P, N, tuple(tuple(row) for row in tab_on_n))
-        actions = (on_m, on_n)
+        actions = tuple(
+            Action(P, G, tuple(tuple(row) for row in tab)) for G, tab in zip(groups, tabs)
+        )
     return PeifferProduct(P, sd, proj, lM, lN, mut, actions, disagreement)
 
 

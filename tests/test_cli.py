@@ -201,6 +201,21 @@ def test_out_flag_writes_file(tmp_path, trivial_pair, capsys):
     assert json.loads(out.read_text()) == report
 
 
+@pytest.mark.parametrize("bad", [1.7, True])
+def test_check_action_refuses_non_integer_entries(tmp_path, capsys, bad):
+    z2 = pio.group_to_dict(Z2)
+    path = write(tmp_path, "a.json", {"acting": z2, "target": z2, "table": [[0, bad], [0, 1]]})
+    code, report = run(capsys, "check-action", path)
+    assert code == 2 and "is not an integer" in report["error"]
+
+
+def test_xmod_check_refuses_non_integer_boundary(tmp_path, capsys):
+    data = pio.xmod_to_dict(identity_xmod(Z2))
+    data["boundary"] = [0, 1.2]
+    code, report = run(capsys, "xmod-check", write(tmp_path, "xm.json", data))
+    assert code == 2 and "is not an integer" in report["error"]
+
+
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -213,3 +214,20 @@ def test_normal_closure_of_transposition_is_everything():
     t = next(x for x in S3.elements() if S3.element_order(x) == 2)
     assert normal_closure(S3, [t]) == frozenset(range(6))
     assert normal_closure(S3, [S3.identity]) == frozenset({S3.identity})
+
+
+def test_checked_construction_refuses_non_integers():
+    # the raw table is validated, so 0.0 is refused rather than read as 0
+    with pytest.raises(GroupError, match="entry out of range"):
+        FiniteGroup([[0, 1], [1, 0.0]], check=True)
+
+
+def test_hom_search_refuses_past_budget():
+    G = cyclic(2)
+    for _ in range(5):
+        G = direct_product(G, cyclic(2))
+    assert G.order == 64  # within the order cap; 63^6 image tuples
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="search budget exceeded"):
+        automorphisms(G)
+    assert time.perf_counter() - start < 1

@@ -57,20 +57,56 @@ def test_lie_round_trip_preserves_rationals():
     assert back.brackets == L.brackets
 
 
+def lie_data(*entries):
+    return {"dim": 2, "brackets": [{"i": i, "j": j, "coeffs": c} for i, j, c in entries]}
+
+
 def test_lie_load_fills_antisymmetric_partner():
-    d = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1"]}]}
+    d = lie_data((0, 1, ["0", "1"]))
     L = pio.lie_from_dict(d)
     assert L.brackets[1][0] == (Fraction(0), Fraction(-1))
+    # a file may list the partner itself
+    assert pio.lie_from_dict(lie_data((0, 1, ["0", "1"]), (1, 0, ["0", "-1"]))) == L
 
 
 def test_lie_load_validates():
-    with pytest.raises(LieError):
-        pio.lie_from_dict(
-            {"dim": 2, "brackets": [
-                {"i": 0, "j": 1, "coeffs": ["0", "1"]},
-                {"i": 1, "j": 0, "coeffs": ["0", "1"]},
-            ]}
-        )
+    # a listed partner that is not the negative fails antisymmetry
+    for partner in (["0", "1"], ["0", "2"]):
+        with pytest.raises(LieError, match="antisymmetry fails"):
+            pio.lie_from_dict(lie_data((0, 1, ["0", "1"]), (1, 0, partner)))
+
+
+def test_lie_load_refuses_repeated_entry():
+    with pytest.raises(LieError, match="given twice"):
+        pio.lie_from_dict(lie_data((0, 1, ["0", "1"]), (0, 1, ["0", "2"])))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dim", 2.9), ("dim", True), ("i", True), ("j", 1.5), ("i", "0")]
+)
+def test_lie_load_refuses_non_integer_index(field, value):
+    d = lie_data((0, 1, ["0", "1"]))
+    if field == "dim":
+        d["dim"] = value
+    else:
+        d["brackets"][0][field] = value
+    with pytest.raises(LieError, match="is not an integer"):
+        pio.lie_from_dict(d)
+
+
+@pytest.mark.parametrize("bad", [1.7, True])
+def test_action_load_refuses_non_integer_entries(bad):
+    Z2 = pio.group_to_dict(cyclic(2))
+    d = {"acting": Z2, "target": Z2, "table": [[0, bad], [0, 1]]}
+    with pytest.raises(GroupError, match="is not an integer"):
+        pio.action_from_dict(d)
+
+
+def test_xmod_load_refuses_non_integer_boundary():
+    d = pio.xmod_to_dict(identity_xmod(cyclic(2)))
+    d["boundary"] = [0, 1.2]
+    with pytest.raises(GroupError, match="is not an integer"):
+        pio.xmod_from_dict(d)
 
 
 def test_lie_action_round_trip():

@@ -317,3 +317,14 @@ def test_dim_bound(family=None):
             for m in mut.rho_nm.rho + mut.rho_mn.rho
         ):
             assert pp.algebra.dim == mut.M.dim + mut.N.dim
+
+
+def test_lie_checks_raise_lie_error():
+    # the Lie side shares groups.Diagnosis but keeps its own exception
+    with pytest.raises(LieError, match="Lie axioms failed: antisymmetry fails"):
+        LieAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]])
+    L = solvable2()
+    with pytest.raises(LieError, match="Lie homomorphism failed"):
+        LieMap(L, L, [[0, 0], [0, 2]])
+    with pytest.raises(LieError, match="Lie action axioms failed"):
+        LieAction(L, L, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
