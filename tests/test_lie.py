@@ -34,6 +34,10 @@ from peiffer.lie import (
 )
 
 
+def fracs(*values):
+    return tuple(Fraction(v) for v in values)
+
+
 def abelian(n):
     zero = [[[0] * n for _ in range(n)] for _ in range(n)]
     return LieAlgebra(n, zero)
@@ -76,6 +80,7 @@ def test_validate_rejects_antisymmetry():
     bad = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]], check=False)
     d = validate_lie(bad)
     assert not d.ok and d.reason == "antisymmetry fails"
+    assert d.witness == (0, 1, fracs(0, 2))
 
 
 def test_validate_rejects_jacobi():
@@ -91,7 +96,7 @@ def test_validate_rejects_jacobi():
     )
     d = validate_lie(bad)
     assert not d.ok and d.reason == "Jacobi fails"
-    assert any(x != 0 for x in d.witness[3])
+    assert d.witness == (0, 1, 2, fracs(0, 0, 1))
 
 
 def test_rref_and_span():
@@ -131,6 +136,7 @@ def test_check_lie_action_rejects_non_derivation():
     act = LieAction(abelian(1), L, [[[1, 0], [0, 1]]], check=False)
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho(a) is not a derivation"
+    assert d.witness == (0, 0, 1)
 
 
 def test_check_lie_action_rejects_non_hom():
@@ -138,7 +144,17 @@ def test_check_lie_action_rejects_non_hom():
     # send h to rho(e)-like matrix so the rep property breaks
     rho = [adjoint_action(L).rho[1], adjoint_action(L).rho[1], adjoint_action(L).rho[2]]
     act = LieAction(L, L, rho, check=False)
-    assert not check_lie_action(act).ok
+    d = check_lie_action(act)
+    assert not d.ok and d.reason == "rho is not a Lie homomorphism"
+    assert d.witness == (0, 1)
+
+
+def test_lie_map_check_witness():
+    L = solvable2()
+    d = LieMap(L, L, [[0, 0], [0, "1/2"]], check=False).check()
+    assert not d.ok and d.reason == "bracket not preserved"
+    # f[e0, e1] = e1/2 but [f e0, f e1] = 0
+    assert d.witness == (0, 1, fracs(0, "1/2"))
 
 
 def test_lie_xmod_fixtures():
@@ -155,6 +171,16 @@ def test_zero_boundary_nonabelian_fails_peiffer():
     )
     d = check_lie_xmod(xm)
     assert not d.ok and d.reason == "Peiffer identity fails"
+    assert d.witness == (0, 1, fracs(0, -1))
+
+
+def test_boundary_not_equivariant_witness():
+    # the inclusion <e1> -> solvable2 under the trivial action
+    L = solvable2()
+    xm = LieCrossedModule(LieMap(abelian(1), L, [[0], [1]]), trivial_lie_action(L, abelian(1)))
+    d = check_lie_xmod(xm)
+    assert not d.ok and d.reason == "boundary is not equivariant"
+    assert d.witness == (0, 0, fracs(0, -1))
 
 
 def test_lie_semidirect_zero_action_is_direct_sum():
@@ -204,6 +230,18 @@ def test_scalar_pair_incompatible():
     assert not d.ok
     # C1 on the 1-dim pair reads m n m' = 0
     assert d.reason == "first equation fails"
+    assert d.witness == (0, 0, 0, fracs(1))
+
+
+def test_second_equation_witness():
+    # N acts trivially, so C1 holds; M acts on N by ad(e1), and C2 fails
+    L = solvable2()
+    mut = LieMutualActions(
+        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, [L.ad(basis_vec(2, 1))])
+    )
+    d = lie_compatible(mut)
+    assert not d.ok and d.reason == "second equation fails"
+    assert d.witness == (0, 0, 0, fracs(0, 1))
 
 
 def test_lie_induced_actions_identity_xmods_are_adjoint():
