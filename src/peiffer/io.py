@@ -6,11 +6,10 @@ nothing is lost to floating point.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .actions import Action, check_action_table
-from .groups import FiniteGroup, GroupError, Hom
-from .lie import LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
+from .groups import MAX_LIE_DIM, FiniteGroup, GroupError, Hom
+from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
 from .product import PeifferProduct
 from .xmod import CrossedModule
 
@@ -127,6 +126,8 @@ def lie_from_dict(d: dict) -> LieAlgebra:
     if not isinstance(d, dict) or "dim" not in d:
         raise LieError("Lie data must be an object with a dim")
     (n,) = int_entries((d["dim"],), "dim", LieError)
+    if n > MAX_LIE_DIM:
+        raise LieError(f"dim {n} is above the limit of {MAX_LIE_DIM}")
     given = {}
     for entry in d.get("brackets", ()):
         i, j = int_entries((entry["i"], entry["j"]), "bracket index", LieError)
@@ -136,13 +137,13 @@ def lie_from_dict(d: dict) -> LieAlgebra:
         if (i, j) in given:
             raise LieError(f"bracket entry ({i}, {j}) is given twice")
         given[i, j] = coeffs
-    brackets = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    brackets = [[(ZERO,) * n] * n for _ in range(n)]
     for (i, j), coeffs in given.items():
-        brackets[i][j] = list(coeffs)
+        brackets[i][j] = coeffs
         # fill the antisymmetric partner unless the file lists it itself; a
         # listed partner that is not the negative fails antisymmetry below
         if (j, i) not in given:
-            brackets[j][i] = [-c for c in coeffs]
+            brackets[j][i] = tuple(-c for c in coeffs)
     return LieAlgebra(n, brackets, name=d.get("name"))
 
 

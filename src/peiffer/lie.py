@@ -23,6 +23,8 @@ ONE = Fraction(1)
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, bool):
+        raise LieError(f"not an exact rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
@@ -31,6 +33,8 @@ def _frac(v) -> Fraction:
 
 
 def vec(values) -> tuple:
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
     return tuple(_frac(v) for v in values)
 
 
@@ -38,16 +42,21 @@ def zero_vec(n: int) -> tuple:
     return (ZERO,) * n
 
 
+# The kernels below skip every product with a zero factor and every sum with
+# a zero term.  That changes no exact value, and Lie data are mostly zeros.
+
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if a and b else b if not a else a for a, b in zip(u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if a and b else a if not b else -b for a, b in zip(u, v))
 
 
 def vscale(c, u):
-    return tuple(c * a for a in u)
+    if not c:
+        return zero_vec(len(u))
+    return tuple(c * a if a else a for a in u)
 
 
 def mat(rows) -> tuple:
@@ -64,16 +73,33 @@ def identity_mat(n: int) -> tuple:
     )
 
 
+def _accumulate(acc: list, k: int, x) -> None:
+    acc[k] = acc[k] + x if acc[k] else x
+
+
 def mat_vec(A, v) -> tuple:
-    return tuple(sum((a * x for a, x in zip(row, v)), ZERO) for row in A)
+    terms = [(k, x) for k, x in enumerate(v) if x]
+    out = [ZERO] * len(A)
+    for i, row in enumerate(A):
+        for k, x in terms:
+            a = row[k]
+            if a:
+                _accumulate(out, i, a * x)
+    return tuple(out)
 
 
 def mat_mul(A, B) -> tuple:
     cols = len(B[0]) if B else 0
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO) for j in range(cols))
-        for i in range(len(A))
-    )
+    out = []
+    for row in A:
+        acc = [ZERO] * cols
+        for k, a in enumerate(row):
+            if a:
+                for j, b in enumerate(B[k]):
+                    if b:
+                        _accumulate(acc, j, a * b)
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(A, B) -> tuple:
@@ -102,11 +128,10 @@ def rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
+        rows[r] = [inv * v if v else v for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+                rows[i] = list(vsub(rows[i], vscale(rows[i][c], rows[r])))
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -116,13 +141,11 @@ def rref(rows):
 
 def reduce_mod(basis_rows, pivots, v):
     """Reduce v against an rref basis; zero result means v is in the span."""
-    v = list(vec(v))
+    v = vec(v)
     for row, c in zip(basis_rows, pivots):
         if v[c] != 0:
-            f = v[c]
-            for j in range(len(v)):
-                v[j] -= f * row[j]
-    return tuple(v)
+            v = vsub(v, vscale(v[c], row))
+    return v
 
 
 def in_span(basis_rows, pivots, v) -> bool:
@@ -141,6 +164,11 @@ class LieAlgebra:
             for row in self.brackets
         ):
             raise LieError("structure constants have the wrong shape")
+        # the nonzero (k, c) of each brackets[i][j], for bracket()
+        self._constants = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+            for row in self.brackets
+        )
         if check:
             _expect(validate_lie(self), "Lie axioms")
 
@@ -148,15 +176,17 @@ class LieAlgebra:
         return self.brackets[i][j]
 
     def bracket(self, u, v) -> tuple:
-        out = zero_vec(self.dim)
+        out = [ZERO] * self.dim
+        v_terms = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
-            if a == 0:
+            if not a:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                out = vadd(out, vscale(a * b, self.brackets[i][j]))
-        return out
+            row = self._constants[i]
+            for j, b in v_terms:
+                ab = a * b
+                for k, c in row[j]:
+                    _accumulate(out, k, ab * c)
+        return tuple(out)
 
     def ad(self, u) -> tuple:
         """The matrix of [u, -] on the basis (columns are images)."""
@@ -270,11 +300,17 @@ class LieAction:
 
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
-        out = zero_mat(self.target.dim, self.target.dim)
-        for a, c in enumerate(vec(u)):
-            if c != 0:
-                out = mat_add(out, tuple(vscale(c, row) for row in self.rho[a]))
-        return out
+        terms = [(self.rho[a], c) for a, c in enumerate(vec(u)) if c]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        n = self.target.dim
+        out = [[ZERO] * n for _ in range(n)]
+        for m, c in terms:
+            for acc, row in zip(out, m):
+                for j, x in enumerate(row):
+                    if x:
+                        _accumulate(acc, j, c * x)
+        return tuple(tuple(acc) for acc in out)
 
     def __call__(self, u, x) -> tuple:
         return mat_vec(self.of(u), vec(x))

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -10,7 +11,7 @@ from peiffer import io as pio
 from peiffer.actions import Action, conjugation_action, trivial_action
 from peiffer.catalog import cyclic, symmetric_3
 from peiffer.cli import main
-from peiffer.groups import FiniteGroup, GroupError, Hom
+from peiffer.groups import MAX_LIE_DIM, FiniteGroup, GroupError, Hom
 from peiffer.lie import LieAction, LieAlgebra, LieCrossedModule, LieMap, adjoint_action, identity_lie_map
 from peiffer.xmod import identity_xmod
 
@@ -246,6 +247,22 @@ def test_lie_validate(tmp_path, capsys):
     ]})
     code, report = run(capsys, "lie-validate", bad)
     assert code == 2 and report["valid"] is False
+
+
+def test_lie_validate_refuses_large_dim_at_once(tmp_path, capsys):
+    path = write(tmp_path, "big.json", {"dim": 10**6, "brackets": []})
+    start = time.perf_counter()
+    code, report = run(capsys, "lie-validate", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and report == {"reason": f"dim 1000000 is above the limit of {MAX_LIE_DIM}", "valid": False}
+
+
+def test_lie_check_action_refuses_boolean_entries(tmp_path, capsys):
+    L, _, _, _ = solvable_files(tmp_path)
+    data = pio.lie_action_to_dict(adjoint_action(L))
+    data["rho"][0][1][1] = True
+    code, report = run(capsys, "lie-check-action", write(tmp_path, "a.json", data))
+    assert code == 2 and "not an exact rational" in report["error"]
 
 
 def test_lie_check_action(tmp_path, capsys):

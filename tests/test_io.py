@@ -5,8 +5,15 @@ import pytest
 from peiffer import io as pio
 from peiffer.actions import conjugation_action
 from peiffer.catalog import cyclic, symmetric_3
-from peiffer.groups import GroupError
-from peiffer.lie import LieAction, LieAlgebra, LieError, adjoint_action
+from peiffer.groups import MAX_LIE_DIM, GroupError
+from peiffer.lie import (
+    LieAction,
+    LieAlgebra,
+    LieCrossedModule,
+    LieError,
+    adjoint_action,
+    identity_lie_map,
+)
 from peiffer.xmod import identity_xmod
 
 
@@ -92,6 +99,34 @@ def test_lie_load_refuses_non_integer_index(field, value):
         d["brackets"][0][field] = value
     with pytest.raises(LieError, match="is not an integer"):
         pio.lie_from_dict(d)
+
+
+def test_lie_load_refuses_boolean_coefficients():
+    with pytest.raises(LieError, match="not an exact rational: True"):
+        pio.lie_from_dict(lie_data((0, 1, [True, False])))
+
+
+def test_lie_action_load_refuses_boolean_entries():
+    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    d = pio.lie_action_to_dict(adjoint_action(L))
+    d["rho"][0][1][1] = True  # was "1"
+    with pytest.raises(LieError, match="not an exact rational: True"):
+        pio.lie_action_from_dict(d)
+
+
+def test_lie_xmod_load_refuses_boolean_boundary():
+    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    d = pio.lie_xmod_to_dict(LieCrossedModule(identity_lie_map(L), adjoint_action(L)))
+    d["boundary"][0][0] = True  # was "1"
+    with pytest.raises(LieError, match="not an exact rational: True"):
+        pio.lie_xmod_from_dict(d)
+
+
+def test_lie_load_bounds_dim():
+    assert pio.lie_from_dict({"dim": MAX_LIE_DIM}).dim == MAX_LIE_DIM
+    for n in (MAX_LIE_DIM + 1, 10**9):
+        with pytest.raises(LieError, match=f"dim {n} is above the limit of {MAX_LIE_DIM}"):
+            pio.lie_from_dict({"dim": n})
 
 
 @pytest.mark.parametrize("bad", [1.7, True])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peiffer.lie import (
+    ZERO,
     LieAction,
     LieAlgebra,
     LieCrossedModule,
@@ -22,6 +23,7 @@ from peiffer.lie import (
     lie_peiffer_xmods,
     lie_semidirect,
     lie_universal_map,
+    mat_mul,
     mat_vec,
     rref,
     in_span,
@@ -31,6 +33,7 @@ from peiffer.lie import (
     vec,
     vscale,
     vsub,
+    zero_vec,
 )
 
 
@@ -366,3 +369,108 @@ def test_lie_checks_raise_lie_error():
         LieMap(L, L, [[0, 0], [0, 2]])
     with pytest.raises(LieError, match="Lie action axioms failed"):
         LieAction(L, L, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+
+
+# The dense kernels as they were before zero-skipping, kept as an oracle for
+# the sparse ones: dropping a zero product or a zero term changes no exact sum.
+
+
+def dense_vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def dense_vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def dense_vscale(c, u):
+    return tuple(c * a for a in u)
+
+
+def dense_mat_vec(A, v):
+    return tuple(sum((a * x for a, x in zip(row, v)), ZERO) for row in A)
+
+
+def dense_mat_mul(A, B):
+    cols = len(B[0]) if B else 0
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO) for j in range(cols))
+        for i in range(len(A))
+    )
+
+
+def dense_bracket(L, u, v):
+    out = zero_vec(L.dim)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            out = dense_vadd(out, dense_vscale(a * b, L.brackets[i][j]))
+    return out
+
+
+def dense_of(act, u):
+    n = act.target.dim
+    out = tuple(zero_vec(n) for _ in range(n))
+    for a, c in enumerate(u):
+        if c != 0:
+            out = tuple(
+                dense_vadd(r, s) for r, s in zip(out, (dense_vscale(c, row) for row in act.rho[a]))
+            )
+    return out
+
+
+nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+zero = st.just(Fraction(0))
+# dense, about half zeros, or about 90% zeros
+entries = st.sampled_from([nonzero, st.one_of(zero, nonzero), st.one_of(*[zero] * 9, nonzero)])
+
+
+@st.composite
+def fraction_rows(draw, rows, cols):
+    """A rows x cols tuple of Fractions."""
+    entry = draw(entries)
+    row = st.lists(entry, min_size=cols, max_size=cols).map(tuple)
+    return draw(st.lists(row, min_size=rows, max_size=rows).map(tuple))
+
+
+def all_fractions(value):
+    if isinstance(value, tuple):
+        return all(all_fractions(x) for x in value)
+    return type(value) is Fraction
+
+
+size = st.integers(0, 4)
+
+
+@given(size, size, size, st.data())
+def test_sparse_kernels_match_dense_oracle(r, k, c, data):
+    A = data.draw(fraction_rows(r, k))
+    B = data.draw(fraction_rows(k, c))
+    u, v = data.draw(fraction_rows(2, k))
+    ((s,),) = data.draw(fraction_rows(1, 1))
+    brackets = tuple(data.draw(fraction_rows(k, k)) for _ in range(k))
+    L = LieAlgebra(k, brackets, check=False)
+    rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
+    act = LieAction(abelian(r), abelian(k), rho, check=False)
+    (w,) = data.draw(fraction_rows(1, r))
+    pairs = [
+        (mat_vec(A, u), dense_mat_vec(A, u)),
+        (mat_mul(A, B), dense_mat_mul(A, B)),
+        (vadd(u, v), dense_vadd(u, v)),
+        (vsub(u, v), dense_vsub(u, v)),
+        (vscale(s, u), dense_vscale(s, u)),
+        (L.bracket(u, v), dense_bracket(L, u, v)),
+        (act.of(w), dense_of(act, w)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert all_fractions(got)
+
+
+def test_action_of_basis_vector_is_the_stored_matrix():
+    act = adjoint_action(sl2())
+    for a in range(3):
+        assert act.of(basis_vec(3, a)) is act.rho[a]
