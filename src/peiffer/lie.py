@@ -46,11 +46,11 @@ def zero_vec(n: int) -> tuple:
 # a zero term.  That changes no exact value, and Lie data are mostly zeros.
 
 def vadd(u, v):
-    return tuple(a + b if a and b else b if not a else a for a, b in zip(u, v))
+    return tuple(a + b if a and b else a or b for a, b in zip(u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b if a and b else a if not b else -b for a, b in zip(u, v))
+    return tuple((a - b if a else -b) if b else a for a, b in zip(u, v))
 
 
 def vscale(c, u):
