@@ -23,7 +23,6 @@ from .groups import (
     VALID,
     normal_closure,
     quotient,
-    subgroup_closure,
 )
 from .xmod import CrossedModule
 
@@ -85,9 +84,6 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     P, proj = quotient(S, K)
     lM = proj.compose(sd.jX)
     lN = proj.compose(sd.jA)
-    gens = set(lM.mapping) | set(lN.mapping)
-    if subgroup_closure(P, gens) != frozenset(range(P.order)):
-        raise GroupError("images of M and N do not generate the quotient")
 
     nn = mut.N.order
     groups = (mut.M, mut.N)  # indexed by side
@@ -187,20 +183,9 @@ def universal_map(pp: PeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) 
     S = pp.semidirect.group
     proj = pp.from_semidirect
     nn = mut.N.order
+    # mu(m) nu(n) is constant on cosets: mu and nu are equivariant, so relators map to 1
     h = [None] * pp.product.order
     for s in range(S.order):
         m, n = divmod(s, nn)
-        v = L.mul(mu(m), nu(n))
-        p = proj(s)
-        if h[p] is None:
-            h[p] = v
-        elif h[p] != v:
-            raise GroupError(f"relator not killed in the codomain, witness={(p, s)}")
-    out = Hom(pp.product, L, h, check=True)
-    for m in mut.M.elements():
-        if out(pp.lM(m)) != mu(m):
-            raise GroupError("triangle over M fails")
-    for n in mut.N.elements():
-        if out(pp.lN(n)) != nu(n):
-            raise GroupError("triangle over N fails")
-    return out
+        h[proj(s)] = L.mul(mu(m), nu(n))
+    return Hom(pp.product, L, h, check=False)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from peiffer.groups import VALID, Diagnosis
 from peiffer.lie import (
     ZERO,
     LieAction,
@@ -360,6 +361,61 @@ def test_dim_bound(family=None):
             assert pp.algebra.dim == mut.M.dim + mut.N.dim
 
 
+def b3():
+    """Upper-triangular 3 x 3 matrices on E_ij, i <= j: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    basis = [(i, j) for i in range(3) for j in range(i, 3)]
+    brackets = []
+    for i, j in basis:
+        row = []
+        for k, l in basis:
+            v = [0] * 6
+            if j == k:
+                v[basis.index((i, l))] += 1
+            if l == i:
+                v[basis.index((k, j))] -= 1
+            row.append(v)
+        brackets.append(row)
+    return LieAlgebra(6, brackets)
+
+
+def identity_xmod(L):
+    return LieCrossedModule(identity_lie_map(L), adjoint_action(L))
+
+
+def test_constructions_pass_the_exhaustive_checks():
+    # lie_semidirect, lie_peiffer, its actions and crossed modules and the
+    # universal map do not check what they build; the exhaustive checks of
+    # their results stay here as the oracle
+    B3 = b3()
+    cases = [ideal_fixture()] + [(identity_xmod(L),) * 2 for L in (solvable2(), sl2(), abelian(2), B3)]
+    cases = [(lie_induced_actions(*xms), xms) for xms in cases]
+    M, N = solvable2(), sl2()
+    cases.append((LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N)), None))
+    for mut, xms in cases:
+        assert lie_compatible(mut).ok
+        pp = lie_peiffer(mut)
+        if mut.M == B3:
+            assert pp.algebra.dim == 9
+        sd = pp.semidirect
+        assert validate_lie(sd.algebra).ok and validate_lie(pp.algebra).ok
+        for f in (sd.j_m, sd.j_n, sd.pi, pp.proj):
+            assert f.check().ok
+        for act in lie_peiffer_actions(pp):
+            assert check_lie_action(act).ok
+        for xm in lie_peiffer_xmods(pp):
+            assert check_lie_xmod(xm).ok
+        xm_m, xm_n = xms or lie_peiffer_xmods(pp)
+        h = lie_universal_map(pp, xm_m, xm_n)
+        assert h.check().ok
+        dm, dn = mut.M.dim, mut.N.dim
+        for j in range(dm):
+            assert h(pp.l_m(basis_vec(dm, j))) == xm_m.boundary(basis_vec(dm, j))
+        for j in range(dn):
+            assert h(pp.l_n(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
+        for row in pp.ideal_rows:
+            assert not any(vadd(xm_m.boundary(row[:dm]), xm_n.boundary(row[dm:])))
+
+
 def test_lie_checks_raise_lie_error():
     # the Lie side shares groups.Diagnosis but keeps its own exception
     with pytest.raises(LieError, match="Lie axioms failed: antisymmetry fails"):
@@ -474,3 +530,38 @@ def test_action_of_basis_vector_is_the_stored_matrix():
     act = adjoint_action(sl2())
     for a in range(3):
         assert act.of(basis_vec(3, a)) is act.rho[a]
+
+
+def full_validate_lie(L):
+    """validate_lie with Jacobi over every ordered triple, the oracle for the sorted loop."""
+    n = L.dim
+    for i in range(n):
+        for j in range(n):
+            resid = vadd(L.brackets[i][j], L.brackets[j][i])
+            if any(x != 0 for x in resid):
+                return Diagnosis(False, "antisymmetry fails", (i, j, resid))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                resid = vadd(
+                    vadd(
+                        L.bracket(basis_vec(n, i), L.brackets[j][k]),
+                        L.bracket(basis_vec(n, j), L.brackets[k][i]),
+                    ),
+                    L.bracket(basis_vec(n, k), L.brackets[i][j]),
+                )
+                if any(x != 0 for x in resid):
+                    return Diagnosis(False, "Jacobi fails", (i, j, k, resid))
+    return VALID
+
+
+@given(st.integers(0, 5), st.data())
+def test_sorted_jacobi_matches_full_oracle(n, data):
+    # random antisymmetric constants: Lie up to dim 2, mostly not Lie above
+    upper = {(i, j): data.draw(fraction_rows(1, n))[0] for i in range(n) for j in range(i + 1, n)}
+    brackets = [
+        [upper[i, j] if i < j else vscale(-1, upper[j, i]) if i > j else zero_vec(n) for j in range(n)]
+        for i in range(n)
+    ]
+    L = LieAlgebra(n, brackets, check=False)
+    assert validate_lie(L) == full_validate_lie(L)

@@ -8,6 +8,7 @@ from peiffer.groups import (
     Hom,
     direct_product,
     is_isomorphic,
+    subgroup_closure,
     subgroup_group,
 )
 from peiffer.product import (
@@ -92,6 +93,30 @@ def test_structure_maps():
 def test_order_divides_semidirect_order(family):
     for rec in family:
         assert rec.pp.semidirect.group.order % rec.pp.product.order == 0
+
+
+def test_constructions_pass_the_exhaustive_checks(family):
+    # semidirect, peiffer_product and universal_map do not check what they
+    # build; the exhaustive checks of their results stay here as the oracle
+    for rec in family:
+        pp, psi = rec.pp, rec.mut.xi_nm
+        sd = pp.semidirect
+        G, X, A = sd.group, psi.target, psi.acting
+        assert all(sd.pi(sd.jA(a)) == a for a in A.elements())
+        assert sd.jX.image() == sd.pi.kernel()
+        for a in A.elements():
+            for x in X.elements():
+                assert G.conj(sd.jA(a), sd.jX(x)) == sd.jX(psi(a, x))
+        P = pp.product
+        gens = set(pp.lM.mapping) | set(pp.lN.mapping)
+        assert subgroup_closure(P, gens) == frozenset(P.elements())
+        if not pp.compatible:
+            continue
+        xm_m, xm_n = peiffer_xmods(pp)
+        h = universal_map(pp, xm_m, xm_n)
+        assert h.check().ok
+        assert all(h(pp.lM(m)) == xm_m.boundary(m) for m in rec.mut.M.elements())
+        assert all(h(pp.lN(n)) == xm_n.boundary(n) for n in rec.mut.N.elements())
 
 
 def test_induced_actions_trivial_case():
