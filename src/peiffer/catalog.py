@@ -62,7 +62,8 @@ def enumerate_family(
     """All mutual-action pairs over the catalog, with products and verdicts.
 
     Pushout symmetry compares the product of each pair against the product
-    of the swapped pair up to isomorphism.
+    of the swapped pair up to isomorphism; cap bounds the order of both the
+    semidirect products and that isomorphism search.
     """
     if groups is None:
         groups = catalog()
@@ -77,7 +78,7 @@ def enumerate_family(
                 sym = True
                 if check_symmetry:
                     pp_sw = peiffer_product(mut.swapped(), cap=cap)
-                    sym = is_isomorphic(pp.product, pp_sw.product) is not None
+                    sym = is_isomorphic(pp.product, pp_sw.product, cap=cap) is not None
                 out.append(
                     FamilyRecord(
                         M.name or f"G{gi}",

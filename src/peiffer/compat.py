@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action
-from .groups import FiniteGroup, GroupError
+from .actions import Action, conjugation_action
+from .groups import FiniteGroup, GroupError, _first_difference
 
 M_SIDE = 0
 N_SIDE = 1
@@ -93,17 +93,19 @@ def check_compatible(mut: MutualActions) -> CompatVerdict:
     (m n) means n acted on by m; symmetrically for equation 2.
     """
     # equation 2 is equation 1 for the swapped pair; its witness names m, n
-    # of the original pair
+    # of the original pair.  Rows are compared whole: the row of the word
+    # (a, b, a^-1) is conj(a) o xi_nm[b] o conj(a^-1).
     for equation, pair in ((1, mut), (2, mut.swapped())):
-        A, B = pair.M, pair.N
-        for a in A.elements():
-            for b in B.elements():
-                ab = pair.xi_mn.table[a][b]
-                word = ((M_SIDE, a), (N_SIDE, b), (M_SIDE, A.inv(a)))
-                for x in A.elements():
-                    lhs = pair.xi_nm.table[ab][x]
-                    rhs = coproduct_eval(pair, word, M_SIDE, x)
-                    if lhs != rhs:
-                        m, n = (a, b) if equation == 1 else (b, a)
-                        return CompatVerdict(False, CompatWitness(equation, m, n, x, lhs, rhs))
+        A = pair.M
+        conj = conjugation_action(A).table
+        on_a = [list(row) for row in pair.xi_nm.table]
+        for a, a_on_b in enumerate(pair.xi_mn.table):
+            ca, cinv = conj[a], conj[A.inverses[a]]
+            for b, ab in enumerate(a_on_b):
+                xb = on_a[b]
+                lhs, rhs = on_a[ab], [ca[xb[v]] for v in cinv]
+                if lhs != rhs:
+                    x = _first_difference(lhs, rhs)
+                    m, n = (a, b) if equation == 1 else (b, a)
+                    return CompatVerdict(False, CompatWitness(equation, m, n, x, lhs[x], rhs[x]))
     return CompatVerdict(True)

@@ -31,6 +31,15 @@ class Diagnosis:
 VALID = Diagnosis(True)
 
 
+def _first_difference(u, v) -> int:
+    """The first index at which two rows of equal length differ."""
+    return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+
+
+def _is_identity(table, e: int, n: int) -> bool:
+    return all(table[e][x] == x and table[x][e] == x for x in range(n))
+
+
 def _axioms(table, check: bool):
     """The identity and the inverses of a table, or the first failed axiom.
 
@@ -48,16 +57,20 @@ def _axioms(table, check: bool):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     return Diagnosis(False, "entry out of range", (i, j, v))
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    # a two-sided identity is unique, and so is an inverse found as the
+    # only identity entry of its row: the searches run only when that fails
+    row0 = table[0]
+    identity = row0.index(0) if 0 in row0 else 0
+    if not (identity < n and _is_identity(table, identity, n)):
+        identity = next((e for e in range(n) if _is_identity(table, e, n)), None)
     if identity is None:
         return Diagnosis(False, "no identity element", ())
     inverses = []
-    for x in range(n):
-        invs = [y for y in range(n) if table[x][y] == identity and table[y][x] == identity]
+    for x, row in enumerate(table):
+        if row.count(identity) == 1 and table[y := row.index(identity)][x] == identity:
+            inverses.append(y)
+            continue
+        invs = [y for y in range(n) if row[y] == identity and table[y][x] == identity]
         if not invs:
             return Diagnosis(False, f"no inverse for element {x}", (x,))
         if len(invs) > 1:
@@ -92,7 +105,7 @@ class FiniteGroup:
         if isinstance(found, Diagnosis):
             found.expect("group axioms")
         self.identity, self.inverses = found
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.order = len(self.table)
         self.name = name
 
@@ -139,7 +152,7 @@ class Hom:
     def __init__(self, dom: FiniteGroup, cod: FiniteGroup, mapping, check: bool = True):
         self.dom = dom
         self.cod = cod
-        self.mapping = tuple(int(v) for v in mapping)
+        self.mapping = tuple(map(int, mapping))
         if len(self.mapping) != dom.order:
             raise GroupError("map length does not match the domain order")
         if any(not 0 <= v < cod.order for v in self.mapping):
@@ -231,14 +244,16 @@ def is_subgroup(G: FiniteGroup, S) -> bool:
     S = frozenset(S)
     if G.identity not in S:
         return False
-    return all(G.table[a][b] in S for a in S for b in S) and all(G.inv(a) in S for a in S)
+    T, inv = G.table, G.inverses
+    return all(T[a][b] in S for a in S for b in S) and all(inv[a] in S for a in S)
 
 
 def is_normal(G: FiniteGroup, S) -> bool:
     S = frozenset(S)
     if not is_subgroup(G, S):
         return False
-    return all(G.conj(g, s) in S for g in range(G.order) for s in S)
+    T, inv = G.table, G.inverses
+    return all(T[T[g][s]][inv[g]] in S for g in range(G.order) for s in S)
 
 
 def normal_closure(G: FiniteGroup, gens) -> frozenset:
@@ -246,7 +261,8 @@ def normal_closure(G: FiniteGroup, gens) -> frozenset:
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupError("generator out of range")
-    conjugates = {G.conj(g, x) for x in gens for g in range(G.order)}
+    T, inv = G.table, G.inverses
+    conjugates = {T[T[g][x]][inv[g]] for x in gens for g in range(G.order)}
     return subgroup_closure(G, conjugates)
 
 

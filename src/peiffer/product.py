@@ -12,15 +12,17 @@ from .actions import (
     Action,
     DEFAULT_SEMIDIRECT_CAP,
     SemidirectData,
+    conjugation_action,
     semidirect,
 )
-from .compat import M_SIDE, N_SIDE, MutualActions, coproduct_eval
+from .compat import M_SIDE, N_SIDE, MutualActions
 from .groups import (
     Diagnosis,
     FiniteGroup,
     GroupError,
     Hom,
     VALID,
+    _first_difference,
     normal_closure,
     quotient,
 )
@@ -64,16 +66,13 @@ class PeifferProduct:
 def peiffer_relators(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP):
     """The semidirect product along xi_nm and the sorted relator set."""
     sd = semidirect(mut.xi_nm, cap=cap)
-    S = sd.group
-    jM, jN = sd.jX, sd.jA
-    rels = set()
-    for m in mut.M.elements():
-        for n in mut.N.elements():
-            r = S.mul(
-                S.mul(jM(m), jN(n)),
-                S.mul(S.inv(jM(m)), S.inv(jN(mut.xi_mn.table[m][n]))),
-            )
-            rels.add(r)
+    T, inv = sd.group.table, sd.group.inverses
+    jM, jN = sd.jX.mapping, sd.jA.mapping
+    rels = {
+        T[T[jM[m]][jN[n]]][T[inv[jM[m]]][inv[jN[mn]]]]
+        for m, m_on_n in enumerate(mut.xi_mn.table)
+        for n, mn in enumerate(m_on_n)
+    }
     return sd, tuple(sorted(rels))
 
 
@@ -86,34 +85,32 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     lN = proj.compose(sd.jA)
 
     nn = mut.N.order
-    groups = (mut.M, mut.N)  # indexed by side
-    # induced actions on M and on N, built coset by coset; every
-    # representative must agree
-    tabs = [[[None] * G.order for _ in range(P.order)] for G in groups]
+    conj_m, conj_n = conjugation_action(mut.M).table, conjugation_action(mut.N).table
+    xi_nm, xi_mn = mut.xi_nm.table, mut.xi_mn.table
+    # induced actions on M and on N, one row per side from each (m, n) of S:
+    # conj(m) o xi_nm[n] and xi_mn[m] o conj(n).  Every representative of a
+    # coset must give the rows of the first one.
+    reps, rows = [None] * P.order, [None] * P.order
 
     def first_disagreement():
-        rep_of = [None] * P.order
-        for s in range(S.order):
-            p = proj(s)
+        for s, p in enumerate(proj.mapping):
             m, n = divmod(s, nn)
-            word = ((M_SIDE, m), (N_SIDE, n))
-            if rep_of[p] is None:
-                rep_of[p] = s
-            for side, G in enumerate(groups):
-                row = tabs[side][p]
-                for x in G.elements():
-                    v = coproduct_eval(mut, word, side, x)
-                    if row[x] is None:
-                        row[x] = v
-                    elif row[x] != v:
-                        return (p, rep_of[p], s, side, x, row[x], v)
+            cm, xm = conj_m[m], xi_mn[m]
+            got = ([cm[v] for v in xi_nm[n]], [xm[v] for v in conj_n[n]])
+            if rows[p] is None:
+                reps[p], rows[p] = s, got
+            elif rows[p] != got:
+                side = M_SIDE if rows[p][M_SIDE] != got[M_SIDE] else N_SIDE
+                want = rows[p][side]
+                x = _first_difference(want, got[side])
+                return (p, reps[p], s, side, x, want[x], got[side][x])
         return None
 
     disagreement = first_disagreement()
     actions = None
     if disagreement is None:
         actions = tuple(
-            Action(P, G, tuple(tuple(row) for row in tab)) for G, tab in zip(groups, tabs)
+            Action(P, G, [got[side] for got in rows]) for side, G in enumerate((mut.M, mut.N))
         )
     return PeifferProduct(P, sd, proj, lM, lN, mut, actions, disagreement)
 
@@ -137,31 +134,35 @@ def strong_relation_check(pp: PeifferProduct, bound: int = 2) -> Diagnosis:
     Words range over non-identity letters of both sides up to the given
     length; each is compared letterwise against conjugation by its image.
     """
-    on_m, on_n = induced_actions(pp)
+    induced_actions(pp)
     mut = pp.source
     M, N = mut.M, mut.N
     P = pp.product
     letters = [(M_SIDE, m) for m in M.elements() if m != M.identity]
     letters += [(N_SIDE, n) for n in N.elements() if n != N.identity]
-    ells = (pp.lM, pp.lN)
-    tabs = (on_m, on_n)
+    ells = (pp.lM.mapping, pp.lN.mapping)
+    conj_m, conj_n, conj_p = (conjugation_action(G).table for G in (M, N, P))
+    # acts[side][s][g]: the row by which the letter (s, g) acts on side
+    acts = ((conj_m, mut.xi_nm.table), (mut.xi_mn.table, conj_n))
     for length in range(bound + 1):
         for word in iproduct(letters, repeat=length):
             q = P.identity
             for s, g in word:
-                q = P.mul(q, ells[s](g))
+                q = P.table[q][ells[s][g]]
             for side in (M_SIDE, N_SIDE):
-                G = mut.group(side)
-                ell, tab = ells[side], tabs[side]
-                for x in G.elements():
-                    lhs = ell(coproduct_eval(mut, word, side, x))
-                    rhs = P.conj(q, ell(x))
-                    if lhs != rhs:
-                        return Diagnosis(
-                            False,
-                            "conjugation does not match the word action",
-                            (word, side, x, lhs, rhs),
-                        )
+                ell = ells[side]
+                lhs = list(ell)  # ell o (the word's row), letters composed left to right
+                for s, g in word:
+                    row = acts[side][s][g]
+                    lhs = [lhs[v] for v in row]
+                rhs = [conj_p[q][v] for v in ell]
+                if lhs != rhs:
+                    x = _first_difference(lhs, rhs)
+                    return Diagnosis(
+                        False,
+                        "conjugation does not match the word action",
+                        (word, side, x, lhs[x], rhs[x]),
+                    )
     return VALID
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .actions import Action, conjugation_action, pullback_action
 from .compat import MutualActions
-from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, is_normal
+from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_difference, is_normal
 
 
 class CrossedModule:
@@ -28,17 +28,17 @@ class CrossedModule:
 
 def check_xmod(xm: CrossedModule) -> Diagnosis:
     """Equivariance of the boundary, then the Peiffer identity."""
-    X, A = xm.X, xm.A
-    d, psi = xm.boundary, xm.action
-    for a in A.elements():
-        for x in X.elements():
-            if d(psi.table[a][x]) != A.conj(a, d(x)):
-                return Diagnosis(False, "boundary is not equivariant", (a, x))
-    for x in X.elements():
-        row = psi.table[d(x)]
-        for x2 in X.elements():
-            if row[x2] != X.conj(x, x2):
-                return Diagnosis(False, "Peiffer identity fails", (x, x2))
+    d, psi = xm.boundary.mapping, xm.action.table
+    T, inv = xm.A.table, xm.A.inverses
+    for a, row in enumerate(psi):
+        ta, ia = T[a], inv[a]
+        lhs, rhs = [d[v] for v in row], [T[ta[v]][ia] for v in d]
+        if lhs != rhs:
+            return Diagnosis(False, "boundary is not equivariant", (a, _first_difference(lhs, rhs)))
+    for x, cx in enumerate(conjugation_action(xm.X).table):
+        row = psi[d[x]]
+        if row != cx:
+            return Diagnosis(False, "Peiffer identity fails", (x, _first_difference(row, cx)))
     return VALID
 
 
