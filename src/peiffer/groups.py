@@ -36,10 +36,6 @@ def _first_difference(u, v) -> int:
     return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
 
 
-def _is_identity(table, e: int, n: int) -> bool:
-    return all(table[e][x] == x and table[x][e] == x for x in range(n))
-
-
 def _axioms(table, check: bool):
     """The identity and the inverses of a table, or the first failed axiom.
 
@@ -57,14 +53,15 @@ def _axioms(table, check: bool):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     return Diagnosis(False, "entry out of range", (i, j, v))
-    # a two-sided identity is unique, and so is an inverse found as the
-    # only identity entry of its row: the searches run only when that fails
-    row0 = table[0]
-    identity = row0.index(0) if 0 in row0 else 0
-    if not (identity < n and _is_identity(table, identity, n)):
-        identity = next((e for e in range(n) if _is_identity(table, e, n)), None)
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            identity = e
+            break
     if identity is None:
         return Diagnosis(False, "no identity element", ())
+    # an inverse found as the only identity entry of its row is the unique
+    # one: the search runs only when that fails
     inverses = []
     for x, row in enumerate(table):
         if row.count(identity) == 1 and table[y := row.index(identity)][x] == identity:

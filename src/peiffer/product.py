@@ -15,7 +15,7 @@ from .actions import (
     conjugation_action,
     semidirect,
 )
-from .compat import M_SIDE, N_SIDE, MutualActions
+from .compat import M_SIDE, N_SIDE, MutualActions, coproduct_eval
 from .groups import (
     Diagnosis,
     FiniteGroup,
@@ -141,9 +141,13 @@ def strong_relation_check(pp: PeifferProduct, bound: int = 2) -> Diagnosis:
     letters = [(M_SIDE, m) for m in M.elements() if m != M.identity]
     letters += [(N_SIDE, n) for n in N.elements() if n != N.identity]
     ells = (pp.lM.mapping, pp.lN.mapping)
-    conj_m, conj_n, conj_p = (conjugation_action(G).table for G in (M, N, P))
-    # acts[side][s][g]: the row by which the letter (s, g) acts on side
-    acts = ((conj_m, mut.xi_nm.table), (mut.xi_mn.table, conj_n))
+    conj_p = conjugation_action(P).table
+    # acts[side][letter]: the row by which one letter acts on side, from the
+    # element-wise reference; a word's row composes the rows of its letters
+    acts = tuple(
+        {c: [coproduct_eval(mut, (c,), side, x) for x in G.elements()] for c in letters}
+        for side, G in enumerate((M, N))
+    )
     for length in range(bound + 1):
         for word in iproduct(letters, repeat=length):
             q = P.identity
@@ -152,9 +156,8 @@ def strong_relation_check(pp: PeifferProduct, bound: int = 2) -> Diagnosis:
             for side in (M_SIDE, N_SIDE):
                 ell = ells[side]
                 lhs = list(ell)  # ell o (the word's row), letters composed left to right
-                for s, g in word:
-                    row = acts[side][s][g]
-                    lhs = [lhs[v] for v in row]
+                for c in word:
+                    lhs = [lhs[v] for v in acts[side][c]]
                 rhs = [conj_p[q][v] for v in ell]
                 if lhs != rhs:
                     x = _first_difference(lhs, rhs)

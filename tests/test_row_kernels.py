@@ -264,7 +264,7 @@ def test_action_check_matches_full_scan_on_swapped_entries(induced, data):
 
 
 def _relabelled_s3():
-    """S3 with its identity at index 3, so the row-0 candidate is not it."""
+    """S3 with its identity at index 3, so the search does not stop at 0."""
     S3 = symmetric_3()
     sigma = (3, 0, 1, 2, 4, 5)
     table = [[0] * 6 for _ in range(6)]
@@ -279,7 +279,6 @@ SMALL_TABLES = [cyclic(4).table, klein_four().table, _relabelled_s3()]
 
 def test_axioms_match_search_on_every_single_cell_change():
     reasons = set()
-    moved_identity = 0
     for table in SMALL_TABLES:
         n = len(table)
         for a, b, v in iproduct(range(n), range(n), range(n)):
@@ -290,16 +289,13 @@ def test_axioms_match_search_on_every_single_cell_change():
                 assert _axioms(bad, check) == want
                 if isinstance(want, Diagnosis):
                     reasons.add(re.sub(r"\d+", "x", want.reason))
-                elif 0 not in bad[0] or bad[0].index(0) != want[0]:
-                    moved_identity += 1
-    # every fallback of the row search is taken
+    # every fallback of the inverse lookup and every failure is reached
     assert reasons == {
         "no identity element",
         "no inverse for element x",
         "inverse of element x not unique",
         "associativity fails",
     }
-    assert moved_identity > 0
 
 
 @fixture_settings
