@@ -11,6 +11,7 @@ from .groups import (
     GroupError,
     Hom,
     VALID,
+    _built_group,
     _greedy_generators,
     all_homs,
     aut_group,
@@ -161,12 +162,17 @@ def semidirect(psi: Action, cap: int = DEFAULT_SEMIDIRECT_CAP) -> SemidirectData
         raise GroupError(f"cap exceeded: semidirect order {n} > {cap}")
     # row (x, a) is the blocks shifted[a][x psi(a, x2)] for x2 in order
     shifted = [[tuple([k * na + v for v in arow]) for k in range(X.order)] for arow in A.table]
-    table = [
+    table = tuple(
         tuple(chain.from_iterable([sh[xrow[v]] for v in prow]))
         for xrow in X.table
         for sh, prow in zip(shifted, psi.table)
-    ]
-    G = FiniteGroup(table)
+    )
+    # (x, a)^-1 = (psi(a^-1, x^-1), a^-1)
+    ix, ia = X.inverses, A.inverses
+    inverses = tuple(
+        psi.table[ia[a]][ix[x]] * na + ia[a] for x in range(X.order) for a in range(na)
+    )
+    G = _built_group(table, X.identity * na + A.identity, inverses)
     jX = Hom(X, G, tuple(x * na + A.identity for x in range(X.order)), check=False)
     jA = Hom(A, G, tuple(X.identity * na + a for a in range(na)), check=False)
     pi = Hom(G, A, tuple(s % na for s in range(n)), check=False)

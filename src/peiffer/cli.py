@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="also write the report to this path")
     common.add_argument("--semidirect-cap", type=int, default=DEFAULT_SEMIDIRECT_CAP)
-    common.add_argument("--strong-word-bound", type=int, default=2)
+    common.add_argument(
+        "--strong-word-bound", type=int, default=2,
+        help="longest word strong-check compares, at least 0; every bound >= 1 gives "
+        "the same verdict and witness (default 2)",
+    )
     common.add_argument("--max-order", type=int, default=12)
     parser = argparse.ArgumentParser(
         prog="peiffer",

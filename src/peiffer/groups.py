@@ -60,13 +60,8 @@ def _axioms(table, check: bool):
             break
     if identity is None:
         return Diagnosis(False, "no identity element", ())
-    # an inverse found as the only identity entry of its row is the unique
-    # one: the search runs only when that fails
     inverses = []
     for x, row in enumerate(table):
-        if row.count(identity) == 1 and table[y := row.index(identity)][x] == identity:
-            inverses.append(y)
-            continue
         invs = [y for y in range(n) if row[y] == identity and table[y][x] == identity]
         if not invs:
             return Diagnosis(False, f"no inverse for element {x}", (x,))
@@ -141,6 +136,18 @@ class FiniteGroup:
     def __repr__(self):
         tag = f", name={self.name!r}" if self.name else ""
         return f"FiniteGroup(order={self.order}{tag})"
+
+
+def _built_group(table: tuple, identity: int, inverses: tuple, name=None) -> FiniteGroup:
+    """A group from a construction that already knows its identity and inverses.
+
+    table is a tuple of int tuples, used as-is: nothing is searched or converted.
+    """
+    G = object.__new__(FiniteGroup)
+    G.table, G.identity, G.inverses = table, identity, inverses
+    G.order = len(table)
+    G.name = name
+    return G
 
 
 class Hom:
@@ -263,26 +270,31 @@ def normal_closure(G: FiniteGroup, gens) -> frozenset:
     return subgroup_closure(G, conjugates)
 
 
-def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, Hom]:
-    """G/N with minimal-index coset representatives and the projection."""
+def quotient(G: FiniteGroup, N, check: bool = True) -> tuple[FiniteGroup, Hom]:
+    """G/N with minimal-index coset representatives and the projection.
+
+    check tests that N is normal; a caller whose N is normal by construction,
+    such as a normal closure, may skip it.
+    """
     N = frozenset(N)
-    if not is_normal(G, N):
+    if check and not is_normal(G, N):
         raise GroupError("subgroup is not normal")
-    coset_of = {}
+    T = G.table
+    proj = [-1] * G.order
     reps = []
     for x in range(G.order):
-        if x in coset_of:
-            continue
-        # x is the minimal element of its coset: smaller ones are already placed
-        for n in N:
-            coset_of[G.table[x][n]] = x
-        reps.append(x)
-    index = {r: i for i, r in enumerate(reps)}
-    table = [[index[coset_of[G.table[a][b]]] for b in reps] for a in reps]
+        if proj[x] < 0:
+            # x is the minimal element of its coset: smaller ones are already placed
+            row = T[x]
+            for n in N:
+                proj[row[n]] = len(reps)
+            reps.append(x)
+    table = tuple(tuple([proj[T[a][b]] for b in reps]) for a in reps)
+    # the coset of e is the identity, and r^-1 N is the inverse of r N
+    inverses = tuple(proj[G.inverses[r]] for r in reps)
     name = f"{G.name}/N" if G.name else None
-    Q = FiniteGroup(table, name=name)
-    proj = Hom(G, Q, tuple(index[coset_of[x]] for x in range(G.order)), check=False)
-    return Q, proj
+    Q = _built_group(table, proj[G.identity], inverses, name=name)
+    return Q, Hom(G, Q, proj, check=False)
 
 
 def subgroup_group(G: FiniteGroup, S) -> tuple[FiniteGroup, Hom]:

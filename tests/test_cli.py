@@ -142,6 +142,13 @@ def test_strong_check_incompatible_is_precondition_error(incompatible_pair, caps
     assert code == 2 and "error" in report
 
 
+def test_strong_check_negative_bound_is_input_error(trivial_pair, capsys):
+    # a negative bound checks no word at all, so it must not report ok
+    code, report = run(capsys, "strong-check", *trivial_pair, "--strong-word-bound", "-3")
+    assert code == 2
+    assert report == {"error": "strong word bound must be non-negative, got -3"}
+
+
 def test_peiffer_xmods(trivial_pair, capsys):
     code, report = run(capsys, "peiffer-xmods", *trivial_pair)
     assert code == 0

@@ -22,6 +22,7 @@ from peiffer.product import (
 )
 from peiffer.xmod import (
     CrossedModule,
+    check_xmod,
     identity_xmod,
     inclusion_xmod,
     induced_mutual_actions,
@@ -96,8 +97,9 @@ def test_order_divides_semidirect_order(family):
 
 
 def test_constructions_pass_the_exhaustive_checks(family):
-    # semidirect, peiffer_product and universal_map do not check what they
-    # build; the exhaustive checks of their results stay here as the oracle
+    # semidirect, peiffer_product, peiffer_xmods and universal_map do not
+    # check what they build; the exhaustive checks of their results stay here
+    # as the oracle
     for rec in family:
         pp, psi = rec.pp, rec.mut.xi_nm
         sd = pp.semidirect
@@ -113,6 +115,7 @@ def test_constructions_pass_the_exhaustive_checks(family):
         if not pp.compatible:
             continue
         xm_m, xm_n = peiffer_xmods(pp)
+        assert check_xmod(xm_m).ok and check_xmod(xm_n).ok
         h = universal_map(pp, xm_m, xm_n)
         assert h.check().ok
         assert all(h(pp.lM(m)) == xm_m.boundary(m) for m in rec.mut.M.elements())
@@ -179,6 +182,13 @@ def test_strong_check_trivial_actions():
 def test_strong_check_bound_three():
     _, _, mut = a3_fixture()
     assert strong_relation_check(peiffer_product(mut), bound=3).ok
+
+
+def test_strong_check_refuses_a_negative_bound():
+    pp = peiffer_product(trivial_mut(S3, Z2))
+    with pytest.raises(GroupError, match="non-negative"):
+        strong_relation_check(pp, bound=-1)
+    assert strong_relation_check(pp, bound=0).ok
 
 
 def test_a3_fixture_cross_checked_by_swap():

@@ -11,8 +11,14 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from peiffer.actions import check_action_table, semidirect
-from peiffer.catalog import cyclic, enumerate_family, klein_four, symmetric_3
+from peiffer.actions import Action, check_action_table, semidirect
+from peiffer.catalog import (
+    cyclic,
+    enumerate_family,
+    enumerate_mutual_actions,
+    klein_four,
+    symmetric_3,
+)
 from peiffer.compat import (
     M_SIDE,
     N_SIDE,
@@ -20,10 +26,19 @@ from peiffer.compat import (
     CompatWitness,
     coproduct_eval,
 )
-from peiffer.groups import VALID, Diagnosis, Hom, _axioms
+from peiffer.groups import (
+    VALID,
+    Diagnosis,
+    FiniteGroup,
+    Hom,
+    _axioms,
+    is_normal,
+    normal_closure,
+)
 from peiffer.product import (
     PeifferProduct,
     induced_actions,
+    peiffer_product,
     peiffer_relators,
     peiffer_xmods,
     strong_relation_check,
@@ -235,9 +250,27 @@ def test_family_checks_match_references(family):
             continue
         for act in pp.actions:
             assert ref_check_action_table(act.acting, act.target, act.table).ok
+            Action(act.acting, act.target, act.table, check=True)
         for xm in peiffer_xmods(pp):
             assert check_xmod(xm) == ref_check_xmod(xm) == VALID
-        assert strong_relation_check(pp) == ref_strong_relation_check(pp) == VALID
+        for bound in (2, 3):
+            got = strong_relation_check(pp, bound)
+            assert got == ref_strong_relation_check(pp, bound) == VALID
+
+
+def test_family_constructions_hand_over_what_the_checks_find(family):
+    # semidirect and quotient hand their identity and inverses to the group
+    # they build, and peiffer_product passes its normal closure to quotient
+    # unchecked; the search and the normality test stay here as the oracle
+    for rec in family:
+        mut, pp = rec.mut, rec.pp
+        S = pp.semidirect.group
+        groups = [semidirect(psi).group for psi in (mut.xi_nm, mut.xi_mn)] + [pp.product]
+        for G in groups:
+            assert _axioms(G.table, check=False) == (G.identity, G.inverses)
+        K = normal_closure(S, peiffer_relators(mut)[1])
+        assert is_normal(S, K)
+        assert K == pp.from_semidirect.kernel()
 
 
 # --------------------------------------------------------- corrupted inputs
@@ -289,13 +322,27 @@ def test_axioms_match_search_on_every_single_cell_change():
                 assert _axioms(bad, check) == want
                 if isinstance(want, Diagnosis):
                     reasons.add(re.sub(r"\d+", "x", want.reason))
-    # every fallback of the inverse lookup and every failure is reached
+    # every failure is reached
     assert reasons == {
         "no identity element",
         "no inverse for element x",
         "inverse of element x not unique",
         "associativity fails",
     }
+
+
+def test_constructions_hand_over_structure_with_the_identity_elsewhere():
+    # every catalog group, and every product built from them, has its
+    # identity at index 0; here neither factor does
+    S3, Z2 = FiniteGroup(_relabelled_s3()), FiniteGroup([[1, 0], [0, 1]])
+    moved = 0
+    for mut in enumerate_mutual_actions(S3, Z2):
+        for pair in (mut, mut.swapped()):
+            pp = peiffer_product(pair)
+            for G in (pp.semidirect.group, pp.product):
+                assert _axioms(G.table, check=False) == (G.identity, G.inverses)
+            moved += pp.product.identity != 0
+    assert moved > 0
 
 
 @fixture_settings
@@ -310,20 +357,33 @@ def test_axioms_match_search_on_a_changed_cell(family, data):
     assert _axioms(bad, check) == ref_axioms(bad, check)
 
 
+def check_strong_with_a_doctored_map(family, data, side):
+    """The one-letter check against the reference at bounds 0-3, with one
+    value of lM or lN changed, so that the map is not the product's own."""
+    pp = data.draw(st.sampled_from([rec.pp for rec in family if rec.pp.compatible]))
+    P = pp.product
+    ells = [pp.lM, pp.lN]
+    mapping = list(ells[side].mapping)
+    g = data.draw(st.integers(0, len(mapping) - 1))
+    mapping[g] = data.draw(st.integers(0, P.order - 1))
+    ells[side] = Hom(ells[side].dom, P, mapping, check=False)
+    doctored = PeifferProduct(
+        P, pp.semidirect, pp.from_semidirect, *ells, pp.source, pp.actions, pp.disagreement,
+    )
+    bound = data.draw(st.integers(0, 3))
+    assert strong_relation_check(doctored, bound) == ref_strong_relation_check(doctored, bound)
+
+
 @fixture_settings
 @given(st.data())
 def test_strong_check_matches_reference_with_a_doctored_lM(family, data):
-    pp = data.draw(st.sampled_from([rec.pp for rec in family if rec.pp.compatible]))
-    P = pp.product
-    lM = list(pp.lM.mapping)
-    m = data.draw(st.integers(0, len(lM) - 1))
-    lM[m] = data.draw(st.integers(0, P.order - 1))
-    doctored = PeifferProduct(
-        P, pp.semidirect, pp.from_semidirect, Hom(pp.lM.dom, P, lM, check=False),
-        pp.lN, pp.source, pp.actions, pp.disagreement,
-    )
-    bound = data.draw(st.integers(0, 2))
-    assert strong_relation_check(doctored, bound) == ref_strong_relation_check(doctored, bound)
+    check_strong_with_a_doctored_map(family, data, M_SIDE)
+
+
+@fixture_settings
+@given(st.data())
+def test_strong_check_matches_reference_with_a_doctored_lN(family, data):
+    check_strong_with_a_doctored_map(family, data, N_SIDE)
 
 
 def test_symmetry_check_honours_the_cap():
