@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .groups import (
     Diagnosis,
@@ -13,6 +14,7 @@ from .groups import (
     VALID,
     _built_group,
     _greedy_generators,
+    _per_group,
     all_homs,
     aut_group,
     subgroup_group,
@@ -110,6 +112,7 @@ def trivial_action(acting: FiniteGroup, target: FiniteGroup) -> Action:
     return Action(acting, target, tuple(row for _ in range(acting.order)), check=False)
 
 
+@_per_group
 def conjugation_action(G: FiniteGroup) -> Action:
     T, inv = G.table, G.inverses
     table = tuple(tuple([T[y][inv[a]] for y in T[a]]) for a in range(G.order))
@@ -153,26 +156,71 @@ class SemidirectData:
         return Point(self.pi, self.jA)
 
 
+def semidirect_order(psi: Action, cap: int) -> int:
+    """|X| |A|, the order of X x| A; raises when it exceeds cap."""
+    n = psi.target.order * psi.acting.order
+    if n > cap:
+        raise GroupError(f"cap exceeded: semidirect order {n} > {cap}")
+    return n
+
+
+def _pick(indices):
+    """itemgetter(*indices) that returns a tuple for a single index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+def semidirect_quotient(psi: Action, K) -> tuple[FiniteGroup, tuple]:
+    """(X x| A)/K from the product formula, without the table of X x| A.
+
+    The element (x, a) is the index x |A| + a, and K is a normal subgroup
+    given as pairs (x, a), identity first.  Cosets s K are taken in index
+    order, so each representative is the least index of its coset.  Returns
+    the quotient and the projection as a tuple over the indices.
+    """
+    X, A = psi.target, psi.acting
+    TX, TA, on_x = X.table, A.table, psi.table
+    na = A.order
+    proj, reps = [-1] * (X.order * na), []
+    for s in range(len(proj)):
+        if proj[s] < 0:
+            x, a = divmod(s, na)
+            tx, pa, ta = TX[x], on_x[a], TA[a]
+            for k1, k2 in K:
+                proj[tx[pa[k1]] * na + ta[k2]] = len(reps)
+            reps.append(s)
+    proj = tuple(proj)
+    # Row (x, a) of X x| A is |X| blocks of |A| columns: the block of
+    # x psi(a, y) for each y in order, its columns b reordered by b -> a b.
+    # The quotient's row is the projection of that row at the representatives.
+    blocks = [proj[c * na:(c + 1) * na] for c in range(X.order)]
+    # with K trivial every index is a representative: nothing to pick
+    cols = _pick(reps) if len(reps) < len(proj) else tuple
+    shifted = {}
+    table = []
+    for s in reps:
+        x, a = divmod(s, na)
+        if a not in shifted:
+            on_block = _pick(TA[a])
+            shifted[a] = [on_block(block) for block in blocks]
+        sh, tx = shifted[a], TX[x]
+        table.append(cols(list(chain.from_iterable([sh[tx[v]] for v in on_x[a]]))))
+    # (x, a)^-1 = (psi(a^-1, x^-1), a^-1)
+    ix, ia = X.inverses, A.inverses
+    inverses = tuple(
+        proj[on_x[ia[a]][ix[x]] * na + ia[a]] for x, a in (divmod(s, na) for s in reps)
+    )
+    return _built_group(tuple(table), proj[X.identity * na + A.identity], inverses), proj
+
+
 def semidirect(psi: Action, cap: int = DEFAULT_SEMIDIRECT_CAP) -> SemidirectData:
     """Pairs (x, a) with (x, a)(x', a') = (x psi(a, x'), a a'), row-major."""
     X, A = psi.target, psi.acting
     na = A.order
-    n = X.order * na
-    if n > cap:
-        raise GroupError(f"cap exceeded: semidirect order {n} > {cap}")
-    # row (x, a) is the blocks shifted[a][x psi(a, x2)] for x2 in order
-    shifted = [[tuple([k * na + v for v in arow]) for k in range(X.order)] for arow in A.table]
-    table = tuple(
-        tuple(chain.from_iterable([sh[xrow[v]] for v in prow]))
-        for xrow in X.table
-        for sh, prow in zip(shifted, psi.table)
-    )
-    # (x, a)^-1 = (psi(a^-1, x^-1), a^-1)
-    ix, ia = X.inverses, A.inverses
-    inverses = tuple(
-        psi.table[ia[a]][ix[x]] * na + ia[a] for x in range(X.order) for a in range(na)
-    )
-    G = _built_group(table, X.identity * na + A.identity, inverses)
+    n = semidirect_order(psi, cap)
+    G, _ = semidirect_quotient(psi, [(X.identity, A.identity)])
     jX = Hom(X, G, tuple(x * na + A.identity for x in range(X.order)), check=False)
     jA = Hom(A, G, tuple(X.identity * na + a for a in range(na)), check=False)
     pi = Hom(G, A, tuple(s % na for s in range(n)), check=False)

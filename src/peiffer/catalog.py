@@ -104,7 +104,7 @@ def census(max_pair_order: int = 36, cap: int = DEFAULT_SEMIDIRECT_CAP) -> list[
                 "pair_index": rec.index,
                 "compatible": rec.verdict.compatible,
                 "product_order": rec.pp.product.order,
-                "semidirect_order": rec.pp.semidirect.group.order,
+                "semidirect_order": rec.mut.M.order * rec.mut.N.order,
                 "induced_actions_defined": rec.pp.actions is not None,
                 "pushout_symmetric": rec.symmetric_ok,
             }

@@ -51,6 +51,8 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
+        if all(type(x) is int for x in v):
+            return list(v)
         return [_jsonable(x) for x in v]
     return v
 

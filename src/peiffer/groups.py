@@ -6,6 +6,7 @@ any index; imported tables are used as-is, without re-indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product as iproduct
 from math import prod
 from operator import eq
@@ -327,7 +328,26 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def _greedy_generators(G: FiniteGroup) -> list[int]:
+def _per_group(derive):
+    """Compute derive(G) once per group object and keep it on the group.
+
+    A group is immutable once built, so anything derived from its table is
+    too; the value lives exactly as long as the group does.
+    """
+    key = f"_{derive.__name__}"
+
+    @wraps(derive)
+    def once(G: FiniteGroup):
+        cache = G.__dict__
+        if key not in cache:
+            cache[key] = derive(G)
+        return cache[key]
+
+    return once
+
+
+@_per_group
+def _greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
     gens: list[int] = []
     closure = frozenset({G.identity})
     for x in range(G.order):
@@ -336,7 +356,7 @@ def _greedy_generators(G: FiniteGroup) -> list[int]:
             closure = subgroup_closure(G, gens)
             if len(closure) == G.order:
                 break
-    return gens
+    return tuple(gens)
 
 
 def _bfs_tree(G: FiniteGroup, gens):

@@ -27,6 +27,14 @@ def test_check_action_table_accepts_conjugation():
     assert check_action_table(S3, S3, conjugation_action(S3).table).ok
 
 
+def test_conjugation_action_is_built_once_per_group():
+    G = symmetric_3()
+    assert conjugation_action(G) is conjugation_action(G)
+    # an equal group is another object, with its own copy
+    assert conjugation_action(symmetric_3()) == conjugation_action(G)
+    assert conjugation_action(symmetric_3()) is not conjugation_action(G)
+
+
 def test_check_action_table_rejects_bad_unit():
     d = check_action_table(Z2, Z3, ((0, 2, 1), (0, 2, 1)))
     assert not d.ok and d.reason == "unit axiom fails"

@@ -6,12 +6,15 @@ verdicts and on the lexicographically first witness, for valid inputs and
 for corrupted ones.
 """
 import re
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from peiffer.actions import Action, check_action_table, semidirect
+import peiffer.actions
+import peiffer.groups
+import peiffer.product
+from peiffer.actions import Action, check_action_table, semidirect, trivial_action
 from peiffer.catalog import (
     cyclic,
     enumerate_family,
@@ -24,6 +27,7 @@ from peiffer.compat import (
     N_SIDE,
     CompatVerdict,
     CompatWitness,
+    MutualActions,
     coproduct_eval,
 )
 from peiffer.groups import (
@@ -32,8 +36,10 @@ from peiffer.groups import (
     FiniteGroup,
     Hom,
     _axioms,
+    direct_product,
     is_normal,
     normal_closure,
+    quotient,
 )
 from peiffer.product import (
     PeifferProduct,
@@ -134,15 +140,16 @@ def ref_check_compatible(mut):
     return CompatVerdict(True)
 
 
-def ref_induced_tables(pp):
-    """The first disagreement across a coset, or the induced action tables."""
-    mut = pp.source
+def ref_induced_tables(mut, proj, order):
+    """The first disagreement across a coset, or the induced action tables.
+
+    proj sends each index m |N| + n of M x| N to its coset, of order many.
+    """
     groups = (mut.M, mut.N)
     nn = mut.N.order
-    tabs = [[[None] * G.order for _ in range(pp.product.order)] for G in groups]
-    rep_of = [None] * pp.product.order
-    for s in range(pp.semidirect.group.order):
-        p = pp.from_semidirect(s)
+    tabs = [[[None] * G.order for _ in range(order)] for G in groups]
+    rep_of = [None] * order
+    for s, p in enumerate(proj):
         m, n = divmod(s, nn)
         word = ((M_SIDE, m), (N_SIDE, n))
         if rep_of[p] is None:
@@ -222,14 +229,138 @@ def ref_relators(sd, mut):
     }))
 
 
+def ref_peiffer_product(mut):
+    """The Peiffer product the literal way: build all of M x| N, close the
+    relators under conjugation by every element of it, and partition it.
+
+    Returns P, the projection, lM, lN, and the induced tables or the first
+    disagreement.
+    """
+    sd = semidirect(mut.xi_nm)
+    K = normal_closure(sd.group, ref_relators(sd, mut))
+    P, proj = quotient(sd.group, K)
+    induced = ref_induced_tables(mut, proj.mapping, P.order)
+    return P, proj, proj.compose(sd.jX), proj.compose(sd.jA), induced
+
+
+def assert_product_matches_reference(mut):
+    pp = peiffer_product(mut)
+    P, proj, lM, lN, induced = ref_peiffer_product(mut)
+    got = pp.product
+    assert (got.table, got.identity, got.inverses) == (P.table, P.identity, P.inverses)
+    assert pp.proj == proj.mapping
+    assert (pp.lM.mapping, pp.lN.mapping) == (lM.mapping, lN.mapping)
+    if pp.compatible:
+        assert tuple(act.table for act in pp.actions) == induced
+    else:
+        assert pp.disagreement == induced
+    return pp
+
+
+def relabel_group(G):
+    """G with every index moved up by one (mod |G|): the identity leaves 0."""
+    n = G.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[(a + 1) % n][(b + 1) % n] = (G.table[a][b] + 1) % n
+    return FiniteGroup(table)
+
+
+def relabel_action(act, groups):
+    """An action moved along with its groups; groups maps each old group to its copy."""
+    A, X = act.acting, act.target
+    na, nx = A.order, X.order
+    table = [[0] * nx for _ in range(na)]
+    for a in range(na):
+        for x in range(nx):
+            table[(a + 1) % na][(x + 1) % nx] = (act.table[a][x] + 1) % nx
+    return Action(groups[A], groups[X], table, check=False)
+
+
+def relabel_pair(mut, groups):
+    return MutualActions(relabel_action(mut.xi_nm, groups), relabel_action(mut.xi_mn, groups))
+
+
+def symmetric_4():
+    perms = sorted(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+
+
 # ------------------------------------------------------ the session family
+
+
+def test_family_products_match_the_materialised_quotient(family):
+    # every pair in both orientations, on groups whose identity is at index 1
+    groups = {}
+    for rec in family:
+        for G in (rec.mut.M, rec.mut.N):
+            groups.setdefault(G, relabel_group(G))
+    moved = 0
+    for rec in family:
+        mut = relabel_pair(rec.mut, groups)
+        for pair in (mut, mut.swapped()):
+            pp = assert_product_matches_reference(pair)
+            moved += pp.product.identity != 0
+    assert moved > 0
+
+
+def test_products_with_a_trivial_group_match_the_materialised_quotient():
+    # a side of order 1 hands itemgetter a single index
+    Z1 = cyclic(1)
+    for G in (Z1, cyclic(2), relabel_group(cyclic(3)), relabel_group(symmetric_3())):
+        for mut in enumerate_mutual_actions(Z1, G):
+            for pair in (mut, mut.swapped()):
+                pp = assert_product_matches_reference(pair)
+                assert pp.product.order == G.order
+
+
+def test_products_of_s3_and_z2_cubed_match_the_materialised_quotient():
+    # Aut(Z2^3) has order 168, so the pairs are many and varied: here K
+    # often needs several relators to generate it, which no catalog pair does
+    Z2 = cyclic(2)
+    Z2_cubed = direct_product(direct_product(Z2, Z2), Z2)
+    for mut in enumerate_mutual_actions(symmetric_3(), Z2_cubed)[::7]:
+        for pair in (mut, mut.swapped()):
+            assert_product_matches_reference(pair)
+
+
+def test_trivial_actions_of_s4_and_z20_match_the_materialised_quotient():
+    # no relator is nontrivial, so P is all 480 elements of M x| N
+    S4, Z20 = relabel_group(symmetric_4()), relabel_group(cyclic(20))
+    mut = MutualActions(trivial_action(Z20, S4), trivial_action(S4, Z20))
+    for pair in (mut, mut.swapped()):
+        assert assert_product_matches_reference(pair).product.order == 480
+
+
+def test_peiffer_product_builds_no_semidirect_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Peiffer product built M x| N or partitioned it")
+
+    for module in (peiffer.actions, peiffer.product):
+        monkeypatch.setattr(module, "semidirect", refuse)
+    for module in (peiffer.groups, peiffer.product):
+        monkeypatch.setattr(module, "quotient", refuse)
+    monkeypatch.setattr(peiffer.groups, "normal_closure", refuse)
+    S3, Z2 = symmetric_3(), cyclic(2)
+    built = [peiffer_product(pair) for mut in enumerate_mutual_actions(S3, Z2)
+             for pair in (mut, mut.swapped())]
+    assert {pp.compatible for pp in built} == {True, False}
+    monkeypatch.undo()
+    for pp in built:
+        # M x| N is still there on demand, and proj is its projection
+        assert pp.semidirect.group.order == len(pp.proj) == 12
+        assert pp.from_semidirect.mapping == pp.proj
+
+
 
 
 def test_family_compat_and_disagreement_match_references(family):
     incompatible = 0
     for rec in family:
         assert rec.verdict == ref_check_compatible(rec.mut)
-        want = ref_induced_tables(rec.pp)
+        want = ref_induced_tables(rec.mut, rec.pp.proj, rec.pp.product.order)
         if rec.pp.compatible:
             assert tuple(act.table for act in rec.pp.actions) == want
         else:
@@ -367,9 +498,7 @@ def check_strong_with_a_doctored_map(family, data, side):
     g = data.draw(st.integers(0, len(mapping) - 1))
     mapping[g] = data.draw(st.integers(0, P.order - 1))
     ells[side] = Hom(ells[side].dom, P, mapping, check=False)
-    doctored = PeifferProduct(
-        P, pp.semidirect, pp.from_semidirect, *ells, pp.source, pp.actions, pp.disagreement,
-    )
+    doctored = PeifferProduct(P, pp.proj, *ells, pp.source, pp.actions, pp.disagreement)
     bound = data.draw(st.integers(0, 3))
     assert strong_relation_check(doctored, bound) == ref_strong_relation_check(doctored, bound)
 
