@@ -14,6 +14,7 @@ from .groups import (
     VALID,
     _built_group,
     _greedy_generators,
+    _is_index,
     _per_group,
     all_homs,
     aut_group,
@@ -51,7 +52,7 @@ def check_action_table(acting: FiniteGroup, target: FiniteGroup, table) -> Diagn
         return Diagnosis(False, "table dimensions do not match the groups", ())
     for row in table:
         for v in row:
-            if not 0 <= v < target.order:
+            if not _is_index(v, target.order):
                 return Diagnosis(False, "entry out of range", (v,))
     e = acting.identity
     for x in range(target.order):
@@ -77,12 +78,12 @@ def check_action_table(acting: FiniteGroup, target: FiniteGroup, table) -> Diagn
 
 
 class Action:
-    """A full action table psi: A x X -> X."""
+    """A full action table psi: A x X -> X, kept as given."""
 
     def __init__(self, acting: FiniteGroup, target: FiniteGroup, table, check=True):
         self.acting = acting
         self.target = target
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.table = tuple(map(tuple, table))
         if check:
             check_action_table(acting, target, self.table).expect("action axioms")
 

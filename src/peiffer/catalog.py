@@ -54,10 +54,7 @@ class FamilyRecord:
 
 
 def enumerate_family(
-    groups=None,
-    max_pair_order: int = 36,
-    cap: int = DEFAULT_SEMIDIRECT_CAP,
-    check_symmetry: bool = True,
+    groups=None, max_pair_order: int = 36, cap: int = DEFAULT_SEMIDIRECT_CAP
 ) -> list[FamilyRecord]:
     """All mutual-action pairs over the catalog, with products and verdicts.
 
@@ -75,10 +72,8 @@ def enumerate_family(
             for idx, mut in enumerate(enumerate_mutual_actions(M, N)):
                 verdict = check_compatible(mut)
                 pp = peiffer_product(mut, cap=cap)
-                sym = True
-                if check_symmetry:
-                    pp_sw = peiffer_product(mut.swapped(), cap=cap)
-                    sym = is_isomorphic(pp.product, pp_sw.product, cap=cap) is not None
+                pp_sw = peiffer_product(mut.swapped(), cap=cap)
+                sym = is_isomorphic(pp.product, pp_sw.product, cap=cap) is not None
                 out.append(
                     FamilyRecord(
                         M.name or f"G{gi}",

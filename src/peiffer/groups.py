@@ -24,12 +24,17 @@ class Diagnosis:
     reason: str | None = None
     witness: tuple | None = None
 
-    def expect(self, what: str = "check") -> None:
+    def expect(self, what: str = "check", error=GroupError) -> None:
         if not self.ok:
-            raise GroupError(f"{what} failed: {self.reason}, witness={self.witness}")
+            raise error(f"{what} failed: {self.reason}, witness={self.witness}")
 
 
 VALID = Diagnosis(True)
+
+
+def _is_index(v, n: int) -> bool:
+    """v is an int in range(n); floats, strings and bools are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
 def _first_difference(u, v) -> int:
@@ -52,7 +57,7 @@ def _axioms(table, check: bool):
             if len(row) != n:
                 return Diagnosis(False, "table is not square", (i,))
             for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if not _is_index(v, n):
                     return Diagnosis(False, "entry out of range", (i, j, v))
     identity = None
     for e in range(n):
@@ -90,7 +95,7 @@ def validate_table(table) -> Diagnosis:
 class FiniteGroup:
     """A finite group as an order x order multiplication table.
 
-    check validates the table as given, before any entry is converted.
+    check validates the table in full; without it the table is trusted.
     """
 
     def __init__(self, table, name: str | None = None, check: bool = False):
@@ -98,7 +103,7 @@ class FiniteGroup:
         if isinstance(found, Diagnosis):
             found.expect("group axioms")
         self.identity, self.inverses = found
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         self.name = name
 
@@ -152,23 +157,24 @@ def _built_group(table: tuple, identity: int, inverses: tuple, name=None) -> Fin
 
 
 class Hom:
-    """A group homomorphism recorded as an element-wise map."""
+    """A group homomorphism recorded as an element-wise map, kept as given."""
 
     def __init__(self, dom: FiniteGroup, cod: FiniteGroup, mapping, check: bool = True):
         self.dom = dom
         self.cod = cod
-        self.mapping = tuple(map(int, mapping))
-        if len(self.mapping) != dom.order:
-            raise GroupError("map length does not match the domain order")
-        if any(not 0 <= v < cod.order for v in self.mapping):
-            raise GroupError("map value out of range")
+        self.mapping = tuple(mapping)
         if check:
             self.check().expect("homomorphism axioms")
 
     def check(self) -> Diagnosis:
-        if self.mapping[self.dom.identity] != self.cod.identity:
-            return Diagnosis(False, "identity not preserved", (self.dom.identity,))
         dt, ct, mp = self.dom.table, self.cod.table, self.mapping
+        if len(mp) != self.dom.order:
+            return Diagnosis(False, "map length does not match the domain order", (len(mp),))
+        for x, v in enumerate(mp):
+            if not _is_index(v, self.cod.order):
+                return Diagnosis(False, "map value out of range", (x, v))
+        if mp[self.dom.identity] != self.cod.identity:
+            return Diagnosis(False, "identity not preserved", (self.dom.identity,))
         for a in range(self.dom.order):
             for b in range(self.dom.order):
                 if mp[dt[a][b]] != ct[mp[a]][mp[b]]:
@@ -271,14 +277,10 @@ def normal_closure(G: FiniteGroup, gens) -> frozenset:
     return subgroup_closure(G, conjugates)
 
 
-def quotient(G: FiniteGroup, N, check: bool = True) -> tuple[FiniteGroup, Hom]:
-    """G/N with minimal-index coset representatives and the projection.
-
-    check tests that N is normal; a caller whose N is normal by construction,
-    such as a normal closure, may skip it.
-    """
+def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, Hom]:
+    """G/N with minimal-index coset representatives and the projection."""
     N = frozenset(N)
-    if check and not is_normal(G, N):
+    if not is_normal(G, N):
         raise GroupError("subgroup is not normal")
     T = G.table
     proj = [-1] * G.order

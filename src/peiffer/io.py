@@ -180,7 +180,8 @@ def lie_xmod_from_dict(d: dict) -> LieCrossedModule:
         raise LieError("Lie crossed module data needs boundary, action, dom, cod")
     dom = lie_from_dict(d["dom"])
     cod = lie_from_dict(d["cod"])
-    boundary = LieMap(dom, cod, d["boundary"], check=True)
+    # the crossed-module check starts with the hom check of the boundary
+    boundary = LieMap(dom, cod, d["boundary"], check=False)
     action = lie_action_from_dict(d["action"], acting=cod, target=dom)
     return LieCrossedModule(boundary, action, check=True)
 

@@ -170,7 +170,7 @@ class LieAlgebra:
             for row in self.brackets
         )
         if check:
-            _expect(validate_lie(self), "Lie axioms")
+            validate_lie(self).expect("Lie axioms", LieError)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.brackets[i][j]
@@ -204,12 +204,6 @@ class LieAlgebra:
     def __repr__(self):
         tag = f", name={self.name!r}" if self.name else ""
         return f"LieAlgebra(dim={self.dim}{tag})"
-
-
-def _expect(diag: Diagnosis, what: str) -> None:
-    """Diagnosis.expect for the Lie side, which raises LieError."""
-    if not diag.ok:
-        raise LieError(f"{what} failed: {diag.reason}, witness={diag.witness}")
 
 
 def validate_lie(L: LieAlgebra) -> Diagnosis:
@@ -246,7 +240,7 @@ class LieMap:
         if len(self.matrix) != cod.dim or any(len(r) != dom.dim for r in self.matrix):
             raise LieError("matrix shape does not match the algebras")
         if check:
-            _expect(self.check(), "Lie homomorphism")
+            self.check().expect("Lie homomorphism", LieError)
 
     def __call__(self, v) -> tuple:
         return mat_vec(self.matrix, vec(v))
@@ -298,7 +292,7 @@ class LieAction:
         ):
             raise LieError("action matrices have the wrong shape")
         if check:
-            _expect(check_lie_action(self), "Lie action axioms")
+            check_lie_action(self).expect("Lie action axioms", LieError)
 
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
@@ -443,7 +437,7 @@ class LieCrossedModule:
         self.X = boundary.dom
         self.A = boundary.cod
         if check:
-            _expect(self.check(), "Lie crossed module axioms")
+            self.check().expect("Lie crossed module axioms", LieError)
 
     def check(self) -> Diagnosis:
         return check_lie_xmod(self)
@@ -478,10 +472,9 @@ def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
 
 
 def lie_induced_actions(xm_m: LieCrossedModule, xm_n: LieCrossedModule) -> LieMutualActions:
+    """Pullback actions of two crossed modules, trusted as loaded or built."""
     if xm_m.A != xm_n.A:
         raise LieError("crossed modules have different base algebras")
-    _expect(check_lie_xmod(xm_m), "Lie crossed module axioms (first)")
-    _expect(check_lie_xmod(xm_n), "Lie crossed module axioms (second)")
     rho_nm = pullback_lie_action(xm_n.boundary, xm_m.action)
     rho_mn = pullback_lie_action(xm_m.boundary, xm_n.action)
     return LieMutualActions(rho_nm, rho_mn)

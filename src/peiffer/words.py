@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .groups import _is_index
+
 
 class WordError(ValueError):
     pass
@@ -16,13 +18,11 @@ class WordError(ValueError):
 def _reduce(groups, letters):
     stack = []
     for side, x in letters:
-        side = int(side)
-        if not 0 <= side < len(groups):
-            raise WordError(f"side {side} out of range")
+        if not _is_index(side, len(groups)):
+            raise WordError(f"side {side!r} out of range")
         G = groups[side]
-        x = int(x)
-        if not 0 <= x < G.order:
-            raise WordError(f"element {x} out of range for side {side}")
+        if not _is_index(x, G.order):
+            raise WordError(f"element {x!r} out of range for side {side}")
         if x == G.identity:
             continue
         while stack and stack[-1][0] == side and x != G.identity:

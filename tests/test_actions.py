@@ -27,6 +27,19 @@ def test_check_action_table_accepts_conjugation():
     assert check_action_table(S3, S3, conjugation_action(S3).table).ok
 
 
+@pytest.mark.parametrize("row", [[0.3, 1.9], [0, 1.9], [0, True], [0, "1"]])
+def test_action_check_refuses_non_integer_entries(row):
+    # int() would turn each row into (0, 1) and accept the table
+    with pytest.raises(GroupError, match="action axioms failed: entry out of range"):
+        Action(Z2, Z2, [[0, 1], row], check=True)
+
+
+def test_action_without_check_keeps_its_rows():
+    rows = ((0, 1, 2), (0, 2, 1))
+    act = Action(Z2, Z3, rows, check=False)
+    assert all(a is b for a, b in zip(act.table, rows))
+
+
 def test_conjugation_action_is_built_once_per_group():
     G = symmetric_3()
     assert conjugation_action(G) is conjugation_action(G)

@@ -347,6 +347,39 @@ def test_lie_induce_and_universal(tmp_path, capsys):
     assert code == 0 and "matrix" in report
 
 
+def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, monkeypatch):
+    import peiffer.lie as lie
+
+    m, n, rnm, rmn, xm_m, xm_n = lie_mutual_files(tmp_path)
+    fm = write(tmp_path, "xm_m.json", pio.lie_xmod_to_dict(xm_m))
+    fn = write(tmp_path, "xm_n.json", pio.lie_xmod_to_dict(xm_n))
+    calls = {"xmod": 0, "map": 0}
+    check_xmod, check_map = lie.check_lie_xmod, lie.LieMap.check
+
+    def counted(key, check):
+        def wrapper(*args):
+            calls[key] += 1
+            return check(*args)
+        return wrapper
+
+    monkeypatch.setattr(lie, "check_lie_xmod", counted("xmod", check_xmod))
+    monkeypatch.setattr(lie.LieMap, "check", counted("map", check_map))
+    code, report = run(capsys, "lie-universal-map", m, n, rnm, rmn, fm, fn)
+    assert code == 0 and "matrix" in report
+    # once per loaded crossed module, whose check starts with its boundary
+    assert calls == {"xmod": 2, "map": 2}
+
+
+def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):
+    L, _, _, _ = solvable_files(tmp_path)
+    doubled = LieMap(L, L, [[0, 0], [0, 2]], check=False)
+    assert not doubled.check().ok
+    bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(LieCrossedModule(doubled, adjoint_action(L))))
+    code, report = run(capsys, "lie-induce-actions", bad, bad)
+    assert code == 2
+    assert "Lie crossed module axioms failed: bracket not preserved" in report["error"]
+
+
 def test_reports_sorted_and_stable(trivial_pair, capsys):
     _, r1 = run(capsys, "peiffer", *trivial_pair)
     _, r2 = run(capsys, "peiffer", *trivial_pair)

@@ -67,6 +67,28 @@ def test_hom_checks_multiplicativity():
         Hom(Z4, Z2, (0, 1, 1, 0))
 
 
+@pytest.mark.parametrize("bad", [0.3, 1.9, True, "1"])
+def test_hom_check_refuses_non_integer_values(bad):
+    Z2 = cyclic(2)
+    with pytest.raises(GroupError, match=rf"map value out of range, witness=\(1, {bad!r}\)"):
+        Hom(Z2, Z2, [0, bad], check=True)
+
+
+def test_hom_check_tests_length_and_range_before_indexing():
+    Z2, Z3 = cyclic(2), cyclic(3)
+    assert Hom(Z3, Z2, (0, 1), check=False).check().reason == (
+        "map length does not match the domain order"
+    )
+    # value 5 would index past Z2's table in the identity test
+    assert Hom(Z2, Z2, (5, 0), check=False).check().witness == (0, 5)
+
+
+def test_hom_without_check_keeps_its_map():
+    Z2 = cyclic(2)
+    t = (0, 1)
+    assert Hom(Z2, Z2, t, check=False).mapping is t
+
+
 def test_hom_compose_and_inverse():
     Z6 = cyclic(6)
     f = Hom(Z6, Z6, tuple((5 * x) % 6 for x in range(6)))  # negation

@@ -384,10 +384,12 @@ def identity_xmod(L):
 
 def test_constructions_pass_the_exhaustive_checks():
     # lie_semidirect, lie_peiffer, its actions and crossed modules and the
-    # universal map do not check what they build; the exhaustive checks of
-    # their results stay here as the oracle
+    # universal map do not check what they build, and lie_induced_actions
+    # does not check its inputs; the exhaustive checks stay here as the oracle
     B3 = b3()
     cases = [ideal_fixture()] + [(identity_xmod(L),) * 2 for L in (solvable2(), sl2(), abelian(2), B3)]
+    for xms in cases:
+        assert all(check_lie_xmod(xm).ok for xm in xms)
     cases = [(lie_induced_actions(*xms), xms) for xms in cases]
     M, N = solvable2(), sl2()
     cases.append((LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N)), None))

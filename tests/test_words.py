@@ -115,6 +115,15 @@ def test_ternary_cosmash():
         in_ternary_cosmash(w((0, t)))
 
 
+@pytest.mark.parametrize(
+    "letter", [(0, 1.9), (0, True), (0, "1"), (1.2, 1), (True, 1), ("1", 1)]
+)
+def test_free_word_refuses_non_integer_sides_and_elements(letter):
+    # int() would read 1.9 as 1 and True as 1
+    with pytest.raises(WordError, match="out of range"):
+        w(letter)
+
+
 def test_flat_decompose_reassembles():
     t = next(x for x in S3.elements() if S3.element_order(x) == 2)
     c = next(x for x in S3.elements() if S3.element_order(x) == 3)
