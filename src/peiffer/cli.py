@@ -100,7 +100,7 @@ def _validate(args):
         raise GroupError("group data must be an object with a table")
     table = tuple(tuple(row) for row in d["table"])
     diag = validate_table(table)
-    if diag.ok and "order" in d and d["order"] != len(table):
+    if diag.ok and pio.order_mismatch(d, table):
         return {"valid": False, "reason": "declared order does not match the table"}, 2
     return _verdict("valid", diag, fail_code=2)
 

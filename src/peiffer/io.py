@@ -27,6 +27,14 @@ def int_entries(values, what: str, error=GroupError) -> tuple:
     return values
 
 
+def order_mismatch(d: dict, table) -> bool:
+    """d declares an order other than the int len(table); 2.0 and true are refused."""
+    if "order" not in d:
+        return False
+    order = d["order"]
+    return not isinstance(order, int) or isinstance(order, bool) or order != len(table)
+
+
 def group_to_dict(G: FiniteGroup) -> dict:
     d = {"order": G.order, "table": [list(row) for row in G.table]}
     if G.name:
@@ -38,7 +46,7 @@ def group_from_dict(d: dict) -> FiniteGroup:
     if not isinstance(d, dict) or "table" not in d:
         raise GroupError("group data must be an object with a table")
     table = d["table"]
-    if "order" in d and d["order"] != len(table):
+    if order_mismatch(d, table):
         raise GroupError("declared order does not match the table")
     return FiniteGroup(tuple(tuple(row) for row in table), name=d.get("name"), check=True)
 

@@ -8,6 +8,7 @@ Fractions; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import VALID, Diagnosis
 
@@ -172,9 +173,6 @@ class LieAlgebra:
         if check:
             validate_lie(self).expect("Lie axioms", LieError)
 
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        return self.brackets[i][j]
-
     def bracket(self, u, v) -> tuple:
         out = [ZERO] * self.dim
         v_terms = [(j, b) for j, b in enumerate(v) if b]
@@ -257,11 +255,6 @@ class LieMap:
                 if any(x != 0 for x in resid):
                     return Diagnosis(False, "bracket not preserved", (i, j, resid))
         return VALID
-
-    def compose(self, other: "LieMap") -> "LieMap":
-        if other.cod is not self.dom and other.cod != self.dom:
-            raise LieError("composition mismatch")
-        return LieMap(other.dom, self.cod, mat_mul(self.matrix, other.matrix), check=False)
 
     def __eq__(self, other):
         return (
@@ -491,36 +484,39 @@ class LieSemidirect:
         self.action = action
 
 
+def _semidirect_brackets(rho: LieAction) -> tuple:
+    """The structure constants of M x| N on M's basis then N's, block by block.
+
+    [m_i, m_j] = [m_i, m_j]_M, [n_a, m_j] = rho(n_a) m_j = -[m_j, n_a] and
+    [n_a, n_b] = [n_a, n_b]_N; rho(n_a) m_j is column j of rho.rho[a].
+    """
+    M, N = rho.target, rho.acting
+    dm, dn = M.dim, N.dim
+    zm, zn = zero_vec(dm), zero_vec(dn)
+    acts = [[tuple(R[i][j] for i in range(dm)) for j in range(dm)] for R in rho.rho]
+    rows = [
+        tuple(M.brackets[i][j] + zn for j in range(dm))
+        + tuple(tuple(-x for x in acts[b][i]) + zn for b in range(dn))
+        for i in range(dm)
+    ]
+    rows += [
+        tuple(acts[a][j] + zn for j in range(dm))
+        + tuple(zm + N.brackets[a][b] for b in range(dn))
+        for a in range(dn)
+    ]
+    return tuple(rows)
+
+
 def lie_semidirect(rho: LieAction) -> LieSemidirect:
     """[(m,n),(m',n')] = ([m,m'] + rho(n) m' - rho(n') m, [n,n'])."""
     M, N = rho.target, rho.acting
-    dm, dn = M.dim, N.dim
-    dim = dm + dn
-
-    def pair(m, n):
-        return tuple(m) + tuple(n)
-
-    brackets = []
-    for i in range(dim):
-        m1 = basis_vec(dm, i) if i < dm else zero_vec(dm)
-        n1 = basis_vec(dn, i - dm) if i >= dm else zero_vec(dn)
-        row = []
-        for j in range(dim):
-            m2 = basis_vec(dm, j) if j < dm else zero_vec(dm)
-            n2 = basis_vec(dn, j - dm) if j >= dm else zero_vec(dn)
-            mpart = vadd(
-                M.bracket(m1, m2), vsub(rho(n1, m2), rho(n2, m1))
-            )
-            row.append(pair(mpart, N.bracket(n1, n2)))
-        brackets.append(tuple(row))
+    dm = M.dim
     # Jacobi holds because M and N do and rho is a Lie hom into Der(M)
-    S = LieAlgebra(dim, tuple(brackets), check=False)
-    # matrices are rows-of-cod: build via columns then transpose
-    j_m = _lie_map_from_columns(M, S, [pair(basis_vec(dm, i), zero_vec(dn)) for i in range(dm)])
-    j_n = _lie_map_from_columns(N, S, [pair(zero_vec(dm), basis_vec(dn, j)) for j in range(dn)])
-    pi = _lie_map_from_columns(
-        S, N, [zero_vec(dn)] * dm + [basis_vec(dn, j) for j in range(dn)]
-    )
+    S = LieAlgebra(dm + N.dim, _semidirect_brackets(rho), check=False)
+    ident = identity_mat(S.dim)
+    j_m = LieMap(M, S, tuple(row[:dm] for row in ident), check=False)
+    j_n = LieMap(N, S, tuple(row[dm:] for row in ident), check=False)
+    pi = LieMap(S, N, ident[dm:], check=False)
     return LieSemidirect(S, j_m, j_n, pi, rho)
 
 
@@ -532,41 +528,51 @@ def _lie_map_from_columns(dom, cod, columns) -> LieMap:
 
 
 class LiePeifferProduct:
-    """Quotient of the semidirect sum by the Peiffer ideal.
+    """The quotient of M x| N by the Peiffer ideal, on the coordinates of M + N.
 
-    lift sends a quotient basis vector to a representative in S; proj is a
-    one-sided inverse to lift.
+    The coordinates are M's basis then N's.  reps are the coordinates off the
+    ideal's pivots, whose basis vectors represent P's basis; columns[c] is
+    the image in P of basis vector c, so l_m and l_n are its first M.dim and
+    last N.dim columns.
     """
 
-    def __init__(self, algebra, semidirect, proj, lift, l_m, l_n, source, ideal_rows, ideal_pivots):
+    def __init__(self, algebra, reps, columns, l_m, l_n, source, ideal_rows, ideal_pivots):
         self.algebra = algebra
-        self.semidirect = semidirect
-        self.proj = proj
-        self.lift = lift
+        self.reps = reps
+        self.columns = columns
         self.l_m = l_m
         self.l_n = l_n
         self.source = source
         self.ideal_rows = ideal_rows
         self.ideal_pivots = ideal_pivots
 
+    @cached_property
+    def semidirect(self) -> LieSemidirect:
+        """M x| N itself, built only when asked for."""
+        return lie_semidirect(self.source.rho_nm)
+
+    @cached_property
+    def proj(self) -> LieMap:
+        return _lie_map_from_columns(self.semidirect.algebra, self.algebra, self.columns)
+
     def __repr__(self):
         return f"LiePeifferProduct(dim={self.algebra.dim})"
 
 
 def lie_peiffer_ideal(mut: LieMutualActions):
-    """The ideal of the semidirect sum generated by the Peiffer elements.
+    """The ideal of M x| N generated by the Peiffer elements.
 
     Generators (rho_NM(n) m, rho_MN(m) n) over basis pairs, closed under
-    bracketing with all basis vectors; returned as an rref basis.
+    bracketing with all basis vectors; returns M x| N as an algebra on the
+    coordinates of M + N, and the ideal's rref basis and pivots.
     """
-    sd = lie_semidirect(mut.rho_nm)
-    S = sd.algebra
-    dm = mut.M.dim
+    dm, dn = mut.M.dim, mut.N.dim
+    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.rho_nm), check=False)
     gens = []
     for i in range(dm):
         m = basis_vec(dm, i)
-        for j in range(mut.N.dim):
-            n = basis_vec(mut.N.dim, j)
+        for j in range(dn):
+            n = basis_vec(dn, j)
             gens.append(tuple(mut.rho_nm(n, m)) + tuple(mut.rho_mn(m, n)))
     rows, pivots = rref(gens)
     work = list(rows)
@@ -577,33 +583,25 @@ def lie_peiffer_ideal(mut: LieMutualActions):
             if any(x != 0 for x in w):
                 rows, pivots = rref(list(rows) + [w])
                 work.append(w)
-    return sd, rows, pivots
+    return S, rows, pivots
 
 
 def lie_peiffer(mut: LieMutualActions) -> LiePeifferProduct:
-    sd, rows, pivots = lie_peiffer_ideal(mut)
-    S = sd.algebra
-    free = [c for c in range(S.dim) if c not in pivots]
-    dim = len(free)
+    S, rows, pivots = lie_peiffer_ideal(mut)
+    reps = tuple(c for c in range(S.dim) if c not in pivots)
 
     def project(v):
         red = reduce_mod(rows, pivots, v)
-        return tuple(red[c] for c in free)
+        return tuple(red[c] for c in reps)
 
-    brackets = []
-    for a in range(dim):
-        ea = basis_vec(S.dim, free[a])
-        row = []
-        for b in range(dim):
-            row.append(project(S.bracket(ea, basis_vec(S.dim, free[b]))))
-        brackets.append(tuple(row))
     # the closure in lie_peiffer_ideal is an ideal, so P is a quotient algebra
-    P = LieAlgebra(dim, tuple(brackets), check=False)
-    proj = _lie_map_from_columns(S, P, [project(basis_vec(S.dim, c)) for c in range(S.dim)])
-    lift = _lie_map_from_columns(P, S, [basis_vec(S.dim, free[a]) for a in range(dim)])
-    l_m = proj.compose(sd.j_m)
-    l_n = proj.compose(sd.j_n)
-    return LiePeifferProduct(P, sd, proj, lift, l_m, l_n, mut, rows, pivots)
+    brackets = tuple(tuple(project(S.brackets[a][b]) for b in reps) for a in reps)
+    P = LieAlgebra(len(reps), brackets, check=False)
+    columns = tuple(project(basis_vec(S.dim, c)) for c in range(S.dim))
+    dm = mut.M.dim
+    l_m = _lie_map_from_columns(mut.M, P, columns[:dm])
+    l_n = _lie_map_from_columns(mut.N, P, columns[dm:])
+    return LiePeifferProduct(P, reps, columns, l_m, l_n, mut, rows, pivots)
 
 
 def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
@@ -615,19 +613,13 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
     """
     mut = pp.source
     M, N = mut.M, mut.N
-    S = pp.semidirect.algebra
     dm = M.dim
 
-    def split(v):
-        return v[:dm], v[dm:]
-
     def act_on_m(v):
-        m, n = split(v)
-        return mat_add(M.ad(m), mut.rho_nm.of(n))
+        return mat_add(M.ad(v[:dm]), mut.rho_nm.of(v[dm:]))
 
     def act_on_n(v):
-        m, n = split(v)
-        return mat_add(N.ad(n), mut.rho_mn.of(m))
+        return mat_add(N.ad(v[dm:]), mut.rho_mn.of(v[:dm]))
 
     for row in pp.ideal_rows:
         for builder, tag in ((act_on_m, "M"), (act_on_n, "N")):
@@ -636,11 +628,15 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
                 raise LieError(
                     f"induced action on {tag} is not well defined, witness={row}"
                 )
-    P = pp.algebra
-    lift = pp.lift
-    rho_on_m = tuple(act_on_m(lift(basis_vec(P.dim, c))) for c in range(P.dim))
-    rho_on_n = tuple(act_on_n(lift(basis_vec(P.dim, c))) for c in range(P.dim))
+    # representative k is basis vector k of M + N
+    rho_on_m = tuple(
+        M.ad(basis_vec(dm, k)) if k < dm else mut.rho_nm.rho[k - dm] for k in pp.reps
+    )
+    rho_on_n = tuple(
+        mut.rho_mn.rho[k] if k < dm else N.ad(basis_vec(N.dim, k - dm)) for k in pp.reps
+    )
     # once the ideal acts as zero both are Lie homs into derivations
+    P = pp.algebra
     return (
         LieAction(P, M, rho_on_m, check=False),
         LieAction(P, N, rho_on_n, check=False),
@@ -662,16 +658,11 @@ def lie_universal_map(pp: LiePeifferProduct, xm_m: LieCrossedModule, xm_n: LieCr
     if lie_induced_actions(xm_m, xm_n) != mut:
         raise LieError("crossed modules do not induce the given actions")
     L = xm_m.A
-    mu, nu = xm_m.boundary, xm_n.boundary
-    S = pp.semidirect.algebra
+    mu, nu = xm_m.boundary.matrix, xm_n.boundary.matrix
     dm = mut.M.dim
-    # h_S(m, n) = mu(m) + nu(n) kills the ideal, as mu and nu are equivariant
-    h_cols = [
-        tuple(mu.matrix[i][j] for i in range(L.dim)) for j in range(dm)
-    ] + [
-        tuple(nu.matrix[i][j] for i in range(L.dim)) for j in range(mut.N.dim)
-    ]
-    h_s = _lie_map_from_columns(S, L, h_cols)
-    P = pp.algebra
-    out_cols = [h_s(pp.lift(basis_vec(P.dim, c))) for c in range(P.dim)]
-    return _lie_map_from_columns(P, L, out_cols)
+    # (m, n) -> mu(m) + nu(n) kills the ideal, as mu and nu are equivariant,
+    # so P's basis vector goes where its representative does
+    rows = tuple(
+        tuple(mu[i][k] if k < dm else nu[i][k - dm] for k in pp.reps) for i in range(L.dim)
+    )
+    return LieMap(pp.algebra, L, rows, check=False)

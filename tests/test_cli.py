@@ -69,6 +69,13 @@ def test_validate_broken_group(tmp_path, capsys):
     assert report["witness"] == [1]
 
 
+@pytest.mark.parametrize("d", [{"order": True, "table": [[0]]}, {"order": 2.0, "table": [[0, 1], [1, 0]]}])
+def test_validate_refuses_non_integer_order(tmp_path, capsys, d):
+    code, report = run(capsys, "validate", write(tmp_path, "g.json", d))
+    assert code == 2
+    assert report == {"valid": False, "reason": "declared order does not match the table"}
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -30,6 +30,13 @@ def test_group_load_validates():
         pio.group_from_dict({"order": 3, "table": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize("d", [{"order": True, "table": [[0]]}, {"order": 2.0, "table": [[0, 1], [1, 0]]}])
+def test_group_load_refuses_non_integer_order(d):
+    # true == 1 and 2.0 == 2, so a plain comparison would let both through
+    with pytest.raises(GroupError, match="declared order does not match the table"):
+        pio.group_from_dict(d)
+
+
 def test_action_round_trip():
     psi = conjugation_action(symmetric_3())
     back = pio.action_from_dict(pio.action_to_dict(psi))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import peiffer.lie
 from peiffer.groups import VALID, Diagnosis
 from peiffer.lie import (
     ZERO,
@@ -24,8 +25,10 @@ from peiffer.lie import (
     lie_peiffer_xmods,
     lie_semidirect,
     lie_universal_map,
+    mat_add,
     mat_mul,
     mat_vec,
+    reduce_mod,
     rref,
     in_span,
     trivial_lie_action,
@@ -416,6 +419,184 @@ def test_constructions_pass_the_exhaustive_checks():
             assert h(pp.l_n(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
         for row in pp.ideal_rows:
             assert not any(vadd(xm_m.boundary(row[:dm]), xm_n.boundary(row[dm:])))
+
+
+def from_columns(dom, cod, columns):
+    return LieMap(
+        dom, cod, tuple(tuple(columns[j][i] for j in range(dom.dim)) for i in range(cod.dim)), check=False
+    )
+
+
+def ref_lie_peiffer(mut, xms=None):
+    """The Peiffer product the long way, the oracle for the coordinate path.
+
+    Builds M x| N from brackets of basis vectors with its inclusions, a lift
+    P -> S, l_m and l_n as proj composed with the inclusions, the actions at
+    lifted basis vectors and the universal map through h_S on S.  Returns
+    the fields the coordinate path must match; a LieError from the actions
+    is returned as its message.
+    """
+    M, N, rho = mut.M, mut.N, mut.rho_nm
+    dm, dn = M.dim, N.dim
+    dim = dm + dn
+
+    def halves(i):
+        e = basis_vec(dim, i)
+        return e[:dm], e[dm:]
+
+    brackets = []
+    for i in range(dim):
+        m1, n1 = halves(i)
+        row = []
+        for j in range(dim):
+            m2, n2 = halves(j)
+            mpart = vadd(M.bracket(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
+            row.append(mpart + N.bracket(n1, n2))
+        brackets.append(tuple(row))
+    S = LieAlgebra(dim, brackets, check=False)
+    j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
+    j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
+    gens = [
+        mut.rho_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.rho_mn(basis_vec(dm, i), basis_vec(dn, j))
+        for i in range(dm)
+        for j in range(dn)
+    ]
+    rows, pivots = rref(gens)
+    work = list(rows)
+    while work:
+        v = work.pop()
+        for b in range(dim):
+            w = reduce_mod(rows, pivots, S.bracket(basis_vec(dim, b), v))
+            if any(w):
+                rows, pivots = rref(list(rows) + [w])
+                work.append(w)
+    free = [c for c in range(dim) if c not in pivots]
+
+    def project(v):
+        red = reduce_mod(rows, pivots, v)
+        return tuple(red[c] for c in free)
+
+    P = LieAlgebra(
+        len(free),
+        [[project(S.bracket(basis_vec(dim, a), basis_vec(dim, b))) for b in free] for a in free],
+        check=False,
+    )
+    proj = from_columns(S, P, [project(basis_vec(dim, c)) for c in range(dim)])
+    lift = from_columns(P, S, [basis_vec(dim, c) for c in free])
+    fields = {
+        "semidirect": S.brackets,
+        "brackets": P.brackets,
+        "l_m": mat_mul(proj.matrix, j_m.matrix),
+        "l_n": mat_mul(proj.matrix, j_n.matrix),
+        "proj": proj.matrix,
+        "ideal_rows": rows,
+        "ideal_pivots": pivots,
+    }
+
+    def act_on_m(v):
+        return mat_add(M.ad(v[:dm]), mut.rho_nm.of(v[dm:]))
+
+    def act_on_n(v):
+        return mat_add(N.ad(v[dm:]), mut.rho_mn.of(v[:dm]))
+
+    for row in rows:
+        for act, tag in ((act_on_m, "M"), (act_on_n, "N")):
+            if any(x for r in act(row) for x in r):
+                fields["error"] = f"induced action on {tag} is not well defined, witness={row}"
+                return fields
+    lifted = [lift(basis_vec(P.dim, c)) for c in range(P.dim)]
+    fields["rho_on_m"] = tuple(act_on_m(v) for v in lifted)
+    fields["rho_on_n"] = tuple(act_on_n(v) for v in lifted)
+    if xms is None:
+        xms = (
+            LieCrossedModule(LieMap(M, P, fields["l_m"], check=False), LieAction(P, M, fields["rho_on_m"], check=False)),
+            LieCrossedModule(LieMap(N, P, fields["l_n"], check=False), LieAction(P, N, fields["rho_on_n"], check=False)),
+        )
+    mu, nu = (xm.boundary for xm in xms)
+    L = mu.cod
+    h_cols = [mu(basis_vec(dm, j)) for j in range(dm)] + [nu(basis_vec(dn, j)) for j in range(dn)]
+    h_s = from_columns(S, L, h_cols)
+    fields["universal"] = from_columns(P, L, [h_s(v) for v in lifted]).matrix
+    return fields
+
+
+def coordinate_fields(mut, xms=None):
+    """The same fields from lie_peiffer and the functions that take its product."""
+    pp = lie_peiffer(mut)
+    fields = {
+        "semidirect": pp.semidirect.algebra.brackets,
+        "brackets": pp.algebra.brackets,
+        "l_m": pp.l_m.matrix,
+        "l_n": pp.l_n.matrix,
+        "proj": pp.proj.matrix,
+        "ideal_rows": pp.ideal_rows,
+        "ideal_pivots": pp.ideal_pivots,
+    }
+    try:
+        on_m, on_n = lie_peiffer_actions(pp)
+    except LieError as exc:
+        fields["error"] = str(exc)
+        return fields
+    fields["rho_on_m"], fields["rho_on_n"] = on_m.rho, on_n.rho
+    fields["universal"] = lie_universal_map(pp, *(xms or lie_peiffer_xmods(pp))).matrix
+    return fields
+
+
+def zero_base_xmods():
+    """Two crossed modules abelian(2) -> 0: the universal map is 0 x 4."""
+    Z, A = abelian(0), abelian(2)
+    xm = LieCrossedModule(LieMap(A, Z, [], check=False), trivial_lie_action(Z, A))
+    return xm, xm
+
+
+def identity_case(L):
+    xms = (identity_xmod(L),) * 2
+    return lie_induced_actions(*xms), xms
+
+
+ORACLE_CASES = {
+    "ideal": lambda: (lie_induced_actions(*ideal_fixture()), ideal_fixture()),
+    "identity-solvable2": lambda: identity_case(solvable2()),
+    "identity-sl2": lambda: identity_case(sl2()),
+    "identity-abelian2": lambda: identity_case(abelian(2)),
+    "identity-b3": lambda: identity_case(b3()),
+    "zero-actions": lambda: (
+        LieMutualActions(trivial_lie_action(sl2(), solvable2()), trivial_lie_action(solvable2(), sl2())),
+        None,
+    ),
+    "scalar-incompatible": lambda: (scalar_pair(), None),
+    "zero-base": lambda: (lie_induced_actions(*zero_base_xmods()), zero_base_xmods()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_coordinate_path_matches_semidirect_oracle(case):
+    mut, xms = ORACLE_CASES[case]()
+    want = ref_lie_peiffer(mut, xms)
+    got = coordinate_fields(mut, xms)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+    # the scalar pair fails in both paths, with the same message
+    assert ("error" in got) == (case == "scalar-incompatible")
+    if case == "zero-base":
+        assert got["universal"] == () and len(got["brackets"]) == 4
+
+
+def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
+    def refuse(rho):
+        raise AssertionError("lie_semidirect was called")
+
+    monkeypatch.setattr(peiffer.lie, "lie_semidirect", refuse)
+    xm_m, xm_n = ideal_fixture()
+    pp = lie_peiffer(lie_induced_actions(xm_m, xm_n))
+    lie_peiffer_xmods(pp)
+    lie_universal_map(pp, xm_m, xm_n)
+    monkeypatch.undo()
+    # M x| N and the projection are still there when asked for
+    sd = pp.semidirect
+    assert sd is pp.semidirect and pp.proj.dom is sd.algebra
+    assert validate_lie(sd.algebra).ok and pp.proj.check().ok
 
 
 def test_lie_checks_raise_lie_error():
