@@ -66,24 +66,28 @@ def _verdict(key, diag, fail_code=1):
     return report, 0 if diag.ok else fail_code
 
 
+def _pair(args, names, load, load_action, mutual):
+    """The mutual actions that args names; a path named twice is loaded once."""
+    m, n, nm, mn = (getattr(args, name) for name in names)
+    M = load(pio.load_json(m))
+    N = M if n == m else load(pio.load_json(n))
+    act_nm = load_action(pio.load_json(nm), acting=N, target=M)
+    if mn == nm and M is N:
+        return mutual(act_nm, act_nm)
+    return mutual(act_nm, load_action(pio.load_json(mn), acting=M, target=N))
+
+
 def _group_pair(args) -> MutualActions:
-    M = pio.group_from_dict(pio.load_json(args.m))
-    N = pio.group_from_dict(pio.load_json(args.n))
-    xi_nm = pio.action_from_dict(pio.load_json(args.xi_nm), acting=N, target=M)
-    xi_mn = pio.action_from_dict(pio.load_json(args.xi_mn), acting=M, target=N)
-    return MutualActions(xi_nm, xi_mn)
+    return _pair(args, GROUP_PAIR, pio.group_from_dict, pio.action_from_dict, MutualActions)
 
 
 def _lie_pair(args) -> LieMutualActions:
-    M = pio.lie_from_dict(pio.load_json(args.m))
-    N = pio.lie_from_dict(pio.load_json(args.n))
-    rho_nm = pio.lie_action_from_dict(pio.load_json(args.rho_nm), acting=N, target=M)
-    rho_mn = pio.lie_action_from_dict(pio.load_json(args.rho_mn), acting=M, target=N)
-    return LieMutualActions(rho_nm, rho_mn)
+    return _pair(args, LIE_PAIR, pio.lie_from_dict, pio.lie_action_from_dict, LieMutualActions)
 
 
 def _xmod_pair(args, load):
-    return load(pio.load_json(args.xm_m)), load(pio.load_json(args.xm_n))
+    xm_m = load(pio.load_json(args.xm_m))
+    return xm_m, (xm_m if args.xm_n == args.xm_m else load(pio.load_json(args.xm_n)))
 
 
 def _product(args):

@@ -35,6 +35,21 @@ def order_mismatch(d: dict, table) -> bool:
     return not isinstance(order, int) or isinstance(order, bool) or order != len(table)
 
 
+def _given_or_inline(d: dict, key: str, given, load, noun: str, error):
+    """The caller's `given`, or load(d[key]) when the caller gives nothing.
+
+    Both categories load an action's acting and target this way.  An inline
+    d[key] that disagrees with the supplied one is refused.
+    """
+    if given is None:
+        if key not in d:
+            raise error(f"no {key} {noun} given")
+        return load(d[key])
+    if key in d and load(d[key]) != given:
+        raise error(f"inline {key} {noun} disagrees with the supplied one")
+    return given
+
+
 def group_to_dict(G: FiniteGroup) -> dict:
     d = {"order": G.order, "table": [list(row) for row in G.table]}
     if G.name:
@@ -64,18 +79,8 @@ def action_from_dict(d: dict, acting: FiniteGroup | None = None,
     """Load an action; groups may come inline or be supplied by the caller."""
     if not isinstance(d, dict) or "table" not in d:
         raise GroupError("action data must be an object with a table")
-    if acting is None:
-        if "acting" not in d:
-            raise GroupError("no acting group given")
-        acting = group_from_dict(d["acting"])
-    elif "acting" in d and group_from_dict(d["acting"]) != acting:
-        raise GroupError("inline acting group disagrees with the supplied one")
-    if target is None:
-        if "target" not in d:
-            raise GroupError("no target group given")
-        target = group_from_dict(d["target"])
-    elif "target" in d and group_from_dict(d["target"]) != target:
-        raise GroupError("inline target group disagrees with the supplied one")
+    acting = _given_or_inline(d, "acting", acting, group_from_dict, "group", GroupError)
+    target = _given_or_inline(d, "target", target, group_from_dict, "group", GroupError)
     table = tuple(int_entries(row, "action table") for row in d["table"])
     check_action_table(acting, target, table).expect("action axioms")
     return Action(acting, target, table, check=False)
@@ -167,10 +172,8 @@ def lie_action_from_dict(d: dict, acting: LieAlgebra | None = None,
                          target: LieAlgebra | None = None) -> LieAction:
     if not isinstance(d, dict) or "rho" not in d:
         raise LieError("Lie action data must be an object with rho")
-    if acting is None:
-        acting = lie_from_dict(d["acting"])
-    if target is None:
-        target = lie_from_dict(d["target"])
+    acting = _given_or_inline(d, "acting", acting, lie_from_dict, "algebra", LieError)
+    target = _given_or_inline(d, "target", target, lie_from_dict, "algebra", LieError)
     return LieAction(acting, target, d["rho"])
 
 

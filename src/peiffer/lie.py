@@ -24,12 +24,11 @@ ONE = Fraction(1)
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, bool):
-        raise LieError(f"not an exact rational: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:  # "1/0"
+            pass
     raise LieError(f"not an exact rational: {v!r}")
 
 
@@ -111,6 +110,27 @@ def mat_sub(A, B) -> tuple:
     return tuple(vsub(r, s) for r, s in zip(A, B))
 
 
+def mat_commutator(A, B) -> tuple:
+    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+
+
+def column(A, j) -> tuple:
+    return tuple(row[j] for row in A)
+
+
+def _disagreement(A, B, first=0):
+    """The first column j >= first where matrices A and B differ, with column j of A - B.
+
+    None when they agree on every such column.  Every Lie check below is one
+    such matrix identity, and the column found is its witness.
+    """
+    cols = [j for a, b in zip(A, B) if a != b for j in range(first, len(a)) if a[j] != b[j]]
+    if not cols:
+        return None
+    j = min(cols)
+    return j, tuple(a[j] - b[j] for a, b in zip(A, B))
+
+
 def basis_vec(n: int, i: int) -> tuple:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -165,33 +185,22 @@ class LieAlgebra:
             for row in self.brackets
         ):
             raise LieError("structure constants have the wrong shape")
-        # the nonzero (k, c) of each brackets[i][j], for bracket()
-        self._constants = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
-            for row in self.brackets
-        )
         if check:
             validate_lie(self).expect("Lie axioms", LieError)
 
+    @cached_property
+    def adjoint(self) -> "LieAction":
+        """The adjoint action: rho[i] is ad(e_i), whose column j is [e_i, e_j]."""
+        n = self.dim
+        rho = tuple(tuple(column(row, r) for r in range(n)) for row in self.brackets)
+        return LieAction(self, self, rho, check=False)
+
     def bracket(self, u, v) -> tuple:
-        out = [ZERO] * self.dim
-        v_terms = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self._constants[i]
-            for j, b in v_terms:
-                ab = a * b
-                for k, c in row[j]:
-                    _accumulate(out, k, ab * c)
-        return tuple(out)
+        return self.adjoint(u, v)
 
     def ad(self, u) -> tuple:
         """The matrix of [u, -] on the basis (columns are images)."""
-        cols = [self.bracket(u, basis_vec(self.dim, j)) for j in range(self.dim)]
-        return tuple(
-            tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)
-        )
+        return self.adjoint.of(u)
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.brackets == other.brackets
@@ -205,26 +214,25 @@ class LieAlgebra:
 
 
 def validate_lie(L: LieAlgebra) -> Diagnosis:
+    """Antisymmetry, then Jacobi as [ad e_i, ad e_j] = ad([e_i, e_j]).
+
+    Column k of the difference is the Jacobiator of (e_i, e_j, e_k).  Once
+    antisymmetry holds it is alternating, so it vanishes when two indices
+    agree and the first failing triple in lexicographic order is sorted:
+    pairs i < j and columns k > j suffice.
+    """
     n = L.dim
     for i in range(n):
         for j in range(n):
             resid = vadd(L.brackets[i][j], L.brackets[j][i])
-            if any(x != 0 for x in resid):
+            if any(resid):
                 return Diagnosis(False, "antisymmetry fails", (i, j, resid))
-    # the Jacobiator is alternating once antisymmetry holds, so sorted triples
-    # suffice and the first failing triple in lexicographic order is sorted
+    ad = L.adjoint.rho
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                resid = vadd(
-                    vadd(
-                        L.bracket(basis_vec(n, i), L.brackets[j][k]),
-                        L.bracket(basis_vec(n, j), L.brackets[k][i]),
-                    ),
-                    L.bracket(basis_vec(n, k), L.brackets[i][j]),
-                )
-                if any(x != 0 for x in resid):
-                    return Diagnosis(False, "Jacobi fails", (i, j, k, resid))
+            bad = _disagreement(mat_commutator(ad[i], ad[j]), L.ad(L.brackets[i][j]), j + 1)
+            if bad:
+                return Diagnosis(False, "Jacobi fails", (i, j) + bad)
     return VALID
 
 
@@ -244,16 +252,17 @@ class LieMap:
         return mat_vec(self.matrix, vec(v))
 
     def check(self) -> Diagnosis:
-        n = self.dom.dim
-        for i in range(n):
-            fi = self(basis_vec(n, i))
-            for j in range(n):
-                resid = vsub(
-                    self(self.dom.brackets[i][j]),
-                    self.cod.bracket(fi, self(basis_vec(n, j))),
-                )
-                if any(x != 0 for x in resid):
-                    return Diagnosis(False, "bracket not preserved", (i, j, resid))
+        """f ad(e_i) = ad(f e_i) f, whose column j is f[e_i, e_j] - [f e_i, f e_j].
+
+        That residual is antisymmetric in (i, j) and zero at i = j, so the
+        first failing pair in lexicographic order has i < j: columns j > i
+        suffice.
+        """
+        f = self.matrix
+        for i, ad_i in enumerate(self.dom.adjoint.rho):
+            bad = _disagreement(mat_mul(f, ad_i), mat_mul(self.cod.ad(column(f, i)), f), i + 1)
+            if bad:
+                return Diagnosis(False, "bracket not preserved", (i,) + bad)
         return VALID
 
     def __eq__(self, other):
@@ -317,30 +326,26 @@ class LieAction:
 
 
 def check_lie_action(act: LieAction) -> Diagnosis:
-    """rho must be a Lie homomorphism into derivations of the target."""
+    """rho must be a Lie homomorphism into derivations of the target.
+
+    Two matrix identities: rho([e_a, e_b]) = [rho_a, rho_b], and
+    rho_a ad(e_i) = ad(rho_a e_i) + ad(e_i) rho_a, whose column j is the
+    derivation rule at (e_i, e_j).  Each difference is antisymmetric in its
+    two indices and zero when they agree, so the first failing pair in
+    lexicographic order is increasing: pairs a < b and columns j > i suffice.
+    """
     A, X = act.acting, act.target
+    rho, ad = act.rho, X.adjoint.rho
     for a in range(A.dim):
-        for b in range(A.dim):
-            commutator = mat_sub(
-                mat_mul(act.rho[a], act.rho[b]), mat_mul(act.rho[b], act.rho[a])
-            )
-            resid = mat_sub(act.of(A.brackets[a][b]), commutator)
-            if any(x != 0 for row in resid for x in row):
+        for b in range(a + 1, A.dim):
+            if _disagreement(act.of(A.brackets[a][b]), mat_commutator(rho[a], rho[b])):
                 return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
-    for a in range(A.dim):
-        R = act.rho[a]
-        for i in range(X.dim):
-            Rei = mat_vec(R, basis_vec(X.dim, i))
-            for j in range(X.dim):
-                resid = vsub(
-                    mat_vec(R, X.brackets[i][j]),
-                    vadd(
-                        X.bracket(Rei, basis_vec(X.dim, j)),
-                        X.bracket(basis_vec(X.dim, i), mat_vec(R, basis_vec(X.dim, j))),
-                    ),
-                )
-                if any(x != 0 for x in resid):
-                    return Diagnosis(False, "rho(a) is not a derivation", (a, i, j))
+    for a, R in enumerate(rho):
+        for i, ad_i in enumerate(ad):
+            rhs = mat_add(X.ad(column(R, i)), mat_mul(ad_i, R))
+            bad = _disagreement(mat_mul(R, ad_i), rhs, i + 1)
+            if bad:
+                return Diagnosis(False, "rho(a) is not a derivation", (a, i, bad[0]))
     return VALID
 
 
@@ -354,15 +359,13 @@ def trivial_lie_action(acting: LieAlgebra, target: LieAlgebra) -> LieAction:
 
 
 def adjoint_action(L: LieAlgebra) -> LieAction:
-    return LieAction(
-        L, L, tuple(L.ad(basis_vec(L.dim, a)) for a in range(L.dim)), check=False
-    )
+    return L.adjoint
 
 
 def pullback_lie_action(f: LieMap, act: LieAction) -> LieAction:
     if f.cod != act.acting:
         raise LieError("pullback: codomain does not match the acting algebra")
-    rho = tuple(act.of(f(basis_vec(f.dom.dim, a))) for a in range(f.dom.dim))
+    rho = tuple(act.of(column(f.matrix, a)) for a in range(f.dom.dim))
     return LieAction(f.dom, act.target, rho, check=False)
 
 
@@ -399,23 +402,18 @@ def lie_compatible(mut: LieMutualActions) -> Diagnosis:
 
     (C1): rho_NM(rho_MN(m) n) m' = [m, rho_NM(n) m'] - rho_NM(n) [m, m']
     (C2): rho_MN(rho_NM(n) m) n' = [n, rho_MN(m) n'] - rho_MN(m) [n, n']
+
+    At m = e_i and n = e_j, (C1) is the matrix identity
+    rho_NM(rho_MN(e_i) e_j) = [ad e_i, rho_NM(e_j)], whose column k is m' = e_k.
     """
     # (C2) is (C1) for the swapped pair, with the same witness layout
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
-        M, N = pair.M, pair.N
         nm, mn = pair.rho_nm, pair.rho_mn
-        for i in range(M.dim):
-            m = basis_vec(M.dim, i)
-            for j in range(N.dim):
-                n = basis_vec(N.dim, j)
-                act = nm.of(mn(m, n))
-                for k in range(M.dim):
-                    m2 = basis_vec(M.dim, k)
-                    lhs = mat_vec(act, m2)
-                    rhs = vsub(M.bracket(m, nm(n, m2)), nm(n, M.bracket(m, m2)))
-                    resid = vsub(lhs, rhs)
-                    if any(x != 0 for x in resid):
-                        return Diagnosis(False, reason, (i, j, k, resid))
+        for i, ad_i in enumerate(pair.M.adjoint.rho):
+            for j, R in enumerate(nm.rho):
+                bad = _disagreement(nm.of(column(mn.rho[i], j)), mat_commutator(ad_i, R))
+                if bad:
+                    return Diagnosis(False, reason, (i, j) + bad)
     return VALID
 
 
@@ -440,27 +438,24 @@ class LieCrossedModule:
 
 
 def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
+    """The boundary d is a hom, d rho_a = ad(e_a) d, and rho(d e_i) = ad(e_i).
+
+    Column i of the second identity is the equivariance witness and column j
+    of the third the Peiffer one.
+    """
     X, A = xm.X, xm.A
-    d, rho = xm.boundary, xm.action
-    diag = d.check()
+    d, rho = xm.boundary.matrix, xm.action
+    diag = xm.boundary.check()
     if not diag.ok:
         return diag
-    for a in range(A.dim):
-        ea = basis_vec(A.dim, a)
-        for i in range(X.dim):
-            resid = vsub(
-                d(mat_vec(rho.rho[a], basis_vec(X.dim, i))),
-                A.bracket(ea, d(basis_vec(X.dim, i))),
-            )
-            if any(x != 0 for x in resid):
-                return Diagnosis(False, "boundary is not equivariant", (a, i, resid))
-    for i in range(X.dim):
-        ei = basis_vec(X.dim, i)
-        R = rho.of(d(ei))
-        for j in range(X.dim):
-            resid = vsub(mat_vec(R, basis_vec(X.dim, j)), X.brackets[i][j])
-            if any(x != 0 for x in resid):
-                return Diagnosis(False, "Peiffer identity fails", (i, j, resid))
+    for a, ad_a in enumerate(A.adjoint.rho):
+        bad = _disagreement(mat_mul(d, rho.rho[a]), mat_mul(ad_a, d))
+        if bad:
+            return Diagnosis(False, "boundary is not equivariant", (a,) + bad)
+    for i, ad_i in enumerate(X.adjoint.rho):
+        bad = _disagreement(rho.of(column(d, i)), ad_i)
+        if bad:
+            return Diagnosis(False, "Peiffer identity fails", (i,) + bad)
     return VALID
 
 
@@ -493,7 +488,7 @@ def _semidirect_brackets(rho: LieAction) -> tuple:
     M, N = rho.target, rho.acting
     dm, dn = M.dim, N.dim
     zm, zn = zero_vec(dm), zero_vec(dn)
-    acts = [[tuple(R[i][j] for i in range(dm)) for j in range(dm)] for R in rho.rho]
+    acts = [[column(R, j) for j in range(dm)] for R in rho.rho]
     rows = [
         tuple(M.brackets[i][j] + zn for j in range(dm))
         + tuple(tuple(-x for x in acts[b][i]) + zn for b in range(dn))
@@ -521,10 +516,7 @@ def lie_semidirect(rho: LieAction) -> LieSemidirect:
 
 
 def _lie_map_from_columns(dom, cod, columns) -> LieMap:
-    rows = tuple(
-        tuple(columns[j][i] for j in range(dom.dim)) for i in range(cod.dim)
-    )
-    return LieMap(dom, cod, rows, check=False)
+    return LieMap(dom, cod, tuple(column(columns, i) for i in range(cod.dim)), check=False)
 
 
 class LiePeifferProduct:
@@ -568,19 +560,18 @@ def lie_peiffer_ideal(mut: LieMutualActions):
     """
     dm, dn = mut.M.dim, mut.N.dim
     S = LieAlgebra(dm + dn, _semidirect_brackets(mut.rho_nm), check=False)
-    gens = []
-    for i in range(dm):
-        m = basis_vec(dm, i)
-        for j in range(dn):
-            n = basis_vec(dn, j)
-            gens.append(tuple(mut.rho_nm(n, m)) + tuple(mut.rho_mn(m, n)))
+    gens = [
+        column(mut.rho_nm.rho[j], i) + column(mut.rho_mn.rho[i], j)
+        for i in range(dm)
+        for j in range(dn)
+    ]
     rows, pivots = rref(gens)
     work = list(rows)
     while work:
         v = work.pop()
-        for b in range(S.dim):
-            w = reduce_mod(rows, pivots, S.bracket(basis_vec(S.dim, b), v))
-            if any(x != 0 for x in w):
+        for ad_b in S.adjoint.rho:
+            w = reduce_mod(rows, pivots, mat_vec(ad_b, v))
+            if any(w):
                 rows, pivots = rref(list(rows) + [w])
                 work.append(w)
     return S, rows, pivots
@@ -629,12 +620,9 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
                     f"induced action on {tag} is not well defined, witness={row}"
                 )
     # representative k is basis vector k of M + N
-    rho_on_m = tuple(
-        M.ad(basis_vec(dm, k)) if k < dm else mut.rho_nm.rho[k - dm] for k in pp.reps
-    )
-    rho_on_n = tuple(
-        mut.rho_mn.rho[k] if k < dm else N.ad(basis_vec(N.dim, k - dm)) for k in pp.reps
-    )
+    on_m, on_n = M.adjoint.rho + mut.rho_nm.rho, mut.rho_mn.rho + N.adjoint.rho
+    rho_on_m = tuple(on_m[k] for k in pp.reps)
+    rho_on_n = tuple(on_n[k] for k in pp.reps)
     # once the ideal acts as zero both are Lie homs into derivations
     P = pp.algebra
     return (

@@ -174,6 +174,13 @@ def test_xmod_check(tmp_path, capsys):
     assert code == 1 and report["valid"] is False
 
 
+def test_xmod_check_refuses_a_disagreeing_inline_acting_group(tmp_path, capsys):
+    data = pio.xmod_to_dict(identity_xmod(S3))
+    data["action"]["acting"] = pio.group_to_dict(cyclic(6))
+    code, report = run(capsys, "xmod-check", write(tmp_path, "xm.json", data))
+    assert code == 2 and report == {"error": "inline acting group disagrees with the supplied one"}
+
+
 def test_induce_actions_and_universal_map(tmp_path, capsys):
     from peiffer.groups import subgroup_group
     from peiffer.xmod import inclusion_xmod
@@ -279,6 +286,18 @@ def test_lie_check_action_refuses_boolean_entries(tmp_path, capsys):
     assert code == 2 and "not an exact rational" in report["error"]
 
 
+def test_lie_loaders_refuse_a_zero_denominator(tmp_path, capsys):
+    # Fraction("1/0") raises ZeroDivisionError; the loaders report it as a LieError, exit 2
+    bad = write(tmp_path, "L.json", {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1/0"]}]})
+    code, report = run(capsys, "lie-validate", bad)
+    assert code == 2 and report == {"valid": False, "reason": "not an exact rational: '1/0'"}
+    L, _, _, _ = solvable_files(tmp_path)
+    data = pio.lie_action_to_dict(adjoint_action(L))
+    data["rho"][0][1][1] = "1/0"
+    code, report = run(capsys, "lie-check-action", write(tmp_path, "a.json", data))
+    assert code == 2 and report == {"error": "not an exact rational: '1/0'"}
+
+
 def test_lie_check_action(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
     good = write(tmp_path, "a.json", pio.lie_action_to_dict(adjoint_action(L)))
@@ -337,6 +356,14 @@ def test_lie_peiffer_and_xmods(tmp_path, capsys):
     assert pio.lie_xmod_from_dict(report["on_M"]).check().ok
 
 
+def test_lie_xmod_check_refuses_a_disagreeing_inline_acting_algebra(tmp_path, capsys):
+    _, _, _, xm = solvable_files(tmp_path)
+    data = pio.lie_xmod_to_dict(xm)
+    data["action"]["acting"] = pio.lie_to_dict(LieAlgebra(2, [[[0, 0]] * 2] * 2))
+    code, report = run(capsys, "lie-xmod-check", write(tmp_path, "xm.json", data))
+    assert code == 2 and report == {"error": "inline acting algebra disagrees with the supplied one"}
+
+
 def test_lie_xmod_check(tmp_path, capsys):
     _, _, xm_m, _ = solvable_files(tmp_path)
     path = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(xm_m))
@@ -354,27 +381,58 @@ def test_lie_induce_and_universal(tmp_path, capsys):
     assert code == 0 and "matrix" in report
 
 
+def count_calls(monkeypatch, owner, names):
+    """Wrap each owner.<name>; the returned dict counts the calls to it."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, check):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, monkeypatch):
     import peiffer.lie as lie
 
     m, n, rnm, rmn, xm_m, xm_n = lie_mutual_files(tmp_path)
     fm = write(tmp_path, "xm_m.json", pio.lie_xmod_to_dict(xm_m))
     fn = write(tmp_path, "xm_n.json", pio.lie_xmod_to_dict(xm_n))
-    calls = {"xmod": 0, "map": 0}
-    check_xmod, check_map = lie.check_lie_xmod, lie.LieMap.check
-
-    def counted(key, check):
-        def wrapper(*args):
-            calls[key] += 1
-            return check(*args)
-        return wrapper
-
-    monkeypatch.setattr(lie, "check_lie_xmod", counted("xmod", check_xmod))
-    monkeypatch.setattr(lie.LieMap, "check", counted("map", check_map))
+    xmods = count_calls(monkeypatch, lie, ["check_lie_xmod"])
+    maps = count_calls(monkeypatch, lie.LieMap, ["check"])
     code, report = run(capsys, "lie-universal-map", m, n, rnm, rmn, fm, fn)
     assert code == 0 and "matrix" in report
     # once per loaded crossed module, whose check starts with its boundary
-    assert calls == {"xmod": 2, "map": 2}
+    assert xmods == {"check_lie_xmod": 2} and maps == {"check": 2}
+
+
+def test_lie_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):
+    import peiffer.lie as lie
+
+    L, _, _, xm = solvable_files(tmp_path)
+    pair = [write(tmp_path, "L.json", pio.lie_to_dict(L))] * 2
+    pair += [write(tmp_path, "ad.json", {"rho": pio.lie_action_to_dict(adjoint_action(L))["rho"]})] * 2
+    xms = [write(tmp_path, "xm.json", pio.lie_xmod_to_dict(xm))] * 2
+    calls = count_calls(monkeypatch, lie, ["validate_lie", "check_lie_action", "check_lie_xmod"])
+    code, report = run(capsys, "lie-universal-map", *pair, *xms)
+    assert code == 0 and len(report["matrix"]) == 2
+    # L.json and the dom and cod of xm.json; ad.json and the action of xm.json
+    assert calls == {"validate_lie": 3, "check_lie_action": 2, "check_lie_xmod": 1}
+
+
+def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):
+    pair = [write(tmp_path, "s3.json", pio.group_to_dict(S3))] * 2
+    pair += [write(tmp_path, "conj.json", {"table": conjugation_action(S3).table})] * 2
+    xms = [write(tmp_path, "xm.json", pio.xmod_to_dict(identity_xmod(S3)))] * 2
+    calls = count_calls(monkeypatch, pio, ["group_from_dict", "action_from_dict"])
+    code, report = run(capsys, "universal-map", *pair, *xms)
+    assert code == 0 and report["order"] == 12
+    # s3.json and the dom and cod of xm.json; conj.json and the action of xm.json
+    assert calls == {"group_from_dict": 3, "action_from_dict": 2}
 
 
 def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import peiffer.lie
 from peiffer.groups import VALID, Diagnosis
@@ -18,6 +18,7 @@ from peiffer.lie import (
     check_lie_action,
     check_lie_xmod,
     identity_lie_map,
+    identity_mat,
     lie_compatible,
     lie_induced_actions,
     lie_peiffer,
@@ -27,6 +28,7 @@ from peiffer.lie import (
     lie_universal_map,
     mat_add,
     mat_mul,
+    mat_sub,
     mat_vec,
     reduce_mod,
     rref,
@@ -37,6 +39,7 @@ from peiffer.lie import (
     vec,
     vscale,
     vsub,
+    zero_mat,
     zero_vec,
 )
 
@@ -748,3 +751,168 @@ def test_sorted_jacobi_matches_full_oracle(n, data):
     ]
     L = LieAlgebra(n, brackets, check=False)
     assert validate_lie(L) == full_validate_lie(L)
+
+
+# The checks before they became matrix identities, loop by loop over basis
+# pairs and triples, kept as oracles.  Their brackets are dense_bracket, so
+# they share no code with the adjoint representation the checks now read.
+
+
+def ref_map_check(f):
+    """LieMap.check over every basis pair (i, j)."""
+    n = f.dom.dim
+    for i in range(n):
+        fi = f(basis_vec(n, i))
+        for j in range(n):
+            resid = vsub(f(f.dom.brackets[i][j]), dense_bracket(f.cod, fi, f(basis_vec(n, j))))
+            if any(x != 0 for x in resid):
+                return Diagnosis(False, "bracket not preserved", (i, j, resid))
+    return VALID
+
+
+def ref_check_lie_action(act):
+    """check_lie_action over every pair (a, b) and every triple (a, i, j)."""
+    A, X = act.acting, act.target
+    for a in range(A.dim):
+        for b in range(A.dim):
+            commutator = mat_sub(mat_mul(act.rho[a], act.rho[b]), mat_mul(act.rho[b], act.rho[a]))
+            resid = mat_sub(act.of(A.brackets[a][b]), commutator)
+            if any(x != 0 for row in resid for x in row):
+                return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
+    for a in range(A.dim):
+        R = act.rho[a]
+        for i in range(X.dim):
+            ei = basis_vec(X.dim, i)
+            for j in range(X.dim):
+                ej = basis_vec(X.dim, j)
+                resid = vsub(
+                    mat_vec(R, X.brackets[i][j]),
+                    vadd(dense_bracket(X, mat_vec(R, ei), ej), dense_bracket(X, ei, mat_vec(R, ej))),
+                )
+                if any(x != 0 for x in resid):
+                    return Diagnosis(False, "rho(a) is not a derivation", (a, i, j))
+    return VALID
+
+
+def ref_check_lie_xmod(xm):
+    """check_lie_xmod over every pair (a, i), then every pair (i, j)."""
+    X, A = xm.X, xm.A
+    d, rho = xm.boundary, xm.action
+    diag = ref_map_check(d)
+    if not diag.ok:
+        return diag
+    for a in range(A.dim):
+        for i in range(X.dim):
+            di = d(basis_vec(X.dim, i))
+            resid = vsub(d(mat_vec(rho.rho[a], basis_vec(X.dim, i))), dense_bracket(A, basis_vec(A.dim, a), di))
+            if any(x != 0 for x in resid):
+                return Diagnosis(False, "boundary is not equivariant", (a, i, resid))
+    for i in range(X.dim):
+        R = rho.of(d(basis_vec(X.dim, i)))
+        for j in range(X.dim):
+            resid = vsub(mat_vec(R, basis_vec(X.dim, j)), X.brackets[i][j])
+            if any(x != 0 for x in resid):
+                return Diagnosis(False, "Peiffer identity fails", (i, j, resid))
+    return VALID
+
+
+def ref_lie_compatible(mut):
+    """lie_compatible over every basis triple (i, j, k), (C1) then (C2)."""
+    for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
+        M, N = pair.M, pair.N
+        nm, mn = pair.rho_nm, pair.rho_mn
+        for i in range(M.dim):
+            m = basis_vec(M.dim, i)
+            for j in range(N.dim):
+                n = basis_vec(N.dim, j)
+                act = nm.of(mn(m, n))
+                for k in range(M.dim):
+                    m2 = basis_vec(M.dim, k)
+                    rhs = vsub(dense_bracket(M, m, nm(n, m2)), nm(n, dense_bracket(M, m, m2)))
+                    resid = vsub(mat_vec(act, m2), rhs)
+                    if any(x != 0 for x in resid):
+                        return Diagnosis(False, reason, (i, j, k, resid))
+    return VALID
+
+
+ALGEBRAS = (abelian(2), solvable2(), sl2(), b3())
+algebras = st.sampled_from(ALGEBRAS)
+small = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, "1/2", "-1/3")])
+oracle_settings = settings(deadline=None, max_examples=200)
+
+
+@st.composite
+def nudged(draw, mats):
+    """mats, a tuple of matrices, with one to three entries redrawn.
+
+    The matrices start valid, so the checks fail at varied witnesses, and
+    now and then pass when a redrawn entry keeps its value.
+    """
+    out = [[list(row) for row in m] for m in mats]
+    cells = [(k, i, j) for k, m in enumerate(out) for i, row in enumerate(m) for j in range(len(row))]
+    for k, i, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)) if cells else ():
+        out[k][i][j] = draw(small)
+    return tuple(tuple(map(tuple, m)) for m in out)
+
+
+def zero_action(acting, target):
+    return (zero_mat(target.dim, target.dim),) * acting.dim
+
+
+def same_diagnosis(got, want):
+    """Equal Diagnosis values, with any residual a tuple of Fractions as the loops give."""
+    assert got == want
+    if not got.ok and isinstance(got.witness[-1], tuple):
+        assert all_fractions(got.witness[-1])
+
+
+@oracle_settings
+@given(algebras, algebras, st.data())
+def test_map_check_matches_loop_oracle(dom, cod, data):
+    # the identity and the zero map are homs
+    base = identity_mat(dom.dim) if dom == cod else zero_mat(cod.dim, dom.dim)
+    (matrix,) = data.draw(nudged((base,)))
+    f = LieMap(dom, cod, matrix, check=False)
+    same_diagnosis(f.check(), ref_map_check(f))
+
+
+@oracle_settings
+@given(algebras, algebras, st.data())
+def test_action_check_matches_loop_oracle(A, X, data):
+    base = A.adjoint.rho if A == X else zero_action(A, X)
+    act = LieAction(A, X, data.draw(nudged(base)), check=False)
+    same_diagnosis(check_lie_action(act), ref_check_lie_action(act))
+
+
+@oracle_settings
+@given(algebras, st.data())
+def test_xmod_check_matches_loop_oracle(A, data):
+    # the identity crossed module, or the zero one: valid from an abelian X,
+    # and failing the Peiffer identity from any other
+    X = data.draw(st.sampled_from((A,) + ALGEBRAS))
+    if X == A:
+        d, rho = identity_mat(X.dim), X.adjoint.rho
+    else:
+        d, rho = zero_mat(A.dim, X.dim), zero_action(A, X)
+    d, *rho = data.draw(nudged((d,) + rho))
+    xm = LieCrossedModule(LieMap(X, A, d, check=False), LieAction(A, X, rho, check=False))
+    same_diagnosis(check_lie_xmod(xm), ref_check_lie_xmod(xm))
+
+
+def test_peiffer_witness_in_the_first_column():
+    # solvable2 -> abelian(1) by e0 -> 1, e1 -> 0, acted on through ad(e0): a
+    # crossed module but for rho(d e1) = 0, whose column 0 misses [e1, e0] = -e1
+    L = solvable2()
+    xm = LieCrossedModule(LieMap(L, abelian(1), [[1, 0]]), LieAction(abelian(1), L, [L.ad(basis_vec(2, 0))]))
+    want = Diagnosis(False, "Peiffer identity fails", (1, 0, fracs(0, 1)))
+    assert check_lie_xmod(xm) == want == ref_check_lie_xmod(xm)
+
+
+@oracle_settings
+@given(algebras, algebras, st.data())
+def test_compatibility_matches_loop_oracle(M, N, data):
+    # the adjoint pair and zero actions are compatible
+    nm, mn = (M.adjoint.rho,) * 2 if M == N else (zero_action(N, M), zero_action(M, N))
+    mats = data.draw(nudged(nm + mn))
+    mut = LieMutualActions(LieAction(N, M, mats[: N.dim], check=False), LieAction(M, N, mats[N.dim :], check=False))
+    same_diagnosis(lie_compatible(mut), ref_lie_compatible(mut))
