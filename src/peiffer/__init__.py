@@ -13,7 +13,6 @@ from .groups import (
     quotient,
     validate_table,
 )
-from .words import FreeWord, WordError, eval_flat_action, flat_decompose, membership
 from .actions import (
     Action,
     Point,

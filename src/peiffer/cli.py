@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import is_dataclass, asdict
 from fractions import Fraction
+from functools import cache
 
 from . import io as pio
 from .actions import DEFAULT_SEMIDIRECT_CAP, check_action_table, semidirect
@@ -39,7 +40,6 @@ from .product import (
     strong_relation_check,
     universal_map,
 )
-from .words import WordError
 from .xmod import CrossedModule, check_xmod, induced_mutual_actions
 
 
@@ -169,7 +169,8 @@ def _lie_check_action(args):
     d = pio.load_json(args.action)
     acting = pio.lie_from_dict(d["acting"])
     target = pio.lie_from_dict(d["target"])
-    return _verdict("valid", check_lie_action(LieAction(acting, target, d["rho"], check=False)))
+    rho = pio.nested_lists(d["rho"], 3, "rho")
+    return _verdict("valid", check_lie_action(LieAction(acting, target, rho, check=False)))
 
 
 def _lie_semidirect(args):
@@ -186,7 +187,7 @@ def _lie_xmod_check(args):
     d = pio.load_json(args.xmod)
     dom = pio.lie_from_dict(d["dom"])
     cod = pio.lie_from_dict(d["cod"])
-    boundary = LieMap(dom, cod, d["boundary"], check=False)
+    boundary = LieMap(dom, cod, pio.nested_lists(d["boundary"], 2, "boundary"), check=False)
     action = pio.lie_action_from_dict(d["action"], acting=cod, target=dom)
     return _verdict("valid", check_lie_xmod(LieCrossedModule(boundary, action)))
 
@@ -236,7 +237,9 @@ VERBS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call; callers must not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="also write the report to this path")
     common.add_argument("--semidirect-cap", type=int, default=DEFAULT_SEMIDIRECT_CAP)
@@ -264,7 +267,7 @@ def main(argv=None) -> int:
         report, code = VERBS[args.verb][1](args)
         print(pio.dump_json(_jsonable(report), args.out))
         return code
-    except (GroupError, WordError, LieError, NotWellDefined) as exc:
+    except (GroupError, LieError, NotWellDefined) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
         return 2
     except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:

@@ -399,7 +399,6 @@ def _map_from_images(G, H, gens, order, parent, images):
 
 
 SEARCH_BUDGET = 10**6  # image tuples per search; Aut(Z2^4) takes 50,625
-MAX_LIE_DIM = 16  # Lie loader's bound on dim; b5 has dim 15, the benchmark's b3 dim 6
 
 
 def _hom_search(G: FiniteGroup, H: FiniteGroup, fits, bijective: bool):

@@ -8,10 +8,12 @@ from __future__ import annotations
 import json
 
 from .actions import Action, check_action_table
-from .groups import MAX_LIE_DIM, FiniteGroup, GroupError, Hom
+from .groups import FiniteGroup, GroupError, Hom
 from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
 from .product import PeifferProduct
 from .xmod import CrossedModule
+
+MAX_LIE_DIM = 16  # bound on a loaded dim; b5 has dim 15, the benchmark's b3 dim 6
 
 
 def int_entries(values, what: str, error=GroupError) -> tuple:
@@ -25,6 +27,20 @@ def int_entries(values, what: str, error=GroupError) -> tuple:
         if not isinstance(v, int) or isinstance(v, bool):
             raise error(f"{what}: {v!r} is not an integer")
     return values
+
+
+def _nested(v, depth: int) -> bool:
+    return isinstance(v, (list, tuple)) and (depth == 1 or all(_nested(x, depth - 1) for x in v))
+
+
+def nested_lists(value, depth: int, field: str):
+    """value, refused with a LieError that names field unless it is lists nested depth deep.
+
+    The rational parser checks the entries at the bottom.
+    """
+    if not _nested(value, depth):
+        raise LieError(f"{field} must be " + " of ".join(["a list"] + ["lists"] * (depth - 1)))
+    return value
 
 
 def order_mismatch(d: dict, table) -> bool:
@@ -142,9 +158,11 @@ def lie_from_dict(d: dict) -> LieAlgebra:
     if n > MAX_LIE_DIM:
         raise LieError(f"dim {n} is above the limit of {MAX_LIE_DIM}")
     given = {}
-    for entry in d.get("brackets", ()):
+    for entry in nested_lists(d.get("brackets", []), 1, "brackets"):
+        if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= entry.keys():
+            raise LieError("each brackets entry must be an object with i, j and coeffs")
         i, j = int_entries((entry["i"], entry["j"]), "bracket index", LieError)
-        coeffs = vec(entry["coeffs"])
+        coeffs = vec(nested_lists(entry["coeffs"], 1, "coeffs"))
         if len(coeffs) != n or not (0 <= i < n and 0 <= j < n):
             raise LieError("bracket entry out of range")
         if (i, j) in given:
@@ -174,7 +192,7 @@ def lie_action_from_dict(d: dict, acting: LieAlgebra | None = None,
         raise LieError("Lie action data must be an object with rho")
     acting = _given_or_inline(d, "acting", acting, lie_from_dict, "algebra", LieError)
     target = _given_or_inline(d, "target", target, lie_from_dict, "algebra", LieError)
-    return LieAction(acting, target, d["rho"])
+    return LieAction(acting, target, nested_lists(d["rho"], 3, "rho"))
 
 
 def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
@@ -192,7 +210,7 @@ def lie_xmod_from_dict(d: dict) -> LieCrossedModule:
     dom = lie_from_dict(d["dom"])
     cod = lie_from_dict(d["cod"])
     # the crossed-module check starts with the hom check of the boundary
-    boundary = LieMap(dom, cod, d["boundary"], check=False)
+    boundary = LieMap(dom, cod, nested_lists(d["boundary"], 2, "boundary"), check=False)
     action = lie_action_from_dict(d["action"], acting=cod, target=dom)
     return LieCrossedModule(boundary, action, check=True)
 

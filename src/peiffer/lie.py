@@ -7,6 +7,8 @@ Fractions; no floating point anywhere.
 """
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
 from functools import cached_property
 
@@ -19,17 +21,21 @@ class LieError(ValueError):
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# "p" or "p/q" in decimal digits with an optional sign.  Fraction() would also
+# take "1e200000" (a 200,001-digit integer), "0.5", "1_0" and " 1 "; the digit
+# bound is CPython's default limit on int() of a string.
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
 
 
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (int, str)) and not isinstance(v, bool):
+    if isinstance(v, str) and _RATIONAL.fullmatch(v) or isinstance(v, int) and not isinstance(v, bool):
         try:
             return Fraction(v)
-        except ZeroDivisionError:  # "1/0"
+        except (ValueError, ZeroDivisionError):  # "1/0", or past a lowered int() digit limit
             pass
-    raise LieError(f"not an exact rational: {v!r}")
+    raise LieError(f"not an exact rational: {reprlib.repr(v)}")
 
 
 def vec(values) -> tuple:

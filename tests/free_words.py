@@ -1,5 +1,9 @@
 """Reduced words in the free product of two (or three) finite groups.
 
+A test helper, not collected by pytest: tests/test_words.py checks the flat
+and cosmash membership tests, and acceptance criterion 9 uses
+eval_flat_action as its oracle.  No verb or pipeline stage needs words.
+
 A letter is a pair (side, element): side indexes into the tuple of groups,
 element is an index into that group's table.  Words reduce on construction:
 identity letters vanish and adjacent same-side letters merge.
@@ -8,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import _is_index
+from peiffer.groups import _is_index
 
 
 class WordError(ValueError):

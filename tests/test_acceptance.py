@@ -24,9 +24,10 @@ from peiffer.product import (
     strong_relation_check,
     universal_map,
 )
-from peiffer.words import eval_flat_action
 from peiffer.xmod import check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
 from peiffer import lie
+
+from free_words import eval_flat_action
 
 
 def report(num, name, ok):

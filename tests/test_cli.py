@@ -10,8 +10,9 @@ import pytest
 from peiffer import io as pio
 from peiffer.actions import Action, conjugation_action, trivial_action
 from peiffer.catalog import cyclic, symmetric_3
-from peiffer.cli import main
-from peiffer.groups import MAX_LIE_DIM, FiniteGroup, GroupError, Hom
+from peiffer.cli import build_parser, main
+from peiffer.groups import FiniteGroup, GroupError, Hom
+from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import LieAction, LieAlgebra, LieCrossedModule, LieMap, adjoint_action, identity_lie_map
 from peiffer.xmod import identity_xmod
 
@@ -296,6 +297,69 @@ def test_lie_loaders_refuse_a_zero_denominator(tmp_path, capsys):
     data["rho"][0][1][1] = "1/0"
     code, report = run(capsys, "lie-check-action", write(tmp_path, "a.json", data))
     assert code == 2 and report == {"error": "not an exact rational: '1/0'"}
+
+
+def lie_input(tmp_path, verb):
+    L, _, _, xm = solvable_files(tmp_path)
+    if verb == "lie-validate":
+        return pio.lie_to_dict(L)
+    if verb in ("lie-check-action", "lie-semidirect"):
+        return pio.lie_action_to_dict(adjoint_action(L))
+    return pio.lie_xmod_to_dict(xm)
+
+
+def set_at(keys, value):
+    """A function that sets data[k1]...[kn] = value."""
+    def spoil(data):
+        for k in keys[:-1]:
+            data = data[k]
+        data[keys[-1]] = value
+    return spoil
+
+
+@pytest.mark.parametrize("verb, spoil, expected", [
+    pytest.param("lie-validate", set_at(["brackets"], None),
+                 {"valid": False, "reason": "brackets must be a list"}, id="brackets-null"),
+    pytest.param("lie-validate", set_at(["brackets", 0], [0, 1, ["0", "1"]]),
+                 {"valid": False, "reason": "each brackets entry must be an object with i, j and coeffs"},
+                 id="bracket-entry-list"),
+    pytest.param("lie-validate", set_at(["brackets", 0, "coeffs"], None),
+                 {"valid": False, "reason": "coeffs must be a list"}, id="coeffs-null"),
+    pytest.param("lie-check-action", set_at(["rho"], None),
+                 {"error": "rho must be a list of lists of lists"}, id="check-action-rho-null"),
+    pytest.param("lie-check-action", set_at(["rho", 0, 1], "01"),
+                 {"error": "rho must be a list of lists of lists"}, id="check-action-rho-row-string"),
+    pytest.param("lie-semidirect", set_at(["rho"], None),
+                 {"error": "rho must be a list of lists of lists"}, id="semidirect-rho-null"),
+    pytest.param("lie-xmod-check", set_at(["boundary"], None),
+                 {"error": "boundary must be a list of lists"}, id="xmod-check-boundary-null"),
+    pytest.param("lie-xmod-check", set_at(["action", "rho"], [1, 0]),
+                 {"error": "rho must be a list of lists of lists"}, id="xmod-check-rho-flat"),
+    pytest.param("lie-induce-actions", set_at(["boundary"], ["1", "0"]),
+                 {"error": "boundary must be a list of lists"}, id="induce-boundary-flat"),
+])
+def test_lie_loaders_name_a_malformed_field(tmp_path, capsys, verb, spoil, expected):
+    data = lie_input(tmp_path, verb)
+    spoil(data)
+    path = write(tmp_path, "in.json", data)
+    code, report = run(capsys, verb, *[path] * (2 if verb == "lie-induce-actions" else 1))
+    assert code == 2 and report == expected
+
+
+@pytest.mark.parametrize("text", ["1e200000", "0.5", "1_0", " 1"])
+def test_lie_validate_refuses_a_rational_that_is_not_p_or_p_over_q(tmp_path, capsys, text):
+    path = write(tmp_path, "L.json", {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", text]}]})
+    code, report = run(capsys, "lie-validate", path)
+    assert code == 2 and report == {"valid": False, "reason": f"not an exact rational: {text!r}"}
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    build_parser.cache_clear()
+    group = write(tmp_path, "g.json", pio.group_to_dict(S3))
+    algebra = write(tmp_path, "L.json", pio.lie_to_dict(solvable_files(tmp_path)[0]))
+    assert run(capsys, "validate", group)[0] == 0
+    assert run(capsys, "lie-validate", algebra)[0] == 0
+    assert build_parser.cache_info().misses == 1
 
 
 def test_lie_check_action(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from peiffer import io as pio
 from peiffer.actions import conjugation_action
 from peiffer.catalog import cyclic, symmetric_3
-from peiffer.groups import MAX_LIE_DIM, GroupError
+from peiffer.groups import GroupError
+from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import (
     LieAction,
     LieAlgebra,
@@ -127,6 +129,50 @@ def test_lie_xmod_load_refuses_boolean_boundary():
     d["boundary"][0][0] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
         pio.lie_xmod_from_dict(d)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+2/6", Fraction(1, 3)), ("007", Fraction(7)),
+    pytest.param("9" * 4300 + "/7", Fraction(int("9" * 4300), 7), id="4300-digits"),
+])
+def test_lie_load_reads_p_and_p_over_q(text, value):
+    assert pio.lie_from_dict(lie_data((0, 1, ["0", text]))).brackets[0][1] == (Fraction(0), value)
+
+
+@pytest.mark.parametrize("text", [
+    "1e200000", "1E2", "0.5", "1.", "1_0", " 1", "1 ", "1/2.0", "3/-4", "1/ 2", "nan", "inf", "", "/", "\u0661",
+])
+def test_lie_load_refuses_every_other_rational_string(text):
+    with pytest.raises(LieError, match="not an exact rational"):
+        pio.lie_from_dict(lie_data((0, 1, ["0", text])))
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+def test_lie_load_refuses_a_long_digit_string_as_a_lie_error(text):
+    # past 4,300 digits int() of a string raises its own ValueError
+    with pytest.raises(LieError, match=r"not an exact rational: '1.*\.\.\..*1'$"):
+        pio.lie_from_dict(lie_data((0, 1, ["0", text])))
+
+
+def test_lie_load_bounds_digits_with_the_int_limit_lifted():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(LieError, match="not an exact rational"):
+            pio.lie_from_dict(lie_data((0, 1, ["0", "1" * 4301])))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value, depth, message", [
+    (None, 1, "coeffs must be a list"),
+    ({"0": 1}, 1, "coeffs must be a list"),
+    ([[0], 0], 2, "coeffs must be a list of lists"),
+    ([[[0]], [0]], 3, "coeffs must be a list of lists of lists"),
+])
+def test_nested_lists_names_the_field(value, depth, message):
+    with pytest.raises(LieError, match=f"^{message}$"):
+        pio.nested_lists(value, depth, "coeffs")
 
 
 def test_lie_load_bounds_dim():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from peiffer.actions import conjugation_action, semidirect, trivial_action
 from peiffer.catalog import cyclic, symmetric_3
-from peiffer.words import (
+from free_words import (
     ConjGenerator,
     FreeWord,
     WordError,
