@@ -14,18 +14,13 @@ from fractions import Fraction
 from functools import cache
 
 from . import io as pio
-from .actions import DEFAULT_SEMIDIRECT_CAP, check_action_table, semidirect
+from .actions import DEFAULT_SEMIDIRECT_CAP, semidirect
 from .catalog import census
 from .compat import MutualActions, check_compatible
-from .groups import GroupError, Hom, validate_table
+from .groups import GroupError
 from .lie import (
-    LieAction,
-    LieCrossedModule,
     LieError,
-    LieMap,
     LieMutualActions,
-    check_lie_action,
-    check_lie_xmod,
     lie_compatible,
     lie_peiffer,
     lie_peiffer_xmods,
@@ -40,7 +35,7 @@ from .product import (
     strong_relation_check,
     universal_map,
 )
-from .xmod import CrossedModule, check_xmod, induced_mutual_actions
+from .xmod import induced_mutual_actions
 
 
 def _jsonable(v):
@@ -58,12 +53,20 @@ def _jsonable(v):
 
 
 def _verdict(key, diag, fail_code=1):
-    """The report {key: ok} with the reason and witness of a failure, and its exit code."""
+    """The report {key: ok} with the reason and any witness of a failure, and its exit code."""
     report = {key: diag.ok}
     if not diag.ok:
         report["reason"] = diag.reason
-        report["witness"] = diag.witness
+        if diag.witness is not None:
+            report["witness"] = diag.witness
     return report, 0 if diag.ok else fail_code
+
+
+def _check(arg, parse, fail_code=1):
+    """A check verb on the file arg: the Diagnosis of its parse step, as a verdict."""
+    def run(args):
+        return _verdict("valid", parse(pio.load_json(getattr(args, arg)))[1], fail_code)
+    return (arg,), run
 
 
 def _pair(args, names, load, load_action, mutual):
@@ -98,25 +101,6 @@ def _on_sides(xmods, to_dict) -> dict:
     return {"on_M": to_dict(xmods[0]), "on_N": to_dict(xmods[1])}
 
 
-def _validate(args):
-    d = pio.load_json(args.group)
-    if not isinstance(d, dict) or "table" not in d:
-        raise GroupError("group data must be an object with a table")
-    table = tuple(tuple(row) for row in d["table"])
-    diag = validate_table(table)
-    if diag.ok and pio.order_mismatch(d, table):
-        return {"valid": False, "reason": "declared order does not match the table"}, 2
-    return _verdict("valid", diag, fail_code=2)
-
-
-def _check_action(args):
-    d = pio.load_json(args.action)
-    acting = pio.group_from_dict(d["acting"])
-    target = pio.group_from_dict(d["target"])
-    table = tuple(pio.int_entries(row, "action table") for row in d["table"])
-    return _verdict("valid", check_action_table(acting, target, table))
-
-
 def _check_compat(args):
     verdict = check_compatible(_group_pair(args))
     report = {"compatible": verdict.compatible}
@@ -142,15 +126,6 @@ def _universal_map(args):
     return {"order": pp.product.order, "mapping": h.mapping}, 0
 
 
-def _xmod_check(args):
-    d = pio.load_json(args.xmod)
-    dom = pio.group_from_dict(d["dom"])
-    cod = pio.group_from_dict(d["cod"])
-    boundary = Hom(dom, cod, pio.int_entries(d["boundary"], "boundary"), check=True)
-    action = pio.action_from_dict(d["action"], acting=cod, target=dom)
-    return _verdict("valid", check_xmod(CrossedModule(boundary, action)))
-
-
 def _induce_actions(args):
     mut = induced_mutual_actions(*_xmod_pair(args, pio.xmod_from_dict))
     return {"xi_nm": {"table": mut.xi_nm.table}, "xi_mn": {"table": mut.xi_mn.table}}, 0
@@ -165,14 +140,6 @@ def _lie_validate(args):
     return {"valid": True}, 0
 
 
-def _lie_check_action(args):
-    d = pio.load_json(args.action)
-    acting = pio.lie_from_dict(d["acting"])
-    target = pio.lie_from_dict(d["target"])
-    rho = pio.nested_lists(d["rho"], 3, "rho")
-    return _verdict("valid", check_lie_action(LieAction(acting, target, rho, check=False)))
-
-
 def _lie_semidirect(args):
     sd = lie_semidirect(pio.lie_action_from_dict(pio.load_json(args.action)))
     return {"algebra": pio.lie_to_dict(sd.algebra)}, 0
@@ -181,15 +148,6 @@ def _lie_semidirect(args):
 def _lie_peiffer(args):
     pp = lie_peiffer(_lie_pair(args))
     return {"algebra": pio.lie_to_dict(pp.algebra), "l_m": pp.l_m.matrix, "l_n": pp.l_n.matrix}, 0
-
-
-def _lie_xmod_check(args):
-    d = pio.load_json(args.xmod)
-    dom = pio.lie_from_dict(d["dom"])
-    cod = pio.lie_from_dict(d["cod"])
-    boundary = LieMap(dom, cod, pio.nested_lists(d["boundary"], 2, "boundary"), check=False)
-    action = pio.lie_action_from_dict(d["action"], acting=cod, target=dom)
-    return _verdict("valid", check_lie_xmod(LieCrossedModule(boundary, action)))
 
 
 def _lie_induce_actions(args):
@@ -209,8 +167,8 @@ XMOD_PAIR = ("xm_m", "xm_n")
 
 # verb -> (positional arguments, run); run(args) returns (report, exit code)
 VERBS = {
-    "validate": (("group",), _validate),
-    "check-action": (("action",), _check_action),
+    "validate": _check("group", pio.parse_group, fail_code=2),
+    "check-action": _check("action", pio.parse_action),
     "check-compat": (GROUP_PAIR, _check_compat),
     "semidirect": (("action",), _semidirect),
     "peiffer": (GROUP_PAIR, lambda args: (pio.peiffer_to_dict(_product(args)), 0)),
@@ -219,17 +177,17 @@ VERBS = {
     "peiffer-xmods": (GROUP_PAIR, lambda args: (
         _on_sides(peiffer_xmods(_product(args)), pio.xmod_to_dict), 0)),
     "universal-map": (GROUP_PAIR + XMOD_PAIR, _universal_map),
-    "xmod-check": (("xmod",), _xmod_check),
+    "xmod-check": _check("xmod", pio.parse_xmod),
     "induce-actions": (XMOD_PAIR, _induce_actions),
     "enumerate": ((), lambda args: (
         {"rows": census(max_pair_order=args.max_order, cap=args.semidirect_cap)}, 0)),
     "lie-validate": (("algebra",), _lie_validate),
-    "lie-check-action": (("action",), _lie_check_action),
+    "lie-check-action": _check("action", pio.parse_lie_action),
     "lie-check-compat": (LIE_PAIR, lambda args: _verdict(
         "compatible", lie_compatible(_lie_pair(args)))),
     "lie-semidirect": (("action",), _lie_semidirect),
     "lie-peiffer": (LIE_PAIR, _lie_peiffer),
-    "lie-xmod-check": (("xmod",), _lie_xmod_check),
+    "lie-xmod-check": _check("xmod", pio.parse_lie_xmod),
     "lie-induce-actions": (XMOD_PAIR, _lie_induce_actions),
     "lie-peiffer-xmods": (LIE_PAIR, lambda args: (
         _on_sides(lie_peiffer_xmods(lie_peiffer(_lie_pair(args))), pio.lie_xmod_to_dict), 0)),

@@ -26,7 +26,8 @@ class Diagnosis:
 
     def expect(self, what: str = "check", error=GroupError) -> None:
         if not self.ok:
-            raise error(f"{what} failed: {self.reason}, witness={self.witness}")
+            tail = "" if self.witness is None else f", witness={self.witness}"
+            raise error(f"{what} failed: {self.reason}{tail}")
 
 
 VALID = Diagnosis(True)
@@ -93,13 +94,14 @@ def validate_table(table) -> Diagnosis:
 
 
 class FiniteGroup:
-    """A finite group as an order x order multiplication table.
+    """A finite group as an order x order multiplication table, trusted as given.
 
-    check validates the table in full; without it the table is trusted.
+    Only the identity and the inverses are searched for; validate_table and
+    the loaders check a table in full.
     """
 
-    def __init__(self, table, name: str | None = None, check: bool = False):
-        found = _axioms(table, check)
+    def __init__(self, table, name: str | None = None):
+        found = _axioms(table, check=False)
         if isinstance(found, Diagnosis):
             found.expect("group axioms")
         self.identity, self.inverses = found
@@ -157,14 +159,12 @@ def _built_group(table: tuple, identity: int, inverses: tuple, name=None) -> Fin
 
 
 class Hom:
-    """A group homomorphism recorded as an element-wise map, kept as given."""
+    """A group homomorphism recorded as an element-wise map, kept as given and trusted."""
 
-    def __init__(self, dom: FiniteGroup, cod: FiniteGroup, mapping, check: bool = True):
+    def __init__(self, dom: FiniteGroup, cod: FiniteGroup, mapping):
         self.dom = dom
         self.cod = cod
         self.mapping = tuple(mapping)
-        if check:
-            self.check().expect("homomorphism axioms")
 
     def check(self) -> Diagnosis:
         dt, ct, mp = self.dom.table, self.cod.table, self.mapping
@@ -188,9 +188,7 @@ class Hom:
         """self o other."""
         if other.cod != self.dom:
             raise GroupError("composition mismatch")
-        return Hom(
-            other.dom, self.cod, tuple(self.mapping[v] for v in other.mapping), check=False
-        )
+        return Hom(other.dom, self.cod, tuple(self.mapping[v] for v in other.mapping))
 
     def image(self) -> frozenset:
         return frozenset(self.mapping)
@@ -214,7 +212,7 @@ class Hom:
         inv = [0] * self.cod.order
         for x, y in enumerate(self.mapping):
             inv[y] = x
-        return Hom(self.cod, self.dom, inv, check=False)
+        return Hom(self.cod, self.dom, inv)
 
     def __eq__(self, other):
         return (
@@ -232,7 +230,7 @@ class Hom:
 
 
 def identity_hom(G: FiniteGroup) -> Hom:
-    return Hom(G, G, range(G.order), check=False)
+    return Hom(G, G, range(G.order))
 
 
 def subgroup_closure(G: FiniteGroup, gens) -> frozenset:
@@ -297,7 +295,7 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, Hom]:
     inverses = tuple(proj[G.inverses[r]] for r in reps)
     name = f"{G.name}/N" if G.name else None
     Q = _built_group(table, proj[G.identity], inverses, name=name)
-    return Q, Hom(G, Q, proj, check=False)
+    return Q, Hom(G, Q, proj)
 
 
 def subgroup_group(G: FiniteGroup, S) -> tuple[FiniteGroup, Hom]:
@@ -309,7 +307,7 @@ def subgroup_group(G: FiniteGroup, S) -> tuple[FiniteGroup, Hom]:
     index = {x: i for i, x in enumerate(elems)}
     table = [[index[G.table[a][b]] for b in elems] for a in elems]
     H = FiniteGroup(table)
-    incl = Hom(H, G, tuple(elems), check=False)
+    incl = Hom(H, G, tuple(elems))
     return H, incl
 
 
@@ -426,7 +424,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, fits, bijective: bool):
 def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
     """Every homomorphism G -> H, by generator-image search."""
     search = _hom_search(G, H, lambda og, oh: og % oh == 0, bijective=False)
-    return [Hom(G, H, phi, check=False) for phi in search]
+    return [Hom(G, H, phi) for phi in search]
 
 
 DEFAULT_SEARCH_CAP = 64
@@ -437,7 +435,7 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Hom]:
     if G.order > cap:
         raise GroupError(f"cap exceeded: order {G.order} > {cap}")
     found = sorted(_hom_search(G, G, eq, bijective=True))
-    return [Hom(G, G, phi, check=False) for phi in found]
+    return [Hom(G, G, phi) for phi in found]
 
 
 def aut_group(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP):
@@ -462,4 +460,4 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP)
     if G.order_multiset() != H.order_multiset():
         return None
     phi = next(_hom_search(G, H, eq, bijective=True), None)
-    return None if phi is None else Hom(G, H, phi, check=False)
+    return None if phi is None else Hom(G, H, phi)

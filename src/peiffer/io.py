@@ -1,14 +1,17 @@
 """JSON serialization for groups, actions, crossed modules and Lie data.
 
-Groups are fully validated on load.  Rationals travel as "p/q" strings so
-nothing is lost to floating point.
+Every input is checked here, on load; the constructors trust their input.
+Each input kind has one parse step, parse_*, that refuses a malformed shape,
+loads the parts and returns the object with the Diagnosis of its axioms: the
+loader raises a failed one, the check verb reports it.  Rationals travel as
+"p/q" strings so nothing is lost to floating point.
 """
 from __future__ import annotations
 
 import json
 
 from .actions import Action, check_action_table
-from .groups import FiniteGroup, GroupError, Hom
+from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
 from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
 from .product import PeifferProduct
 from .xmod import CrossedModule
@@ -33,22 +36,21 @@ def _nested(v, depth: int) -> bool:
     return isinstance(v, (list, tuple)) and (depth == 1 or all(_nested(x, depth - 1) for x in v))
 
 
-def nested_lists(value, depth: int, field: str):
-    """value, refused with a LieError that names field unless it is lists nested depth deep.
+def nested_lists(value, depth: int, field: str, error=LieError):
+    """value, refused with an error that names field unless it is lists nested depth deep.
 
-    The rational parser checks the entries at the bottom.
+    The entries at the bottom are checked by the caller.
     """
     if not _nested(value, depth):
-        raise LieError(f"{field} must be " + " of ".join(["a list"] + ["lists"] * (depth - 1)))
+        raise error(f"{field} must be " + " of ".join(["a list"] + ["lists"] * (depth - 1)))
     return value
 
 
-def order_mismatch(d: dict, table) -> bool:
-    """d declares an order other than the int len(table); 2.0 and true are refused."""
-    if "order" not in d:
-        return False
-    order = d["order"]
-    return not isinstance(order, int) or isinstance(order, bool) or order != len(table)
+def _checked(found: tuple, what: str, error=GroupError):
+    """The object of a parse step's (object, Diagnosis), raising when the Diagnosis fails."""
+    obj, diag = found
+    diag.expect(what, error)
+    return obj
 
 
 def _given_or_inline(d: dict, key: str, given, load, noun: str, error):
@@ -73,13 +75,27 @@ def group_to_dict(G: FiniteGroup) -> dict:
     return d
 
 
-def group_from_dict(d: dict) -> FiniteGroup:
+def parse_group(d) -> tuple[FiniteGroup | None, Diagnosis]:
+    """The group d describes, or None when its table fails, and the Diagnosis of the table.
+
+    The one validating pass also finds the identity and the inverses, so a
+    loaded table is searched once.
+    """
     if not isinstance(d, dict) or "table" not in d:
         raise GroupError("group data must be an object with a table")
-    table = d["table"]
-    if order_mismatch(d, table):
-        raise GroupError("declared order does not match the table")
-    return FiniteGroup(tuple(tuple(row) for row in table), name=d.get("name"), check=True)
+    table = tuple(map(tuple, nested_lists(d["table"], 2, "table", GroupError)))
+    found = _axioms(table, check=True)
+    if isinstance(found, Diagnosis):
+        return None, found
+    # a declared order must be the int len(table); 2.0 and true are refused
+    order = d.get("order", len(table))
+    if not isinstance(order, int) or isinstance(order, bool) or order != len(table):
+        return None, Diagnosis(False, "declared order does not match the table")
+    return _built_group(table, *found, name=d.get("name")), VALID
+
+
+def group_from_dict(d) -> FiniteGroup:
+    return _checked(parse_group(d), "group axioms")
 
 
 def action_to_dict(a: Action) -> dict:
@@ -90,16 +106,21 @@ def action_to_dict(a: Action) -> dict:
     }
 
 
-def action_from_dict(d: dict, acting: FiniteGroup | None = None,
-                     target: FiniteGroup | None = None) -> Action:
-    """Load an action; groups may come inline or be supplied by the caller."""
+def parse_action(d, acting: FiniteGroup | None = None,
+                 target: FiniteGroup | None = None) -> tuple[Action, Diagnosis]:
+    """The action d describes, and its Diagnosis; groups may come inline or from the caller."""
     if not isinstance(d, dict) or "table" not in d:
         raise GroupError("action data must be an object with a table")
     acting = _given_or_inline(d, "acting", acting, group_from_dict, "group", GroupError)
     target = _given_or_inline(d, "target", target, group_from_dict, "group", GroupError)
-    table = tuple(int_entries(row, "action table") for row in d["table"])
-    check_action_table(acting, target, table).expect("action axioms")
-    return Action(acting, target, table, check=False)
+    rows = nested_lists(d["table"], 2, "table", GroupError)
+    table = tuple(int_entries(row, "action table") for row in rows)
+    return Action(acting, target, table), check_action_table(acting, target, table)
+
+
+def action_from_dict(d, acting: FiniteGroup | None = None,
+                     target: FiniteGroup | None = None) -> Action:
+    return _checked(parse_action(d, acting, target), "action axioms")
 
 
 def xmod_to_dict(xm: CrossedModule) -> dict:
@@ -111,14 +132,21 @@ def xmod_to_dict(xm: CrossedModule) -> dict:
     }
 
 
-def xmod_from_dict(d: dict) -> CrossedModule:
+def parse_xmod(d) -> tuple[CrossedModule, Diagnosis]:
+    """The crossed module d describes, with its boundary and action checked, and its Diagnosis."""
     if not isinstance(d, dict) or not {"boundary", "action", "dom", "cod"} <= set(d):
         raise GroupError("crossed module data needs boundary, action, dom, cod")
     dom = group_from_dict(d["dom"])
     cod = group_from_dict(d["cod"])
-    boundary = Hom(dom, cod, int_entries(d["boundary"], "boundary"), check=True)
-    action = action_from_dict(d["action"], acting=cod, target=dom)
-    return CrossedModule(boundary, action, check=True)
+    mapping = nested_lists(d["boundary"], 1, "boundary", GroupError)
+    boundary = Hom(dom, cod, int_entries(mapping, "boundary"))
+    boundary.check().expect("homomorphism axioms")
+    xm = CrossedModule(boundary, action_from_dict(d["action"], acting=cod, target=dom))
+    return xm, xm.check()
+
+
+def xmod_from_dict(d) -> CrossedModule:
+    return _checked(parse_xmod(d), "crossed module axioms")
 
 
 def peiffer_to_dict(pp: PeifferProduct) -> dict:
@@ -151,10 +179,13 @@ def lie_to_dict(L: LieAlgebra) -> dict:
     return d
 
 
-def lie_from_dict(d: dict) -> LieAlgebra:
+def lie_from_dict(d) -> LieAlgebra:
+    """The Lie algebra d describes; LieAlgebra checks its axioms."""
     if not isinstance(d, dict) or "dim" not in d:
         raise LieError("Lie data must be an object with a dim")
     (n,) = int_entries((d["dim"],), "dim", LieError)
+    if n < 0:
+        raise LieError(f"dim {n} is negative")
     if n > MAX_LIE_DIM:
         raise LieError(f"dim {n} is above the limit of {MAX_LIE_DIM}")
     given = {}
@@ -186,13 +217,20 @@ def lie_action_to_dict(a: LieAction) -> dict:
     }
 
 
-def lie_action_from_dict(d: dict, acting: LieAlgebra | None = None,
-                         target: LieAlgebra | None = None) -> LieAction:
+def parse_lie_action(d, acting: LieAlgebra | None = None,
+                     target: LieAlgebra | None = None) -> tuple[LieAction, Diagnosis]:
+    """The Lie action d describes, and its Diagnosis; algebras may come inline or from the caller."""
     if not isinstance(d, dict) or "rho" not in d:
         raise LieError("Lie action data must be an object with rho")
     acting = _given_or_inline(d, "acting", acting, lie_from_dict, "algebra", LieError)
     target = _given_or_inline(d, "target", target, lie_from_dict, "algebra", LieError)
-    return LieAction(acting, target, nested_lists(d["rho"], 3, "rho"))
+    act = LieAction(acting, target, nested_lists(d["rho"], 3, "rho"))
+    return act, act.check()
+
+
+def lie_action_from_dict(d, acting: LieAlgebra | None = None,
+                         target: LieAlgebra | None = None) -> LieAction:
+    return _checked(parse_lie_action(d, acting, target), "Lie action axioms", LieError)
 
 
 def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
@@ -204,15 +242,22 @@ def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
     }
 
 
-def lie_xmod_from_dict(d: dict) -> LieCrossedModule:
+def parse_lie_xmod(d) -> tuple[LieCrossedModule, Diagnosis]:
+    """The Lie crossed module d describes, with its action checked, and its Diagnosis.
+
+    The crossed-module check starts with the hom check of the boundary.
+    """
     if not isinstance(d, dict) or not {"boundary", "action", "dom", "cod"} <= set(d):
         raise LieError("Lie crossed module data needs boundary, action, dom, cod")
     dom = lie_from_dict(d["dom"])
     cod = lie_from_dict(d["cod"])
-    # the crossed-module check starts with the hom check of the boundary
-    boundary = LieMap(dom, cod, nested_lists(d["boundary"], 2, "boundary"), check=False)
-    action = lie_action_from_dict(d["action"], acting=cod, target=dom)
-    return LieCrossedModule(boundary, action, check=True)
+    boundary = LieMap(dom, cod, nested_lists(d["boundary"], 2, "boundary"))
+    xm = LieCrossedModule(boundary, lie_action_from_dict(d["action"], acting=cod, target=dom))
+    return xm, xm.check()
+
+
+def lie_xmod_from_dict(d) -> LieCrossedModule:
+    return _checked(parse_lie_xmod(d), "Lie crossed module axioms", LieError)
 
 
 def load_json(path: str):

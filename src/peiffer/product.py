@@ -64,7 +64,7 @@ class PeifferProduct:
 
     @cached_property
     def from_semidirect(self) -> Hom:
-        return Hom(self.semidirect.group, self.product, self.proj, check=False)
+        return Hom(self.semidirect.group, self.product, self.proj)
 
     @property
     def compatible(self) -> bool:
@@ -140,8 +140,8 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     M, N = mut.M, mut.N
     nn = N.order
     P, proj = semidirect_quotient(mut.xi_nm, _relator_subgroup(mut))
-    lM = Hom(M, P, proj[N.identity::nn], check=False)
-    lN = Hom(N, P, proj[M.identity * nn:(M.identity + 1) * nn], check=False)
+    lM = Hom(M, P, proj[N.identity::nn])
+    lN = Hom(N, P, proj[M.identity * nn:(M.identity + 1) * nn])
 
     conj_m, conj_n = conjugation_action(M).table, conjugation_action(N).table
     xi_nm, xi_mn = mut.xi_nm.table, mut.xi_mn.table
@@ -173,7 +173,7 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     actions = None
     if disagreement is None:
         actions = tuple(
-            Action(P, G, [got[side] for got in rows], check=False)
+            Action(P, G, [got[side] for got in rows])
             for side, G in enumerate((M, N))
         )
     return PeifferProduct(P, proj, lM, lN, mut, actions, disagreement)
@@ -253,4 +253,4 @@ def universal_map(pp: PeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) 
     for s, p in enumerate(pp.proj):
         m, n = divmod(s, nn)
         h[p] = L.mul(mu(m), nu(n))
-    return Hom(pp.product, L, h, check=False)
+    return Hom(pp.product, L, h)

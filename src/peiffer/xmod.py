@@ -9,15 +9,13 @@ from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_diffe
 class CrossedModule:
     """A boundary map X -> A equivariant for an action of A on X."""
 
-    def __init__(self, boundary: Hom, action: Action, check: bool = False):
+    def __init__(self, boundary: Hom, action: Action):
         if boundary.dom != action.target or boundary.cod != action.acting:
             raise GroupError("crossed module: boundary and action do not match")
         self.boundary = boundary
         self.action = action
         self.X = boundary.dom
         self.A = boundary.cod
-        if check:
-            self.check().expect("crossed module axioms")
 
     def check(self) -> Diagnosis:
         return check_xmod(self)
@@ -53,7 +51,7 @@ def inclusion_xmod(G: FiniteGroup, incl: Hom) -> CrossedModule:
         tuple(back[G.conj(g, incl(i))] for i in range(incl.dom.order))
         for g in range(G.order)
     )
-    return CrossedModule(incl, Action(G, incl.dom, table, check=False))
+    return CrossedModule(incl, Action(G, incl.dom, table))
 
 
 def identity_xmod(G: FiniteGroup) -> CrossedModule:

@@ -31,12 +31,12 @@ def test_check_action_table_accepts_conjugation():
 def test_action_check_refuses_non_integer_entries(row):
     # int() would turn each row into (0, 1) and accept the table
     with pytest.raises(GroupError, match="action axioms failed: entry out of range"):
-        Action(Z2, Z2, [[0, 1], row], check=True)
+        Action(Z2, Z2, [[0, 1], row]).check().expect("action axioms")
 
 
 def test_action_without_check_keeps_its_rows():
     rows = ((0, 1, 2), (0, 2, 1))
-    act = Action(Z2, Z3, rows, check=False)
+    act = Action(Z2, Z3, rows)
     assert all(a is b for a, b in zip(act.table, rows))
 
 
@@ -85,7 +85,7 @@ def test_pullback_functorial():
     from peiffer.groups import subgroup_group
 
     H, incl = subgroup_group(S3, A3)
-    ident = Hom(S3, S3, range(6), check=False)
+    ident = Hom(S3, S3, range(6))
     via_both = pullback_action(incl, pullback_action(ident, psi))
     direct = pullback_action(ident.compose(incl), psi)
     assert via_both == direct
@@ -168,7 +168,7 @@ def test_enumerate_actions_counts():
 
 def test_pullback_along_identity():
     psi = conjugation_action(S3)
-    assert pullback_action(Hom(S3, S3, range(6), check=False), psi) == psi
+    assert pullback_action(Hom(S3, S3, range(6)), psi) == psi
 
 
 def test_semidirect_of_round_tripped_action_is_isomorphic():

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import time
 from contextlib import redirect_stdout
@@ -10,11 +11,11 @@ import pytest
 from peiffer import io as pio
 from peiffer.actions import Action, conjugation_action, trivial_action
 from peiffer.catalog import cyclic, symmetric_3
-from peiffer.cli import build_parser, main
+from peiffer.cli import VERBS, build_parser, main
 from peiffer.groups import FiniteGroup, GroupError, Hom
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import LieAction, LieAlgebra, LieCrossedModule, LieMap, adjoint_action, identity_lie_map
-from peiffer.xmod import identity_xmod
+from peiffer.xmod import CrossedModule, identity_xmod
 
 S3 = symmetric_3()
 Z2 = cyclic(2)
@@ -239,6 +240,53 @@ def test_xmod_check_refuses_non_integer_boundary(tmp_path, capsys):
     assert code == 2 and "is not an integer" in report["error"]
 
 
+LOADER_ERRORS = {
+    "check-action": "action data must be an object with a table",
+    "xmod-check": "crossed module data needs boundary, action, dom, cod",
+    "lie-check-action": "Lie action data must be an object with rho",
+    "lie-xmod-check": "Lie crossed module data needs boundary, action, dom, cod",
+}
+
+
+@pytest.mark.parametrize("verb, data, expected", [
+    *[pytest.param(verb, data, error, id=f"{verb}-{kind}")
+      for verb, error in LOADER_ERRORS.items() for kind, data in (("list", []), ("empty", {}))],
+    pytest.param("check-action", {"target": pio.group_to_dict(Z2), "table": [[0, 1], [0, 1]]},
+                 "no acting group given", id="check-action-no-acting"),
+    pytest.param("lie-check-action", {"target": {"dim": 1}, "rho": [[["0"]]]},
+                 "no acting algebra given", id="lie-check-action-no-acting"),
+])
+def test_check_verbs_report_the_loaders_errors(tmp_path, capsys, verb, data, expected):
+    code, report = run(capsys, verb, write(tmp_path, "in.json", data))
+    assert code == 2 and report == {"error": expected}
+
+
+@pytest.mark.parametrize("table", [5, [5]])
+@pytest.mark.parametrize("verb, spoil", [
+    pytest.param("validate", lambda table: {"table": table}, id="validate"),
+    pytest.param("semidirect", lambda table: {**pio.action_to_dict(trivial_action(Z2, Z3)), "table": table},
+                 id="semidirect-action-table"),
+    pytest.param("semidirect", lambda table: {**pio.action_to_dict(trivial_action(Z2, Z3)), "acting": {"table": table}},
+                 id="semidirect-inline-group"),
+    pytest.param("check-compat", lambda table: {"table": table}, id="check-compat-group"),
+])
+def test_group_side_names_a_malformed_table(tmp_path, capsys, trivial_pair, table, verb, spoil):
+    bad = write(tmp_path, "bad.json", spoil(table))
+    code, report = run(capsys, verb, bad, *trivial_pair[1:] if verb == "check-compat" else ())
+    assert code == 2 and report == {"error": "table must be a list of lists"}
+
+
+def test_xmod_check_names_a_malformed_boundary(tmp_path, capsys):
+    data = {**pio.xmod_to_dict(identity_xmod(Z2)), "boundary": 5}
+    code, report = run(capsys, "xmod-check", write(tmp_path, "xm.json", data))
+    assert code == 2 and report == {"error": "boundary must be a list"}
+
+
+def test_lie_validate_refuses_a_negative_dim(tmp_path, capsys):
+    code, report = run(capsys, "lie-validate", write(tmp_path, "L.json", {"dim": -1}))
+    assert code == 2 and report == {"valid": False, "reason": "dim -1 is negative"}
+
+
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -460,6 +508,31 @@ def count_calls(monkeypatch, owner, names):
     return calls
 
 
+def test_constructors_run_no_check(monkeypatch):
+    import peiffer.actions as actions
+    import peiffer.lie as lie
+    import peiffer.xmod as xmod
+
+    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    counts = [
+        count_calls(monkeypatch, Hom, ["check"]),
+        count_calls(monkeypatch, actions, ["check_action_table"]),
+        count_calls(monkeypatch, xmod, ["check_xmod"]),
+        count_calls(monkeypatch, lie.LieMap, ["check"]),
+        count_calls(monkeypatch, lie, ["check_lie_action", "check_lie_xmod", "validate_lie"]),
+    ]
+    not_a_hom = Hom(Z2, Z3, (0, 1))
+    not_an_action = Action(Z2, Z3, ((0, 1, 2), (0, 0, 0)))
+    CrossedModule(Hom(Z3, Z2, (0, 1, 1)), not_an_action)
+    doubled = LieMap(L, L, [[0, 0], [0, 2]])
+    not_derivations = LieAction(L, L, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+    LieCrossedModule(doubled, not_derivations)
+    assert [set(calls.values()) for calls in counts] == [{0}] * len(counts)
+    # the data is invalid: each check, run by hand, refuses it
+    assert not not_a_hom.check().ok and not not_an_action.check().ok
+    assert not doubled.check().ok and not not_derivations.check().ok
+
+
 def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, monkeypatch):
     import peiffer.lie as lie
 
@@ -501,7 +574,7 @@ def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypat
 
 def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
-    doubled = LieMap(L, L, [[0, 0], [0, 2]], check=False)
+    doubled = LieMap(L, L, [[0, 0], [0, 2]])
     assert not doubled.check().ok
     bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(LieCrossedModule(doubled, adjoint_action(L))))
     code, report = run(capsys, "lie-induce-actions", bad, bad)
@@ -662,6 +735,21 @@ def test_golden_transcript(golden_paths, case):
     assert (code, stdout) == (expected["code"], expected["stdout"])
     if "--out" in GOLDEN_CASES[case]:
         assert Path(golden_paths["report"]).read_text() == stdout
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_every_verb_refuses_a_malformed_file_with_a_clear_error(golden_paths, tmp_path, verb):
+    # each positional file in turn becomes [], 5 or {} while the others stay valid
+    argv = GOLDEN_CASES[verb]
+    assert run_case(golden_paths, argv)[0] == 0
+    for i in range(1, 1 + len(VERBS[verb][0])):
+        for name, data in {"list": [], "int": 5, "object": {}}.items():
+            spoiled = [*argv[:i], write(tmp_path, f"{name}.json", data), *argv[i + 1:]]
+            code, stdout = run_case(golden_paths, spoiled)
+            report = json.loads(stdout)
+            message = report.get("error", report.get("reason"))
+            assert code == 2 and isinstance(message, str), (spoiled, stdout)
+            assert not re.match(r"(TypeError|KeyError|AttributeError):", message), (spoiled, message)
 
 
 def test_golden_transcript_covers_every_verb():

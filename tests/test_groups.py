@@ -21,6 +21,7 @@ from peiffer.groups import (
     validate_table,
 )
 from peiffer.catalog import cyclic, klein_four, symmetric_3
+from peiffer.io import group_from_dict
 
 
 def test_validate_accepts_cyclic():
@@ -62,31 +63,31 @@ def test_element_orders_s3():
 def test_hom_checks_multiplicativity():
     Z4 = cyclic(4)
     Z2 = cyclic(2)
-    Hom(Z4, Z2, (0, 1, 0, 1))  # reduction mod 2
+    assert Hom(Z4, Z2, (0, 1, 0, 1)).check().ok  # reduction mod 2
     with pytest.raises(GroupError):
-        Hom(Z4, Z2, (0, 1, 1, 0))
+        Hom(Z4, Z2, (0, 1, 1, 0)).check().expect("homomorphism axioms")
 
 
 @pytest.mark.parametrize("bad", [0.3, 1.9, True, "1"])
 def test_hom_check_refuses_non_integer_values(bad):
     Z2 = cyclic(2)
     with pytest.raises(GroupError, match=rf"map value out of range, witness=\(1, {bad!r}\)"):
-        Hom(Z2, Z2, [0, bad], check=True)
+        Hom(Z2, Z2, [0, bad]).check().expect("homomorphism axioms")
 
 
 def test_hom_check_tests_length_and_range_before_indexing():
     Z2, Z3 = cyclic(2), cyclic(3)
-    assert Hom(Z3, Z2, (0, 1), check=False).check().reason == (
+    assert Hom(Z3, Z2, (0, 1)).check().reason == (
         "map length does not match the domain order"
     )
     # value 5 would index past Z2's table in the identity test
-    assert Hom(Z2, Z2, (5, 0), check=False).check().witness == (0, 5)
+    assert Hom(Z2, Z2, (5, 0)).check().witness == (0, 5)
 
 
 def test_hom_without_check_keeps_its_map():
     Z2 = cyclic(2)
     t = (0, 1)
-    assert Hom(Z2, Z2, t, check=False).mapping is t
+    assert Hom(Z2, Z2, t).mapping is t
 
 
 def test_hom_compose_and_inverse():
@@ -239,9 +240,9 @@ def test_normal_closure_of_transposition_is_everything():
 
 
 def test_checked_construction_refuses_non_integers():
-    # the raw table is validated, so 0.0 is refused rather than read as 0
+    # the loader validates the raw table, so 0.0 is refused rather than read as 0
     with pytest.raises(GroupError, match="entry out of range"):
-        FiniteGroup([[0, 1], [1, 0.0]], check=True)
+        group_from_dict({"table": [[0, 1], [1, 0.0]]})
 
 
 def test_hom_search_refuses_past_budget():

@@ -42,6 +42,7 @@ from peiffer.lie import (
     zero_mat,
     zero_vec,
 )
+from peiffer.io import lie_action_from_dict
 
 
 def fracs(*values):
@@ -143,7 +144,7 @@ def test_check_lie_action_adjoint():
 def test_check_lie_action_rejects_non_derivation():
     L = solvable2()
     # identity matrix is not a derivation of a nonabelian algebra
-    act = LieAction(abelian(1), L, [[[1, 0], [0, 1]]], check=False)
+    act = LieAction(abelian(1), L, [[[1, 0], [0, 1]]])
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho(a) is not a derivation"
     assert d.witness == (0, 0, 1)
@@ -153,7 +154,7 @@ def test_check_lie_action_rejects_non_hom():
     L = sl2()
     # send h to rho(e)-like matrix so the rep property breaks
     rho = [adjoint_action(L).rho[1], adjoint_action(L).rho[1], adjoint_action(L).rho[2]]
-    act = LieAction(L, L, rho, check=False)
+    act = LieAction(L, L, rho)
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho is not a Lie homomorphism"
     assert d.witness == (0, 1)
@@ -161,7 +162,7 @@ def test_check_lie_action_rejects_non_hom():
 
 def test_lie_map_check_witness():
     L = solvable2()
-    d = LieMap(L, L, [[0, 0], [0, "1/2"]], check=False).check()
+    d = LieMap(L, L, [[0, 0], [0, "1/2"]]).check()
     assert not d.ok and d.reason == "bracket not preserved"
     # f[e0, e1] = e1/2 but [f e0, f e1] = 0
     assert d.witness == (0, 1, fracs(0, "1/2"))
@@ -176,7 +177,7 @@ def test_lie_xmod_fixtures():
 def test_zero_boundary_nonabelian_fails_peiffer():
     L = solvable2()
     xm = LieCrossedModule(
-        LieMap(L, abelian(1), [[0, 0]], check=False),
+        LieMap(L, abelian(1), [[0, 0]]),
         trivial_lie_action(abelian(1), L),
     )
     d = check_lie_xmod(xm)
@@ -266,7 +267,7 @@ def test_lie_induced_actions_zero_base():
     Z = abelian(0)
     A = abelian(2)
     xm = LieCrossedModule(
-        LieMap(A, Z, [], check=False), trivial_lie_action(Z, A)
+        LieMap(A, Z, []), trivial_lie_action(Z, A)
     )
     mut = lie_induced_actions(xm, xm)
     assert mut.rho_nm.rho == (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),) * 2
@@ -425,9 +426,7 @@ def test_constructions_pass_the_exhaustive_checks():
 
 
 def from_columns(dom, cod, columns):
-    return LieMap(
-        dom, cod, tuple(tuple(columns[j][i] for j in range(dom.dim)) for i in range(cod.dim)), check=False
-    )
+    return LieMap(dom, cod, tuple(tuple(columns[j][i] for j in range(dom.dim)) for i in range(cod.dim)))
 
 
 def ref_lie_peiffer(mut, xms=None):
@@ -512,8 +511,8 @@ def ref_lie_peiffer(mut, xms=None):
     fields["rho_on_n"] = tuple(act_on_n(v) for v in lifted)
     if xms is None:
         xms = (
-            LieCrossedModule(LieMap(M, P, fields["l_m"], check=False), LieAction(P, M, fields["rho_on_m"], check=False)),
-            LieCrossedModule(LieMap(N, P, fields["l_n"], check=False), LieAction(P, N, fields["rho_on_n"], check=False)),
+            LieCrossedModule(LieMap(M, P, fields["l_m"]), LieAction(P, M, fields["rho_on_m"])),
+            LieCrossedModule(LieMap(N, P, fields["l_n"]), LieAction(P, N, fields["rho_on_n"])),
         )
     mu, nu = (xm.boundary for xm in xms)
     L = mu.cod
@@ -548,7 +547,7 @@ def coordinate_fields(mut, xms=None):
 def zero_base_xmods():
     """Two crossed modules abelian(2) -> 0: the universal map is 0 x 4."""
     Z, A = abelian(0), abelian(2)
-    xm = LieCrossedModule(LieMap(A, Z, [], check=False), trivial_lie_action(Z, A))
+    xm = LieCrossedModule(LieMap(A, Z, []), trivial_lie_action(Z, A))
     return xm, xm
 
 
@@ -608,9 +607,9 @@ def test_lie_checks_raise_lie_error():
         LieAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]])
     L = solvable2()
     with pytest.raises(LieError, match="Lie homomorphism failed"):
-        LieMap(L, L, [[0, 0], [0, 2]])
+        LieMap(L, L, [[0, 0], [0, 2]]).check().expect("Lie homomorphism", LieError)
     with pytest.raises(LieError, match="Lie action axioms failed"):
-        LieAction(L, L, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+        lie_action_from_dict({"rho": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}, acting=L, target=L)
 
 
 # The dense kernels as they were before zero-skipping, kept as an oracle for
@@ -696,7 +695,7 @@ def test_sparse_kernels_match_dense_oracle(r, k, c, data):
     brackets = tuple(data.draw(fraction_rows(k, k)) for _ in range(k))
     L = LieAlgebra(k, brackets, check=False)
     rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
-    act = LieAction(abelian(r), abelian(k), rho, check=False)
+    act = LieAction(abelian(r), abelian(k), rho)
     (w,) = data.draw(fraction_rows(1, r))
     pairs = [
         (mat_vec(A, u), dense_mat_vec(A, u)),
@@ -872,7 +871,7 @@ def test_map_check_matches_loop_oracle(dom, cod, data):
     # the identity and the zero map are homs
     base = identity_mat(dom.dim) if dom == cod else zero_mat(cod.dim, dom.dim)
     (matrix,) = data.draw(nudged((base,)))
-    f = LieMap(dom, cod, matrix, check=False)
+    f = LieMap(dom, cod, matrix)
     same_diagnosis(f.check(), ref_map_check(f))
 
 
@@ -880,7 +879,7 @@ def test_map_check_matches_loop_oracle(dom, cod, data):
 @given(algebras, algebras, st.data())
 def test_action_check_matches_loop_oracle(A, X, data):
     base = A.adjoint.rho if A == X else zero_action(A, X)
-    act = LieAction(A, X, data.draw(nudged(base)), check=False)
+    act = LieAction(A, X, data.draw(nudged(base)))
     same_diagnosis(check_lie_action(act), ref_check_lie_action(act))
 
 
@@ -895,7 +894,7 @@ def test_xmod_check_matches_loop_oracle(A, data):
     else:
         d, rho = zero_mat(A.dim, X.dim), zero_action(A, X)
     d, *rho = data.draw(nudged((d,) + rho))
-    xm = LieCrossedModule(LieMap(X, A, d, check=False), LieAction(A, X, rho, check=False))
+    xm = LieCrossedModule(LieMap(X, A, d), LieAction(A, X, rho))
     same_diagnosis(check_lie_xmod(xm), ref_check_lie_xmod(xm))
 
 
@@ -914,5 +913,5 @@ def test_compatibility_matches_loop_oracle(M, N, data):
     # the adjoint pair and zero actions are compatible
     nm, mn = (M.adjoint.rho,) * 2 if M == N else (zero_action(N, M), zero_action(M, N))
     mats = data.draw(nudged(nm + mn))
-    mut = LieMutualActions(LieAction(N, M, mats[: N.dim], check=False), LieAction(M, N, mats[N.dim :], check=False))
+    mut = LieMutualActions(LieAction(N, M, mats[: N.dim]), LieAction(M, N, mats[N.dim :]))
     same_diagnosis(lie_compatible(mut), ref_lie_compatible(mut))

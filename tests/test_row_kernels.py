@@ -275,7 +275,7 @@ def relabel_action(act, groups):
     for a in range(na):
         for x in range(nx):
             table[(a + 1) % na][(x + 1) % nx] = (act.table[a][x] + 1) % nx
-    return Action(groups[A], groups[X], table, check=False)
+    return Action(groups[A], groups[X], table)
 
 
 def relabel_pair(mut, groups):
@@ -381,7 +381,7 @@ def test_family_checks_match_references(family):
             continue
         for act in pp.actions:
             assert ref_check_action_table(act.acting, act.target, act.table).ok
-            Action(act.acting, act.target, act.table, check=True)
+            assert check_action_table(act.acting, act.target, act.table).ok
         for xm in peiffer_xmods(pp):
             assert check_xmod(xm) == ref_check_xmod(xm) == VALID
         for bound in (2, 3):
@@ -497,7 +497,7 @@ def check_strong_with_a_doctored_map(family, data, side):
     mapping = list(ells[side].mapping)
     g = data.draw(st.integers(0, len(mapping) - 1))
     mapping[g] = data.draw(st.integers(0, P.order - 1))
-    ells[side] = Hom(ells[side].dom, P, mapping, check=False)
+    ells[side] = Hom(ells[side].dom, P, mapping)
     doctored = PeifferProduct(P, pp.proj, *ells, pp.source, pp.actions, pp.disagreement)
     bound = data.draw(st.integers(0, 3))
     assert strong_relation_check(doctored, bound) == ref_strong_relation_check(doctored, bound)
@@ -530,7 +530,7 @@ def test_xmod_check_matches_reference_with_a_doctored_boundary(family, data):
     d = list(xm.boundary.mapping)
     x = data.draw(st.integers(0, len(d) - 1))
     d[x] = data.draw(st.integers(0, xm.A.order - 1))
-    doctored = CrossedModule(Hom(xm.X, xm.A, d, check=False), xm.action)
+    doctored = CrossedModule(Hom(xm.X, xm.A, d), xm.action)
     assert check_xmod(doctored) == ref_check_xmod(doctored)
 
 
