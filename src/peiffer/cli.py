@@ -7,10 +7,7 @@ the witness), 2 invalid input, cap exceeded, or failed precondition.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import is_dataclass, asdict
-from fractions import Fraction
 from functools import cache
 
 from . import io as pio
@@ -36,20 +33,6 @@ from .product import (
     universal_map,
 )
 from .xmod import induced_mutual_actions
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if is_dataclass(v) and not isinstance(v, type):
-        return _jsonable(asdict(v))
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        if all(type(x) is int for x in v):
-            return list(v)
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def _verdict(key, diag, fail_code=1):
@@ -223,14 +206,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = VERBS[args.verb][1](args)
-        print(pio.dump_json(_jsonable(report), args.out))
+        print(pio.dump_json(report, args.out))
         return code
     except (GroupError, LieError, NotWellDefined) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
-        return 2
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}, sort_keys=True, indent=2))
-        return 2
+        error = str(exc)
+    except (OSError, KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        error = f"{type(exc).__name__}: {exc}"
+    print(pio.dump_json({"error": error}))
+    return 2
 
 
 if __name__ == "__main__":

@@ -4,19 +4,47 @@ Every input is checked here, on load; the constructors trust their input.
 Each input kind has one parse step, parse_*, that refuses a malformed shape,
 loads the parts and returns the object with the Diagnosis of its axioms: the
 loader raises a failed one, the check verb reports it.  Rationals travel as
-"p/q" strings so nothing is lost to floating point.
+"p/q" strings so nothing is lost to floating point; this module alone reads
+and writes them.
 """
 from __future__ import annotations
 
 import json
+import re
+import reprlib
+from dataclasses import asdict, is_dataclass
+from fractions import Fraction
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
-from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap, vec
+from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap
 from .product import PeifferProduct
 from .xmod import CrossedModule
 
 MAX_LIE_DIM = 16  # bound on a loaded dim; b5 has dim 15, the benchmark's b3 dim 6
+# "p" or "p/q" in decimal digits with an optional sign.  Fraction() would also
+# take "1e200000" (a 200,001-digit integer), "0.5", "1_0" and " 1 "; the digit
+# bound is CPython's default limit on int() of a string.
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
+
+
+def _frac(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, str) and _RATIONAL.fullmatch(v) or isinstance(v, int) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):  # "1/0", or past a lowered int() digit limit
+            pass
+    raise LieError(f"not an exact rational: {reprlib.repr(v)}")
+
+
+def vec(values) -> tuple:
+    return tuple(_frac(v) for v in values)
+
+
+def mat(rows) -> tuple:
+    return tuple(vec(r) for r in rows)
 
 
 def int_entries(values, what: str, error=GroupError) -> tuple:
@@ -137,7 +165,7 @@ def parse_xmod(d) -> tuple[CrossedModule, Diagnosis]:
     if not isinstance(d, dict) or not {"boundary", "action", "dom", "cod"} <= set(d):
         raise GroupError("crossed module data needs boundary, action, dom, cod")
     dom = group_from_dict(d["dom"])
-    cod = group_from_dict(d["cod"])
+    cod = dom if d["cod"] == d["dom"] else group_from_dict(d["cod"])
     mapping = nested_lists(d["boundary"], 1, "boundary", GroupError)
     boundary = Hom(dom, cod, int_entries(mapping, "boundary"))
     boundary.check().expect("homomorphism axioms")
@@ -206,7 +234,7 @@ def lie_from_dict(d) -> LieAlgebra:
         # listed partner that is not the negative fails antisymmetry below
         if (j, i) not in given:
             brackets[j][i] = tuple(-c for c in coeffs)
-    return LieAlgebra(n, brackets, name=d.get("name"))
+    return LieAlgebra(n, tuple(map(tuple, brackets)), name=d.get("name"))
 
 
 def lie_action_to_dict(a: LieAction) -> dict:
@@ -224,7 +252,7 @@ def parse_lie_action(d, acting: LieAlgebra | None = None,
         raise LieError("Lie action data must be an object with rho")
     acting = _given_or_inline(d, "acting", acting, lie_from_dict, "algebra", LieError)
     target = _given_or_inline(d, "target", target, lie_from_dict, "algebra", LieError)
-    act = LieAction(acting, target, nested_lists(d["rho"], 3, "rho"))
+    act = LieAction(acting, target, tuple(map(mat, nested_lists(d["rho"], 3, "rho"))))
     return act, act.check()
 
 
@@ -250,8 +278,8 @@ def parse_lie_xmod(d) -> tuple[LieCrossedModule, Diagnosis]:
     if not isinstance(d, dict) or not {"boundary", "action", "dom", "cod"} <= set(d):
         raise LieError("Lie crossed module data needs boundary, action, dom, cod")
     dom = lie_from_dict(d["dom"])
-    cod = lie_from_dict(d["cod"])
-    boundary = LieMap(dom, cod, nested_lists(d["boundary"], 2, "boundary"))
+    cod = dom if d["cod"] == d["dom"] else lie_from_dict(d["cod"])
+    boundary = LieMap(dom, cod, mat(nested_lists(d["boundary"], 2, "boundary")))
     xm = LieCrossedModule(boundary, lie_action_from_dict(d["action"], acting=cod, target=dom))
     return xm, xm.check()
 
@@ -265,8 +293,17 @@ def load_json(path: str):
         return json.load(fh)
 
 
+def _encode(v):
+    """The JSON form of a value json cannot write: a Fraction as "p/q", a dataclass as its fields."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if is_dataclass(v) and not isinstance(v, type):
+        return asdict(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, default=_encode)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -3,12 +3,11 @@
 Mirrors the group-side pipeline: mutual actions by derivations, the two
 compatibility equations, the semidirect sum, and the Peiffer quotient with
 its crossed-module structures and universal map.  All data are tuples of
-Fractions; no floating point anywhere.
+Fractions; no floating point anywhere.  The constructors keep what they are
+given, and peiffer.io turns the rationals of a file into Fractions.
 """
 from __future__ import annotations
 
-import re
-import reprlib
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,27 +20,6 @@ class LieError(ValueError):
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# "p" or "p/q" in decimal digits with an optional sign.  Fraction() would also
-# take "1e200000" (a 200,001-digit integer), "0.5", "1_0" and " 1 "; the digit
-# bound is CPython's default limit on int() of a string.
-_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str) and _RATIONAL.fullmatch(v) or isinstance(v, int) and not isinstance(v, bool):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):  # "1/0", or past a lowered int() digit limit
-            pass
-    raise LieError(f"not an exact rational: {reprlib.repr(v)}")
-
-
-def vec(values) -> tuple:
-    if type(values) is tuple and all(type(v) is Fraction for v in values):
-        return values
-    return tuple(_frac(v) for v in values)
 
 
 def zero_vec(n: int) -> tuple:
@@ -63,10 +41,6 @@ def vscale(c, u):
     if not c:
         return zero_vec(len(u))
     return tuple(c * a if a else a for a in u)
-
-
-def mat(rows) -> tuple:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_mat(rows: int, cols: int) -> tuple:
@@ -143,7 +117,7 @@ def basis_vec(n: int, i: int) -> tuple:
 
 def rref(rows):
     """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
-    rows = [list(vec(r)) for r in rows]
+    rows = [list(r) for r in rows]
     if not rows:
         return (), ()
     ncols = len(rows[0])
@@ -168,7 +142,6 @@ def rref(rows):
 
 def reduce_mod(basis_rows, pivots, v):
     """Reduce v against an rref basis; zero result means v is in the span."""
-    v = vec(v)
     for row, c in zip(basis_rows, pivots):
         if v[c] != 0:
             v = vsub(v, vscale(v[c], row))
@@ -182,14 +155,16 @@ def in_span(basis_rows, pivots, v) -> bool:
 class LieAlgebra:
     """Structure constants on a chosen basis: brackets[i][j] = [e_i, e_j].
 
-    The one constructor that still checks its input, unless check=False.
-    Every other constructor trusts its input and peiffer.io checks what it
-    loads; the flag stays only because perfbench/test_perfbench.py passes it.
+    brackets is kept as given: tuples of Fractions at every level, as
+    peiffer.io builds them.  The one constructor that still checks its input,
+    unless check=False.  Every other constructor trusts its input and
+    peiffer.io checks what it loads; the flag stays only because
+    perfbench/test_perfbench.py passes it.
     """
 
     def __init__(self, dim: int, brackets, name: str | None = None, check: bool = True):
-        self.dim = int(dim)
-        self.brackets = tuple(tuple(vec(v) for v in row) for row in brackets)
+        self.dim = dim
+        self.brackets = brackets
         self.name = name
         if len(self.brackets) != self.dim or any(
             len(row) != self.dim or any(len(v) != self.dim for v in row)
@@ -253,12 +228,12 @@ class LieMap:
     def __init__(self, dom: LieAlgebra, cod: LieAlgebra, matrix):
         self.dom = dom
         self.cod = cod
-        self.matrix = mat(matrix)
+        self.matrix = matrix
         if len(self.matrix) != cod.dim or any(len(r) != dom.dim for r in self.matrix):
             raise LieError("matrix shape does not match the algebras")
 
     def __call__(self, v) -> tuple:
-        return mat_vec(self.matrix, vec(v))
+        return mat_vec(self.matrix, v)
 
     def check(self) -> Diagnosis:
         """f ad(e_i) = ad(f e_i) f, whose column j is f[e_i, e_j] - [f e_i, f e_j].
@@ -296,7 +271,7 @@ class LieAction:
     def __init__(self, acting: LieAlgebra, target: LieAlgebra, rho):
         self.acting = acting
         self.target = target
-        self.rho = tuple(mat(m) for m in rho)
+        self.rho = rho
         if len(self.rho) != acting.dim or any(
             len(m) != target.dim or any(len(r) != target.dim for r in m)
             for m in self.rho
@@ -308,7 +283,7 @@ class LieAction:
 
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
-        terms = [(self.rho[a], c) for a, c in enumerate(vec(u)) if c]
+        terms = [(self.rho[a], c) for a, c in enumerate(u) if c]
         if len(terms) == 1 and terms[0][1] == 1:
             return terms[0][0]
         n = self.target.dim
@@ -321,7 +296,7 @@ class LieAction:
         return tuple(tuple(acc) for acc in out)
 
     def __call__(self, u, x) -> tuple:
-        return mat_vec(self.of(u), vec(x))
+        return mat_vec(self.of(u), x)
 
     def __eq__(self, other):
         return (

@@ -26,8 +26,10 @@ from peiffer.product import (
 )
 from peiffer.xmod import check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
 from peiffer import lie
+from peiffer.io import mat
 
 from free_words import eval_flat_action
+from lie_data import mats
 
 
 def report(num, name, ok):
@@ -202,21 +204,21 @@ def test_criterion_9_point_action_round_trip(family):
 
 def test_criterion_10_lie_suite():
     # (a) compatibility certification
-    L = lie.LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
-    I = lie.LieAlgebra(1, [[[0]]])
+    L = lie.LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
+    I = lie.LieAlgebra(1, mats([[[0]]]))
     xm_ideal = lie.LieCrossedModule(
-        lie.LieMap(I, L, [[0], [1]]), lie.LieAction(L, I, [[[1]], [[0]]])
+        lie.LieMap(I, L, mat([[0], [1]])), lie.LieAction(L, I, mats([[[1]], [[0]]]))
     )
     xm_id = lie.LieCrossedModule(lie.identity_lie_map(L), lie.adjoint_action(L))
-    A2 = lie.LieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    A2 = lie.LieAlgebra(2, mats([[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
     xm_ab = lie.LieCrossedModule(lie.identity_lie_map(A2), lie.adjoint_action(A2))
     fixtures = [(xm_ideal, xm_id), (xm_id, xm_id), (xm_ab, xm_ab)]
     ok = all(
         lie.lie_compatible(lie.lie_induced_actions(a, b)).ok for a, b in fixtures
     )
-    one = lie.LieAlgebra(1, [[[0]]])
+    one = lie.LieAlgebra(1, mats([[[0]]]))
     scalar = lie.LieMutualActions(
-        lie.LieAction(one, one, [[[1]]]), lie.LieAction(one, one, [[[1]]])
+        lie.LieAction(one, one, mats([[[1]]])), lie.LieAction(one, one, mats([[[1]]]))
     )
     ok = ok and not lie.lie_compatible(scalar).ok
 

@@ -17,6 +17,8 @@ from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import LieAction, LieAlgebra, LieCrossedModule, LieMap, adjoint_action, identity_lie_map
 from peiffer.xmod import CrossedModule, identity_xmod
 
+from lie_data import mats
+
 S3 = symmetric_3()
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -297,10 +299,10 @@ def test_unknown_verb_rejected(capsys):
 
 
 def solvable_files(tmp_path):
-    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
-    I = LieAlgebra(1, [[[0]]])
-    incl = LieMap(I, L, [[0], [1]])
-    actI = LieAction(L, I, [[[1]], [[0]]])
+    L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
+    I = LieAlgebra(1, mats([[[0]]]))
+    incl = LieMap(I, L, pio.mat([[0], [1]]))
+    actI = LieAction(L, I, mats([[[1]], [[0]]]))
     xm_m = LieCrossedModule(incl, actI)
     xm_n = LieCrossedModule(identity_lie_map(L), adjoint_action(L))
     return L, I, xm_m, xm_n
@@ -452,7 +454,7 @@ def test_lie_check_compat_scalar_pair(tmp_path, capsys):
 
 def test_lie_semidirect(tmp_path, capsys):
     L, I, _, _ = solvable_files(tmp_path)
-    act = LieAction(L, I, [[[1]], [[0]]])
+    act = LieAction(L, I, mats([[[1]], [[0]]]))
     path = write(tmp_path, "a.json", pio.lie_action_to_dict(act))
     code, report = run(capsys, "lie-semidirect", path)
     assert code == 0 and report["algebra"]["dim"] == 3
@@ -471,7 +473,7 @@ def test_lie_peiffer_and_xmods(tmp_path, capsys):
 def test_lie_xmod_check_refuses_a_disagreeing_inline_acting_algebra(tmp_path, capsys):
     _, _, _, xm = solvable_files(tmp_path)
     data = pio.lie_xmod_to_dict(xm)
-    data["action"]["acting"] = pio.lie_to_dict(LieAlgebra(2, [[[0, 0]] * 2] * 2))
+    data["action"]["acting"] = pio.lie_to_dict(LieAlgebra(2, mats([[[0, 0]] * 2] * 2)))
     code, report = run(capsys, "lie-xmod-check", write(tmp_path, "xm.json", data))
     assert code == 2 and report == {"error": "inline acting algebra disagrees with the supplied one"}
 
@@ -513,7 +515,7 @@ def test_constructors_run_no_check(monkeypatch):
     import peiffer.lie as lie
     import peiffer.xmod as xmod
 
-    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
     counts = [
         count_calls(monkeypatch, Hom, ["check"]),
         count_calls(monkeypatch, actions, ["check_action_table"]),
@@ -524,12 +526,19 @@ def test_constructors_run_no_check(monkeypatch):
     not_a_hom = Hom(Z2, Z3, (0, 1))
     not_an_action = Action(Z2, Z3, ((0, 1, 2), (0, 0, 0)))
     CrossedModule(Hom(Z3, Z2, (0, 1, 1)), not_an_action)
-    doubled = LieMap(L, L, [[0, 0], [0, 2]])
-    not_derivations = LieAction(L, L, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+    not_antisymmetric = mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]])
+    matrix = pio.mat([[0, 0], [0, 2]])
+    rho = mats([[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+    not_lie = LieAlgebra(2, not_antisymmetric, check=False)
+    doubled = LieMap(L, L, matrix)
+    not_derivations = LieAction(L, L, rho)
     LieCrossedModule(doubled, not_derivations)
     assert [set(calls.values()) for calls in counts] == [{0}] * len(counts)
+    # the Lie constructors keep the very data they are given
+    assert not_lie.brackets is not_antisymmetric and doubled.matrix is matrix and not_derivations.rho is rho
     # the data is invalid: each check, run by hand, refuses it
     assert not not_a_hom.check().ok and not not_an_action.check().ok
+    assert not lie.validate_lie(not_lie).ok
     assert not doubled.check().ok and not not_derivations.check().ok
 
 
@@ -557,8 +566,8 @@ def test_lie_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monke
     calls = count_calls(monkeypatch, lie, ["validate_lie", "check_lie_action", "check_lie_xmod"])
     code, report = run(capsys, "lie-universal-map", *pair, *xms)
     assert code == 0 and len(report["matrix"]) == 2
-    # L.json and the dom and cod of xm.json; ad.json and the action of xm.json
-    assert calls == {"validate_lie": 3, "check_lie_action": 2, "check_lie_xmod": 1}
+    # L.json and xm.json, whose equal dom and cod load once; ad.json and the action of xm.json
+    assert calls == {"validate_lie": 2, "check_lie_action": 2, "check_lie_xmod": 1}
 
 
 def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):
@@ -568,13 +577,28 @@ def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypat
     calls = count_calls(monkeypatch, pio, ["group_from_dict", "action_from_dict"])
     code, report = run(capsys, "universal-map", *pair, *xms)
     assert code == 0 and report["order"] == 12
-    # s3.json and the dom and cod of xm.json; conj.json and the action of xm.json
-    assert calls == {"group_from_dict": 3, "action_from_dict": 2}
+    # s3.json and xm.json, whose equal dom and cod load once; conj.json and the action of xm.json
+    assert calls == {"group_from_dict": 2, "action_from_dict": 2}
+
+
+def test_xmod_loaders_load_equal_inline_dom_and_cod_once(tmp_path, monkeypatch):
+    zero = CrossedModule(Hom(Z3, Z2, (0, 0, 0)), trivial_action(Z2, Z3))
+    _, _, ideal, identity = solvable_files(tmp_path)
+    calls = count_calls(monkeypatch, pio, ["group_from_dict", "lie_from_dict"])
+    loads = []
+    for parse, to_dict, xm in [(pio.parse_xmod, pio.xmod_to_dict, identity_xmod(S3)),
+                               (pio.parse_xmod, pio.xmod_to_dict, zero),
+                               (pio.parse_lie_xmod, pio.lie_xmod_to_dict, identity),
+                               (pio.parse_lie_xmod, pio.lie_xmod_to_dict, ideal)]:
+        before = sum(calls.values())
+        assert parse(to_dict(xm))[1].ok
+        loads.append(sum(calls.values()) - before)
+    assert loads == [1, 2, 1, 2]
 
 
 def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
-    doubled = LieMap(L, L, [[0, 0], [0, 2]])
+    doubled = LieMap(L, L, pio.mat([[0, 0], [0, 2]]))
     assert not doubled.check().ok
     bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(LieCrossedModule(doubled, adjoint_action(L))))
     code, report = run(capsys, "lie-induce-actions", bad, bad)
@@ -649,7 +673,7 @@ def golden_inputs(directory) -> dict:
         "id1": {"rho": [[["1"]]]},
         "ad": pio.lie_action_to_dict(adjoint_action(L)),
         "ad_bad": ad_bad,
-        "L_on_I": pio.lie_action_to_dict(LieAction(L, I, [[[1]], [[0]]])),
+        "L_on_I": pio.lie_action_to_dict(LieAction(L, I, mats([[[1]], [[0]]]))),
         "rho_nm": pio.lie_action_to_dict(lie_mut.rho_nm),
         "rho_mn": pio.lie_action_to_dict(lie_mut.rho_mn),
         "lie_xm_m": pio.lie_xmod_to_dict(lie_xm_m),
@@ -750,6 +774,21 @@ def test_every_verb_refuses_a_malformed_file_with_a_clear_error(golden_paths, tm
             message = report.get("error", report.get("reason"))
             assert code == 2 and isinstance(message, str), (spoiled, stdout)
             assert not re.match(r"(TypeError|KeyError|AttributeError):", message), (spoiled, message)
+
+
+def test_deep_nesting_exits_2_without_a_traceback(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for verb in ("validate", "lie-validate"):
+        code, stdout = run_case({}, [verb, str(deep)])
+        assert code == 2 and json.loads(stdout)["error"].startswith("RecursionError: ")
+    # a table entry nested 900 deep: the report echoes it as the witness,
+    # unless writing it runs out of stack first
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"table": [[' + "[" * 900 + "]" * 900 + "]]}")
+    code, stdout = run_case({}, ["validate", str(nested)])
+    assert code == 2
+    assert stdout.startswith(('{\n  "error": "RecursionError: ', '{\n  "reason": "entry out of range",'))
 
 
 def test_golden_transcript_covers_every_verb():

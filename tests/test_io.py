@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from peiffer import io as pio
 from peiffer.actions import conjugation_action
 from peiffer.catalog import cyclic, symmetric_3
+from peiffer.compat import CompatWitness
 from peiffer.groups import GroupError
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import (
@@ -17,6 +19,8 @@ from peiffer.lie import (
     identity_lie_map,
 )
 from peiffer.xmod import identity_xmod
+
+from lie_data import mats
 
 
 def test_group_round_trip():
@@ -62,10 +66,10 @@ def test_xmod_round_trip():
 def test_lie_round_trip_preserves_rationals():
     L = LieAlgebra(
         2,
-        [
+        mats([
             [[0, 0], [0, Fraction(2, 3)]],
             [[0, Fraction(-2, 3)], [0, 0]],
-        ],
+        ]),
     )
     d = pio.lie_to_dict(L)
     assert d["brackets"][0]["coeffs"] == ["0", "2/3"]
@@ -116,7 +120,7 @@ def test_lie_load_refuses_boolean_coefficients():
 
 
 def test_lie_action_load_refuses_boolean_entries():
-    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
     d = pio.lie_action_to_dict(adjoint_action(L))
     d["rho"][0][1][1] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
@@ -124,7 +128,7 @@ def test_lie_action_load_refuses_boolean_entries():
 
 
 def test_lie_xmod_load_refuses_boolean_boundary():
-    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
     d = pio.lie_xmod_to_dict(LieCrossedModule(identity_lie_map(L), adjoint_action(L)))
     d["boundary"][0][0] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
@@ -198,10 +202,19 @@ def test_xmod_load_refuses_non_integer_boundary():
 
 
 def test_lie_action_round_trip():
-    L = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
     act = adjoint_action(L)
     back = pio.lie_action_from_dict(pio.lie_action_to_dict(act))
     assert back == act
+
+
+def test_dump_json_writes_rationals_and_witnesses_and_refuses_the_rest():
+    witness = CompatWitness(equation=1, m=2, n=3, other=4, lhs=5, rhs=6)
+    text = pio.dump_json({"q": Fraction(-3, 4), "w": witness})
+    assert json.loads(text) == {"q": "-3/4", "w": {
+        "equation": 1, "m": 2, "n": 3, "other": 4, "lhs": 5, "rhs": 6}}
+    with pytest.raises(TypeError, match="set"):
+        pio.dump_json({"s": {1}})
 
 
 def test_dump_json_deterministic(tmp_path):

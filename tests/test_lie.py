@@ -36,13 +36,14 @@ from peiffer.lie import (
     trivial_lie_action,
     validate_lie,
     vadd,
-    vec,
     vscale,
     vsub,
     zero_mat,
     zero_vec,
 )
-from peiffer.io import lie_action_from_dict
+from peiffer.io import lie_action_from_dict, mat, vec
+
+from lie_data import mats
 
 
 def fracs(*values):
@@ -51,23 +52,23 @@ def fracs(*values):
 
 def abelian(n):
     zero = [[[0] * n for _ in range(n)] for _ in range(n)]
-    return LieAlgebra(n, zero)
+    return LieAlgebra(n, mats(zero))
 
 
 def solvable2():
     """[e0, e1] = e1."""
-    return LieAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    return LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
 
 
 def sl2():
     """Basis h, e, f with [h,e]=2e, [h,f]=-2f, [e,f]=h."""
     return LieAlgebra(
         3,
-        [
+        mats([
             [[0, 0, 0], [0, 2, 0], [0, 0, -2]],
             [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
             [[0, 0, 2], [-1, 0, 0], [0, 0, 0]],
-        ],
+        ]),
     )
 
 
@@ -75,8 +76,8 @@ def ideal_fixture():
     """The ideal <e1> of the solvable algebra, as a crossed-module pair."""
     L = solvable2()
     I = abelian(1)
-    incl = LieMap(I, L, [[0], [1]])
-    actI = LieAction(L, I, [[[1]], [[0]]])
+    incl = LieMap(I, L, mat([[0], [1]]))
+    actI = LieAction(L, I, mats([[[1]], [[0]]]))
     xm_m = LieCrossedModule(incl, actI)
     xm_n = LieCrossedModule(identity_lie_map(L), adjoint_action(L))
     return xm_m, xm_n
@@ -88,7 +89,7 @@ def test_validate_accepts_fixtures():
 
 
 def test_validate_rejects_antisymmetry():
-    bad = LieAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]], check=False)
+    bad = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]), check=False)
     d = validate_lie(bad)
     assert not d.ok and d.reason == "antisymmetry fails"
     assert d.witness == (0, 1, fracs(0, 2))
@@ -98,11 +99,11 @@ def test_validate_rejects_jacobi():
     # [e0,e1]=e2, [e1,e2]=e0, [e0,e2]=e0 breaks Jacobi
     bad = LieAlgebra(
         3,
-        [
+        mats([
             [[0, 0, 0], [0, 0, 1], [1, 0, 0]],
             [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
             [[-1, 0, 0], [-1, 0, 0], [0, 0, 0]],
-        ],
+        ]),
         check=False,
     )
     d = validate_lie(bad)
@@ -111,10 +112,11 @@ def test_validate_rejects_jacobi():
 
 
 def test_rref_and_span():
-    rows, pivots = rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows, pivots = rref(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
     assert len(rows) == 2 and pivots == (0, 1)
-    assert in_span(rows, pivots, [1, 3, 4])
-    assert not in_span(rows, pivots, [0, 0, 1])
+    assert all_fractions(rows)
+    assert in_span(rows, pivots, vec([1, 3, 4]))
+    assert not in_span(rows, pivots, vec([0, 0, 1]))
 
 
 def test_bracket_bilinearity():
@@ -144,7 +146,7 @@ def test_check_lie_action_adjoint():
 def test_check_lie_action_rejects_non_derivation():
     L = solvable2()
     # identity matrix is not a derivation of a nonabelian algebra
-    act = LieAction(abelian(1), L, [[[1, 0], [0, 1]]])
+    act = LieAction(abelian(1), L, mats([[[1, 0], [0, 1]]]))
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho(a) is not a derivation"
     assert d.witness == (0, 0, 1)
@@ -153,7 +155,7 @@ def test_check_lie_action_rejects_non_derivation():
 def test_check_lie_action_rejects_non_hom():
     L = sl2()
     # send h to rho(e)-like matrix so the rep property breaks
-    rho = [adjoint_action(L).rho[1], adjoint_action(L).rho[1], adjoint_action(L).rho[2]]
+    rho = (adjoint_action(L).rho[1], adjoint_action(L).rho[1], adjoint_action(L).rho[2])
     act = LieAction(L, L, rho)
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho is not a Lie homomorphism"
@@ -162,7 +164,7 @@ def test_check_lie_action_rejects_non_hom():
 
 def test_lie_map_check_witness():
     L = solvable2()
-    d = LieMap(L, L, [[0, 0], [0, "1/2"]]).check()
+    d = LieMap(L, L, mat([[0, 0], [0, "1/2"]])).check()
     assert not d.ok and d.reason == "bracket not preserved"
     # f[e0, e1] = e1/2 but [f e0, f e1] = 0
     assert d.witness == (0, 1, fracs(0, "1/2"))
@@ -177,7 +179,7 @@ def test_lie_xmod_fixtures():
 def test_zero_boundary_nonabelian_fails_peiffer():
     L = solvable2()
     xm = LieCrossedModule(
-        LieMap(L, abelian(1), [[0, 0]]),
+        LieMap(L, abelian(1), mat([[0, 0]])),
         trivial_lie_action(abelian(1), L),
     )
     d = check_lie_xmod(xm)
@@ -188,7 +190,7 @@ def test_zero_boundary_nonabelian_fails_peiffer():
 def test_boundary_not_equivariant_witness():
     # the inclusion <e1> -> solvable2 under the trivial action
     L = solvable2()
-    xm = LieCrossedModule(LieMap(abelian(1), L, [[0], [1]]), trivial_lie_action(L, abelian(1)))
+    xm = LieCrossedModule(LieMap(abelian(1), L, mat([[0], [1]])), trivial_lie_action(L, abelian(1)))
     d = check_lie_xmod(xm)
     assert not d.ok and d.reason == "boundary is not equivariant"
     assert d.witness == (0, 0, fracs(0, -1))
@@ -206,7 +208,7 @@ def test_lie_semidirect_zero_action_is_direct_sum():
 def test_lie_semidirect_adjoint_on_ideal():
     L = solvable2()
     I = abelian(1)
-    rho = LieAction(L, I, [[[1]], [[0]]])
+    rho = LieAction(L, I, mats([[[1]], [[0]]]))
     sd = lie_semidirect(rho)
     assert sd.algebra.dim == 3
     assert validate_lie(sd.algebra).ok
@@ -232,7 +234,7 @@ def test_lie_compatible_from_coterminal_xmods():
 
 def scalar_pair():
     A = abelian(1)
-    ident = [[[1]]]
+    ident = mats([[[1]]])
     return LieMutualActions(LieAction(A, A, ident), LieAction(A, A, ident))
 
 
@@ -248,7 +250,7 @@ def test_second_equation_witness():
     # N acts trivially, so C1 holds; M acts on N by ad(e1), and C2 fails
     L = solvable2()
     mut = LieMutualActions(
-        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, [L.ad(basis_vec(2, 1))])
+        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (L.ad(basis_vec(2, 1)),))
     )
     d = lie_compatible(mut)
     assert not d.ok and d.reason == "second equation fails"
@@ -267,7 +269,7 @@ def test_lie_induced_actions_zero_base():
     Z = abelian(0)
     A = abelian(2)
     xm = LieCrossedModule(
-        LieMap(A, Z, []), trivial_lie_action(Z, A)
+        LieMap(A, Z, ()), trivial_lie_action(Z, A)
     )
     mut = lie_induced_actions(xm, xm)
     assert mut.rho_nm.rho == (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),) * 2
@@ -335,7 +337,7 @@ def pullback_m(L, M):
             rho.append(M.ad(basis_vec(dm, a)))
         else:
             rho.append(tuple((Fraction(0),) * dm for _ in range(dm)))
-    return LieAction(L, M, rho)
+    return LieAction(L, M, tuple(rho))
 
 
 def pullback_n(L, N):
@@ -347,7 +349,7 @@ def pullback_n(L, N):
             rho.append(N.ad(basis_vec(dn, a - dm)))
         else:
             rho.append(tuple((Fraction(0),) * dn for _ in range(dn)))
-    return LieAction(L, N, rho)
+    return LieAction(L, N, tuple(rho))
 
 
 def test_dim_bound(family=None):
@@ -382,7 +384,7 @@ def b3():
                 v[basis.index((k, j))] -= 1
             row.append(v)
         brackets.append(row)
-    return LieAlgebra(6, brackets)
+    return LieAlgebra(6, mats(brackets))
 
 
 def identity_xmod(L):
@@ -455,7 +457,7 @@ def ref_lie_peiffer(mut, xms=None):
             mpart = vadd(M.bracket(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
             row.append(mpart + N.bracket(n1, n2))
         brackets.append(tuple(row))
-    S = LieAlgebra(dim, brackets, check=False)
+    S = LieAlgebra(dim, tuple(brackets), check=False)
     j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
     j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
     gens = [
@@ -480,7 +482,7 @@ def ref_lie_peiffer(mut, xms=None):
 
     P = LieAlgebra(
         len(free),
-        [[project(S.bracket(basis_vec(dim, a), basis_vec(dim, b))) for b in free] for a in free],
+        tuple(tuple(project(S.bracket(basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
         check=False,
     )
     proj = from_columns(S, P, [project(basis_vec(dim, c)) for c in range(dim)])
@@ -547,7 +549,7 @@ def coordinate_fields(mut, xms=None):
 def zero_base_xmods():
     """Two crossed modules abelian(2) -> 0: the universal map is 0 x 4."""
     Z, A = abelian(0), abelian(2)
-    xm = LieCrossedModule(LieMap(A, Z, []), trivial_lie_action(Z, A))
+    xm = LieCrossedModule(LieMap(A, Z, ()), trivial_lie_action(Z, A))
     return xm, xm
 
 
@@ -604,10 +606,10 @@ def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
 def test_lie_checks_raise_lie_error():
     # the Lie side shares groups.Diagnosis but keeps its own exception
     with pytest.raises(LieError, match="Lie axioms failed: antisymmetry fails"):
-        LieAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]])
+        LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]))
     L = solvable2()
     with pytest.raises(LieError, match="Lie homomorphism failed"):
-        LieMap(L, L, [[0, 0], [0, 2]]).check().expect("Lie homomorphism", LieError)
+        LieMap(L, L, mat([[0, 0], [0, 2]])).check().expect("Lie homomorphism", LieError)
     with pytest.raises(LieError, match="Lie action axioms failed"):
         lie_action_from_dict({"rho": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}, acting=L, target=L)
 
@@ -744,10 +746,10 @@ def full_validate_lie(L):
 def test_sorted_jacobi_matches_full_oracle(n, data):
     # random antisymmetric constants: Lie up to dim 2, mostly not Lie above
     upper = {(i, j): data.draw(fraction_rows(1, n))[0] for i in range(n) for j in range(i + 1, n)}
-    brackets = [
-        [upper[i, j] if i < j else vscale(-1, upper[j, i]) if i > j else zero_vec(n) for j in range(n)]
+    brackets = tuple(
+        tuple(upper[i, j] if i < j else vscale(-1, upper[j, i]) if i > j else zero_vec(n) for j in range(n))
         for i in range(n)
-    ]
+    )
     L = LieAlgebra(n, brackets, check=False)
     assert validate_lie(L) == full_validate_lie(L)
 
@@ -894,7 +896,7 @@ def test_xmod_check_matches_loop_oracle(A, data):
     else:
         d, rho = zero_mat(A.dim, X.dim), zero_action(A, X)
     d, *rho = data.draw(nudged((d,) + rho))
-    xm = LieCrossedModule(LieMap(X, A, d), LieAction(A, X, rho))
+    xm = LieCrossedModule(LieMap(X, A, d), LieAction(A, X, tuple(rho)))
     same_diagnosis(check_lie_xmod(xm), ref_check_lie_xmod(xm))
 
 
@@ -902,7 +904,7 @@ def test_peiffer_witness_in_the_first_column():
     # solvable2 -> abelian(1) by e0 -> 1, e1 -> 0, acted on through ad(e0): a
     # crossed module but for rho(d e1) = 0, whose column 0 misses [e1, e0] = -e1
     L = solvable2()
-    xm = LieCrossedModule(LieMap(L, abelian(1), [[1, 0]]), LieAction(abelian(1), L, [L.ad(basis_vec(2, 0))]))
+    xm = LieCrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (L.ad(basis_vec(2, 0)),)))
     want = Diagnosis(False, "Peiffer identity fails", (1, 0, fracs(0, 1)))
     assert check_lie_xmod(xm) == want == ref_check_lie_xmod(xm)
 
