@@ -5,6 +5,7 @@ any index; imported tables are used as-is, without re-indexing.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import wraps
 from itertools import product as iproduct
@@ -38,6 +39,12 @@ def _is_index(v, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _bounded(v):
+    """v for a witness: itself if it is an int or reprlib shows it whole, else reprlib's short form."""
+    short = reprlib.repr(v)
+    return v if isinstance(v, int) or "..." not in short else short
+
+
 def _first_difference(u, v) -> int:
     """The first index at which two rows of equal length differ."""
     return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
@@ -59,7 +66,7 @@ def _axioms(table, check: bool):
                 return Diagnosis(False, "table is not square", (i,))
             for j, v in enumerate(row):
                 if not _is_index(v, n):
-                    return Diagnosis(False, "entry out of range", (i, j, v))
+                    return Diagnosis(False, "entry out of range", (i, j, _bounded(v)))
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -172,7 +179,7 @@ class Hom:
             return Diagnosis(False, "map length does not match the domain order", (len(mp),))
         for x, v in enumerate(mp):
             if not _is_index(v, self.cod.order):
-                return Diagnosis(False, "map value out of range", (x, v))
+                return Diagnosis(False, "map value out of range", (x, _bounded(v)))
         if mp[self.dom.identity] != self.cod.identity:
             return Diagnosis(False, "identity not preserved", (self.dom.identity,))
         for a in range(self.dom.order):

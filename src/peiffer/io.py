@@ -9,6 +9,7 @@ and writes them.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import reprlib
@@ -25,18 +26,22 @@ MAX_LIE_DIM = 16  # bound on a loaded dim; b5 has dim 15, the benchmark's b3 dim
 # "p" or "p/q" in decimal digits with an optional sign.  Fraction() would also
 # take "1e200000" (a 200,001-digit integer), "0.5", "1_0" and " 1 "; the digit
 # bound is CPython's default limit on int() of a string.
-_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
+_RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 def _frac(v) -> Fraction:
+    """v as a Fraction, built from the digits the grammar has matched; every zero is ZERO."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, str) and _RATIONAL.fullmatch(v) or isinstance(v, int) and not isinstance(v, bool):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):  # "1/0", or past a lowered int() digit limit
-            pass
-    raise LieError(f"not an exact rational: {reprlib.repr(v)}")
+    p = q = 0
+    if isinstance(v, int) and not isinstance(v, bool):
+        p, q = v, 1
+    elif isinstance(v, str) and (m := _RATIONAL.fullmatch(v)):
+        with contextlib.suppress(ValueError):  # past a lowered int() digit limit
+            p, q = int(m[1]), int(m[2] or 1)
+    if not q:  # "1/0", "0/0" and everything refused above
+        raise LieError(f"not an exact rational: {reprlib.repr(v)}")
+    return Fraction(p, q) if p else ZERO
 
 
 def vec(values) -> tuple:
@@ -54,9 +59,9 @@ def int_entries(values, what: str, error=GroupError) -> tuple:
     strings.
     """
     values = tuple(values)
-    for v in values:
+    for k, v in enumerate(values):
         if not isinstance(v, int) or isinstance(v, bool):
-            raise error(f"{what}: {v!r} is not an integer")
+            raise error(f"{what}: {reprlib.repr(v)} at index {k} is not an integer")
     return values
 
 
@@ -142,7 +147,7 @@ def parse_action(d, acting: FiniteGroup | None = None,
     acting = _given_or_inline(d, "acting", acting, group_from_dict, "group", GroupError)
     target = _given_or_inline(d, "target", target, group_from_dict, "group", GroupError)
     rows = nested_lists(d["table"], 2, "table", GroupError)
-    table = tuple(int_entries(row, "action table") for row in rows)
+    table = tuple(int_entries(row, f"action table row {i}") for i, row in enumerate(rows))
     return Action(acting, target, table), check_action_table(acting, target, table)
 
 
@@ -199,7 +204,7 @@ def lie_to_dict(L: LieAlgebra) -> dict:
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             coeffs = L.brackets[i][j]
-            if any(c != 0 for c in coeffs):
+            if any(coeffs):
                 entries.append({"i": i, "j": j, "coeffs": [str(c) for c in coeffs]})
     d = {"dim": L.dim, "brackets": entries}
     if L.name:
@@ -233,7 +238,7 @@ def lie_from_dict(d) -> LieAlgebra:
         # fill the antisymmetric partner unless the file lists it itself; a
         # listed partner that is not the negative fails antisymmetry below
         if (j, i) not in given:
-            brackets[j][i] = tuple(-c for c in coeffs)
+            brackets[j][i] = tuple(-c if c else c for c in coeffs)
     return LieAlgebra(n, tuple(map(tuple, brackets)), name=d.get("name"))
 
 

@@ -3,13 +3,15 @@
 Mirrors the group-side pipeline: mutual actions by derivations, the two
 compatibility equations, the semidirect sum, and the Peiffer quotient with
 its crossed-module structures and universal map.  All data are tuples of
-Fractions; no floating point anywhere.  The constructors keep what they are
-given, and peiffer.io turns the rationals of a file into Fractions.
+Fractions, kept as given; peiffer.io turns the rationals of a file into them.
+The checks compute exactly on integer numerators over one common denominator
+per action or map, and only a witness goes back to Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .groups import VALID, Diagnosis
 
@@ -27,7 +29,8 @@ def zero_vec(n: int) -> tuple:
 
 
 # The kernels below skip every product with a zero factor and every sum with
-# a zero term.  That changes no exact value, and Lie data are mostly zeros.
+# a zero term: no exact value changes, and Lie data are mostly zeros.  mat_mul,
+# combination and the sums take their zero from their operands, Fraction or int.
 
 def vadd(u, v):
     return tuple(a + b if a and b else a or b for a, b in zip(u, v))
@@ -53,10 +56,6 @@ def identity_mat(n: int) -> tuple:
     )
 
 
-def _accumulate(acc: list, k: int, x) -> None:
-    acc[k] = acc[k] + x if acc[k] else x
-
-
 def mat_vec(A, v) -> tuple:
     terms = [(k, x) for k, x in enumerate(v) if x]
     out = [ZERO] * len(A)
@@ -64,22 +63,37 @@ def mat_vec(A, v) -> tuple:
         for k, x in terms:
             a = row[k]
             if a:
-                _accumulate(out, i, a * x)
+                out[i] = out[i] + a * x if out[i] else a * x
     return tuple(out)
 
 
 def mat_mul(A, B) -> tuple:
     cols = len(B[0]) if B else 0
+    zero = B[0][0] * 0 if cols else ZERO
     out = []
     for row in A:
-        acc = [ZERO] * cols
+        acc = [zero] * cols
         for k, a in enumerate(row):
             if a:
                 for j, b in enumerate(B[k]):
                     if b:
-                        _accumulate(acc, j, a * b)
+                        acc[j] = acc[j] + a * b if acc[j] else a * b
         out.append(tuple(acc))
     return tuple(out)
+
+
+def combination(mats, coeffs, n: int) -> tuple:
+    """sum_k coeffs[k] mats[k] over n x n matrices; mats[k] itself when coeffs is basis vector k."""
+    terms = [(m, c) for m, c in zip(mats, coeffs) if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    out = [[coeffs[0] * 0 if coeffs else ZERO] * n for _ in range(n)]
+    for m, c in terms:
+        for acc, row in zip(out, m):
+            for j, x in enumerate(row):
+                if x:
+                    acc[j] = acc[j] + c * x if acc[j] else c * x
+    return tuple(map(tuple, out))
 
 
 def mat_add(A, B) -> tuple:
@@ -98,17 +112,26 @@ def column(A, j) -> tuple:
     return tuple(row[j] for row in A)
 
 
-def _disagreement(A, B, first=0):
-    """The first column j >= first where matrices A and B differ, with column j of A - B.
+def _scaled(mats) -> tuple:
+    """(D, mats with every entry times D as an int), D the entries' least common denominator."""
+    D = lcm(*(x.denominator for m in mats for row in m for x in row))
+    return D, tuple(tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in m) for m in mats)
 
+
+def _disagreement(A, B, first, a, b):
+    """The first column j >= first where A/a and B/b differ, with column j of A/a - B/b.
+
+    A and B are integer matrices over the scales a and b, compared as A b = B a;
     None when they agree on every such column.  Every Lie check below is one
-    such matrix identity, and the column found is its witness.
+    such matrix identity, and the column found, in Fractions, is its witness.
     """
-    cols = [j for a, b in zip(A, B) if a != b for j in range(first, len(a)) if a[j] != b[j]]
+    if a != b:
+        A, B, a = tuple(tuple(x * b for x in r) for r in A), tuple(tuple(x * a for x in r) for r in B), a * b
+    cols = [j for r, s in zip(A, B) if r != s for j in range(first, len(r)) if r[j] != s[j]]
     if not cols:
         return None
     j = min(cols)
-    return j, tuple(a[j] - b[j] for a, b in zip(A, B))
+    return j, tuple(Fraction(r[j] - s[j], a) for r, s in zip(A, B))
 
 
 def basis_vec(n: int, i: int) -> tuple:
@@ -146,10 +169,6 @@ def reduce_mod(basis_rows, pivots, v):
         if v[c] != 0:
             v = vsub(v, vscale(v[c], row))
     return v
-
-
-def in_span(basis_rows, pivots, v) -> bool:
-    return all(x == 0 for x in reduce_mod(basis_rows, pivots, v))
 
 
 class LieAlgebra:
@@ -207,16 +226,17 @@ def validate_lie(L: LieAlgebra) -> Diagnosis:
     agree and the first failing triple in lexicographic order is sorted:
     pairs i < j and columns k > j suffice.
     """
-    n = L.dim
+    n, (D, ad) = L.dim, L.adjoint.scaled
     for i in range(n):
         for j in range(n):
-            resid = vadd(L.brackets[i][j], L.brackets[j][i])
+            resid = vadd(column(ad[i], j), column(ad[j], i))
             if any(resid):
-                return Diagnosis(False, "antisymmetry fails", (i, j, resid))
-    ad = L.adjoint.rho
+                return Diagnosis(False, "antisymmetry fails", (i, j, tuple(Fraction(x, D) for x in resid)))
     for i in range(n):
         for j in range(i + 1, n):
-            bad = _disagreement(mat_commutator(ad[i], ad[j]), L.ad(L.brackets[i][j]), j + 1)
+            # both sides are over D^2: [e_i, e_j] is column j of ad[i] over D
+            rhs = combination(ad, column(ad[i], j), n)
+            bad = _disagreement(mat_commutator(ad[i], ad[j]), rhs, j + 1, D * D, D * D)
             if bad:
                 return Diagnosis(False, "Jacobi fails", (i, j) + bad)
     return VALID
@@ -235,6 +255,11 @@ class LieMap:
     def __call__(self, v) -> tuple:
         return mat_vec(self.matrix, v)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(D, (the matrix times D as ints,)), D the least common denominator."""
+        return _scaled((self.matrix,))
+
     def check(self) -> Diagnosis:
         """f ad(e_i) = ad(f e_i) f, whose column j is f[e_i, e_j] - [f e_i, f e_j].
 
@@ -242,9 +267,10 @@ class LieMap:
         first failing pair in lexicographic order has i < j: columns j > i
         suffice.
         """
-        f = self.matrix
-        for i, ad_i in enumerate(self.dom.adjoint.rho):
-            bad = _disagreement(mat_mul(f, ad_i), mat_mul(self.cod.ad(column(f, i)), f), i + 1)
+        (s, (F,)), (a, ad), (c, cod_ad) = self.scaled, self.dom.adjoint.scaled, self.cod.adjoint.scaled
+        for i, ad_i in enumerate(ad):
+            rhs = mat_mul(combination(cod_ad, column(F, i), self.cod.dim), F)
+            bad = _disagreement(mat_mul(F, ad_i), rhs, i + 1, s * a, s * s * c)
             if bad:
                 return Diagnosis(False, "bracket not preserved", (i,) + bad)
         return VALID
@@ -281,19 +307,14 @@ class LieAction:
     def check(self) -> Diagnosis:
         return check_lie_action(self)
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """(D, rho times D as ints), D the least common denominator."""
+        return _scaled(self.rho)
+
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
-        terms = [(self.rho[a], c) for a, c in enumerate(u) if c]
-        if len(terms) == 1 and terms[0][1] == 1:
-            return terms[0][0]
-        n = self.target.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for m, c in terms:
-            for acc, row in zip(out, m):
-                for j, x in enumerate(row):
-                    if x:
-                        _accumulate(acc, j, c * x)
-        return tuple(tuple(acc) for acc in out)
+        return combination(self.rho, u, self.target.dim)
 
     def __call__(self, u, x) -> tuple:
         return mat_vec(self.of(u), x)
@@ -319,16 +340,18 @@ def check_lie_action(act: LieAction) -> Diagnosis:
     two indices and zero when they agree, so the first failing pair in
     lexicographic order is increasing: pairs a < b and columns j > i suffice.
     """
-    A, X = act.acting, act.target
-    rho, ad = act.rho, X.adjoint.rho
+    A, n = act.acting, act.target.dim
+    (r, rho), (s, acting_ad), (x, ad) = act.scaled, A.adjoint.scaled, act.target.adjoint.scaled
     for a in range(A.dim):
         for b in range(a + 1, A.dim):
-            if _disagreement(act.of(A.brackets[a][b]), mat_commutator(rho[a], rho[b])):
+            lhs = combination(rho, column(acting_ad[a], b), n)
+            if _disagreement(lhs, mat_commutator(rho[a], rho[b]), 0, s * r, r * r):
                 return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
     for a, R in enumerate(rho):
         for i, ad_i in enumerate(ad):
-            rhs = mat_add(X.ad(column(R, i)), mat_mul(ad_i, R))
-            bad = _disagreement(mat_mul(R, ad_i), rhs, i + 1)
+            # all three terms are over r x
+            rhs = mat_add(combination(ad, column(R, i), n), mat_mul(ad_i, R))
+            bad = _disagreement(mat_mul(R, ad_i), rhs, i + 1, r * x, r * x)
             if bad:
                 return Diagnosis(False, "rho(a) is not a derivation", (a, i, bad[0]))
     return VALID
@@ -388,10 +411,11 @@ def lie_compatible(mut: LieMutualActions) -> Diagnosis:
     """
     # (C2) is (C1) for the swapped pair, with the same witness layout
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
-        nm, mn = pair.rho_nm, pair.rho_mn
-        for i, ad_i in enumerate(pair.M.adjoint.rho):
-            for j, R in enumerate(nm.rho):
-                bad = _disagreement(nm.of(column(mn.rho[i], j)), mat_commutator(ad_i, R))
+        (p, nm), (q, mn), (a, ad) = pair.rho_nm.scaled, pair.rho_mn.scaled, pair.M.adjoint.scaled
+        for i, ad_i in enumerate(ad):
+            for j, R in enumerate(nm):
+                lhs = combination(nm, column(mn[i], j), pair.M.dim)
+                bad = _disagreement(lhs, mat_commutator(ad_i, R), 0, q * p, a * p)
                 if bad:
                     return Diagnosis(False, reason, (i, j) + bad)
     return VALID
@@ -421,17 +445,17 @@ def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
     Column i of the second identity is the equivariance witness and column j
     of the third the Peiffer one.
     """
-    X, A = xm.X, xm.A
-    d, rho = xm.boundary.matrix, xm.action
     diag = xm.boundary.check()
     if not diag.ok:
         return diag
-    for a, ad_a in enumerate(A.adjoint.rho):
-        bad = _disagreement(mat_mul(d, rho.rho[a]), mat_mul(ad_a, d))
+    (e, (d,)), (r, rho) = xm.boundary.scaled, xm.action.scaled
+    (a, A_ad), (x, X_ad) = xm.A.adjoint.scaled, xm.X.adjoint.scaled
+    for k, ad_k in enumerate(A_ad):
+        bad = _disagreement(mat_mul(d, rho[k]), mat_mul(ad_k, d), 0, e * r, a * e)
         if bad:
-            return Diagnosis(False, "boundary is not equivariant", (a,) + bad)
-    for i, ad_i in enumerate(X.adjoint.rho):
-        bad = _disagreement(rho.of(column(d, i)), ad_i)
+            return Diagnosis(False, "boundary is not equivariant", (k,) + bad)
+    for i, ad_i in enumerate(X_ad):
+        bad = _disagreement(combination(rho, column(d, i), xm.X.dim), ad_i, 0, e * r, x)
         if bad:
             return Diagnosis(False, "Peiffer identity fails", (i,) + bad)
     return VALID
@@ -581,29 +605,15 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
     acts as zero, which is checked exactly.
     """
     mut = pp.source
-    M, N = mut.M, mut.N
-    dm = M.dim
-
-    def act_on_m(v):
-        return mat_add(M.ad(v[:dm]), mut.rho_nm.of(v[dm:]))
-
-    def act_on_n(v):
-        return mat_add(N.ad(v[dm:]), mut.rho_mn.of(v[:dm]))
-
+    # basis vector k of M + N acts on M as on_m[k] and on N as on_n[k]
+    on_m, on_n = mut.M.adjoint.rho + mut.rho_nm.rho, mut.rho_mn.rho + mut.N.adjoint.rho
+    sides = ((on_m, mut.M, "M"), (on_n, mut.N, "N"))
     for row in pp.ideal_rows:
-        for builder, tag in ((act_on_m, "M"), (act_on_n, "N")):
-            mtx = builder(row)
-            if any(x != 0 for r in mtx for x in r):
-                raise LieError(
-                    f"induced action on {tag} is not well defined, witness={row}"
-                )
-    # representative k is basis vector k of M + N
-    on_m, on_n = M.adjoint.rho + mut.rho_nm.rho, mut.rho_mn.rho + N.adjoint.rho
-    rho_on_m = tuple(on_m[k] for k in pp.reps)
-    rho_on_n = tuple(on_n[k] for k in pp.reps)
+        for mats, X, tag in sides:
+            if any(x != 0 for r in combination(mats, row, X.dim) for x in r):
+                raise LieError(f"induced action on {tag} is not well defined, witness={row}")
     # once the ideal acts as zero both are Lie homs into derivations
-    P = pp.algebra
-    return LieAction(P, M, rho_on_m), LieAction(P, N, rho_on_n)
+    return tuple(LieAction(pp.algebra, X, tuple(mats[k] for k in pp.reps)) for mats, X, _ in sides)
 
 
 def lie_peiffer_xmods(pp: LiePeifferProduct) -> tuple[LieCrossedModule, LieCrossedModule]:

@@ -11,6 +11,7 @@ workloads, drawn the same way from the same seeds.
 """
 import random
 from fractions import Fraction
+from functools import cache
 
 from peiffer.io import mat
 
@@ -82,7 +83,11 @@ def sparse_b3(seed):
     return transport(upper_triangular(3), signed_permutation(6, random.Random(f"lie_b3:{seed}")))
 
 
+@cache
+def _dense_base():
+    return transport(upper_triangular(3), DENSE_BASIS)
+
+
 def dense_b3(seed):
     """b3 on the dense rational basis of the lie_dense workload at seed."""
-    base = transport(upper_triangular(3), DENSE_BASIS)
-    return transport(base, signed_permutation(6, random.Random(f"lie_dense:{seed}")))
+    return transport(_dense_base(), signed_permutation(6, random.Random(f"lie_dense:{seed}")))

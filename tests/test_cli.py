@@ -782,13 +782,33 @@ def test_deep_nesting_exits_2_without_a_traceback(tmp_path):
     for verb in ("validate", "lie-validate"):
         code, stdout = run_case({}, [verb, str(deep)])
         assert code == 2 and json.loads(stdout)["error"].startswith("RecursionError: ")
-    # a table entry nested 900 deep: the report echoes it as the witness,
-    # unless writing it runs out of stack first
+    # a table entry nested 900 deep: the witness shows it in a bounded form
+    # (test_a_deep_entry_is_reported_by_position_in_a_bounded_form)
     nested = tmp_path / "nested.json"
     nested.write_text('{"table": [[' + "[" * 900 + "]" * 900 + "]]}")
     code, stdout = run_case({}, ["validate", str(nested)])
     assert code == 2
     assert stdout.startswith(('{\n  "error": "RecursionError: ', '{\n  "reason": "entry out of range",'))
+
+
+@pytest.mark.parametrize("verb, data", [
+    ("validate", {"table": [[0, "DEEP"], [1, 0]]}),
+    ("check-action", {"acting": {"table": [[0]]}, "target": {"table": [[0]]}, "table": [["DEEP"]]}),
+    ("xmod-check", {"boundary": ["DEEP"], "action": {"table": [[0]]}, "dom": {"table": [[0]]},
+                    "cod": {"table": [[0]]}}),
+])
+def test_a_deep_entry_is_reported_by_position_in_a_bounded_form(tmp_path, verb, data):
+    # a 1.8 kB file with one entry nested 900 deep: the report names where it
+    # is and shows it by reprlib, not in full
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(data).replace('"DEEP"', "[" * 900 + "]" * 900))
+    code, stdout = run_case({}, [verb, str(path)])
+    assert code == 2 and len(stdout.encode()) < 1024
+    assert "[[[[[[[...]]]]]]]" in stdout and "RecursionError" not in stdout
+    if verb == "validate":
+        assert json.loads(stdout)["witness"] == [0, 1, "[[[[[[[...]]]]]]]"]
+    else:
+        assert "at index 0 is not an integer" in stdout
 
 
 def test_golden_transcript_covers_every_verb():

@@ -75,6 +75,16 @@ def test_hom_check_refuses_non_integer_values(bad):
         Hom(Z2, Z2, [0, bad]).check().expect("homomorphism axioms")
 
 
+def test_hom_check_bounds_an_echoed_value():
+    Z2 = cyclic(2)
+    deep, long = [[[[[[[[0]]]]]]]], "1" * 5000
+    assert Hom(Z2, Z2, [0, deep]).check().witness == (1, "[[[[[[[...]]]]]]]")
+    witness = Hom(Z2, Z2, [0, long]).check().witness
+    assert witness[0] == 1 and len(witness[1]) < 50
+    # an out-of-range int stays exact
+    assert Hom(Z2, Z2, [0, 10**100]).check().witness == (1, 10**100)
+
+
 def test_hom_check_tests_length_and_range_before_indexing():
     Z2, Z3 = cyclic(2), cyclic(3)
     assert Hom(Z3, Z2, (0, 1)).check().reason == (

@@ -11,6 +11,7 @@ from peiffer.compat import CompatWitness
 from peiffer.groups import GroupError
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import (
+    ZERO,
     LieAction,
     LieAlgebra,
     LieCrossedModule,
@@ -143,8 +144,15 @@ def test_lie_load_reads_p_and_p_over_q(text, value):
     assert pio.lie_from_dict(lie_data((0, 1, ["0", text]))).brackets[0][1] == (Fraction(0), value)
 
 
+def test_lie_load_reads_every_zero_as_one_shared_fraction():
+    d = {"dim": 6, "brackets": [{"i": 0, "j": 1, "coeffs": [0, "0", "-0", "+0/7", "000/1", "1/2"]}]}
+    brackets = pio.lie_from_dict(d).brackets
+    assert all(c is ZERO for c in brackets[0][1][:5]) and brackets[0][1][5] == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("text", [
     "1e200000", "1E2", "0.5", "1.", "1_0", " 1", "1 ", "1/2.0", "3/-4", "1/ 2", "nan", "inf", "", "/", "\u0661",
+    "1/0", "0/0", "-0/00",
 ])
 def test_lie_load_refuses_every_other_rational_string(text):
     with pytest.raises(LieError, match="not an exact rational"):

@@ -17,6 +17,7 @@ from peiffer.lie import (
     basis_vec,
     check_lie_action,
     check_lie_xmod,
+    combination,
     identity_lie_map,
     identity_mat,
     lie_compatible,
@@ -32,7 +33,6 @@ from peiffer.lie import (
     mat_vec,
     reduce_mod,
     rref,
-    in_span,
     trivial_lie_action,
     validate_lie,
     vadd,
@@ -109,6 +109,10 @@ def test_validate_rejects_jacobi():
     d = validate_lie(bad)
     assert not d.ok and d.reason == "Jacobi fails"
     assert d.witness == (0, 1, 2, fracs(0, 0, 1))
+
+
+def in_span(basis_rows, pivots, v) -> bool:
+    return all(x == 0 for x in reduce_mod(basis_rows, pivots, v))
 
 
 def test_rref_and_span():
@@ -711,6 +715,25 @@ def test_sparse_kernels_match_dense_oracle(r, k, c, data):
     for got, want in pairs:
         assert got == want
         assert all_fractions(got)
+
+
+@given(size, size, size, st.data())
+def test_kernels_on_integer_numerators_match_the_fraction_kernels(r, k, c, data):
+    # the checks run the same kernels on the integer forms: ints in, ints out,
+    # and the product of two forms over scales a and b is the product over a b
+    A, B = data.draw(fraction_rows(r, k)), data.draw(fraction_rows(k, c))
+    u = data.draw(fraction_rows(1, r))[0]
+    rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
+    act = LieAction(abelian(r), abelian(k), rho)
+    a, (A_int,) = LieMap(abelian(k), abelian(r), A).scaled
+    b, (B_int,) = LieMap(abelian(c), abelian(k), B).scaled
+    (s, rho_int), (t, ((u_int,),)) = act.scaled, LieMap(abelian(r), abelian(1), (u,)).scaled
+    cases = [(mat_mul(A_int, B_int), a * b, mat_mul(A, B))]
+    if r:  # with no terms a combination has no operand to take its zero from
+        cases.append((combination(rho_int, u_int, k), s * t, act.of(u)))
+    for got, scale, want in cases:
+        assert all(type(x) is int for row in got for x in row)
+        assert tuple(tuple(Fraction(x, scale) for x in row) for row in got) == want
 
 
 def test_action_of_basis_vector_is_the_stored_matrix():

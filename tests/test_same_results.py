@@ -170,7 +170,7 @@ def lie_cases() -> dict:
     for seed in range(4):
         cases[f"b3-dense-{seed}"] = (lie_files(dense_b3(seed)), None)
     cases["b4"] = (lie_files(upper_triangular(4)), None)
-    B = dense_b3(0)
+    B = dense_b3(0)  # the base of every broken case
     n = len(B)
     ad = [[[B[a][j][i] for j in range(n)] for i in range(n)] for a in range(n)]
     zero = [[[0] * n for _ in range(n)] for _ in range(n)]
