@@ -12,6 +12,7 @@ from .groups import (
     GroupError,
     Hom,
     VALID,
+    _bounded,
     _built_group,
     _greedy_generators,
     _is_index,
@@ -50,10 +51,10 @@ def check_action_table(acting: FiniteGroup, target: FiniteGroup, table) -> Diagn
     """
     if len(table) != acting.order or any(len(row) != target.order for row in table):
         return Diagnosis(False, "table dimensions do not match the groups", ())
-    for row in table:
-        for v in row:
+    for a, row in enumerate(table):
+        for x, v in enumerate(row):
             if not _is_index(v, target.order):
-                return Diagnosis(False, "entry out of range", (v,))
+                return Diagnosis(False, "entry out of range", (a, x, _bounded(v)))
     e = acting.identity
     for x in range(target.order):
         if table[e][x] != x:
@@ -66,10 +67,9 @@ def check_action_table(acting: FiniteGroup, target: FiniteGroup, table) -> Diagn
             for x in range(target.order):
                 if table[ab][x] != table[a][table[b][x]]:
                     return Diagnosis(False, "composition axiom fails", (a, b, x))
+    # unit and composition make row(a) o row(a^-1) the identity: every row is a bijection
     for a in range(acting.order):
         row = table[a]
-        if len(set(row)) != target.order:
-            return Diagnosis(False, "row is not a bijection", (a,))
         for x in range(target.order):
             for y in range(target.order):
                 if row[target.table[x][y]] != target.table[row[x]][row[y]]:
@@ -226,23 +226,20 @@ def semidirect(psi: Action, cap: int = DEFAULT_SEMIDIRECT_CAP) -> SemidirectData
     return SemidirectData(G, jX, jA, pi, psi)
 
 
+def _conjugation_rows(incl: Hom, elements) -> tuple:
+    """Conjugation by each of elements on the subgroup incl(K) of G, in K's indices."""
+    G, back = incl.cod, {v: i for i, v in enumerate(incl.mapping)}
+    try:
+        return tuple(tuple([back[G.conj(g, v)] for v in incl.mapping]) for g in elements)
+    except KeyError:
+        raise GroupError("conjugate leaves the subgroup") from None
+
+
 def point_to_action(pt: Point) -> tuple[Action, Hom]:
     """The action of the base on the kernel, plus the kernel inclusion."""
     p, s = pt.p, pt.s
-    G, B = p.dom, p.cod
-    K, incl = subgroup_group(G, p.kernel())
-    back = {incl(i): i for i in range(K.order)}
-    table = []
-    for b in range(B.order):
-        sb = s(b)
-        row = []
-        for i in range(K.order):
-            v = G.conj(sb, incl(i))
-            if v not in back:
-                raise GroupError("conjugate leaves the kernel")
-            row.append(back[v])
-        table.append(tuple(row))
-    return Action(B, K, table), incl
+    K, incl = subgroup_group(p.dom, p.kernel())
+    return Action(p.cod, K, _conjugation_rows(incl, s.mapping)), incl
 
 
 def enumerate_actions(acting: FiniteGroup, target: FiniteGroup) -> list[Action]:

@@ -26,7 +26,6 @@ from .lie import (
     lie_universal_map,
 )
 from .product import (
-    NotWellDefined,
     peiffer_product,
     peiffer_xmods,
     strong_relation_check,
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
         report, code = VERBS[args.verb][1](args)
         print(pio.dump_json(report, args.out))
         return code
-    except (GroupError, LieError, NotWellDefined) as exc:
+    except (GroupError, LieError) as exc:
         error = str(exc)
     except (OSError, KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         error = f"{type(exc).__name__}: {exc}"

@@ -437,17 +437,17 @@ def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
 DEFAULT_SEARCH_CAP = 64
 
 
-def automorphisms(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP) -> list[Hom]:
+def automorphisms(G: FiniteGroup) -> list[Hom]:
     """All automorphisms of G, sorted by their map for a stable indexing."""
-    if G.order > cap:
-        raise GroupError(f"cap exceeded: order {G.order} > {cap}")
+    if G.order > DEFAULT_SEARCH_CAP:
+        raise GroupError(f"cap exceeded: order {G.order} > {DEFAULT_SEARCH_CAP}")
     found = sorted(_hom_search(G, G, eq, bijective=True))
     return [Hom(G, G, phi) for phi in found]
 
 
-def aut_group(G: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP):
+def aut_group(G: FiniteGroup):
     """Aut(G) as a FiniteGroup over the sorted automorphism list."""
-    auts = automorphisms(G, cap=cap)
+    auts = automorphisms(G)
     index = {a.mapping: i for i, a in enumerate(auts)}
     table = [
         [index[tuple(a.mapping[v] for v in b.mapping)] for b in auts] for a in auts

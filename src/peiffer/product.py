@@ -28,7 +28,7 @@ from .groups import (
     _first_difference,
     quotient,  # noqa: F401 -- unused; perfbench's wrapper self-test asserts this binding
 )
-from .xmod import CrossedModule
+from .xmod import CrossedModule, induced_mutual_actions
 
 
 class NotWellDefined(GroupError):
@@ -90,9 +90,9 @@ def _relators(mut: MutualActions) -> set[int]:
     }
 
 
-def peiffer_relators(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP):
+def peiffer_relators(mut: MutualActions):
     """The semidirect product along xi_nm and the sorted relator set."""
-    return semidirect(mut.xi_nm, cap=cap), tuple(sorted(_relators(mut)))
+    return semidirect(mut.xi_nm), tuple(sorted(_relators(mut)))
 
 
 def _relator_subgroup(mut: MutualActions) -> list[tuple[int, int]]:
@@ -238,8 +238,6 @@ def universal_map(pp: PeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) 
     Precondition: the crossed modules live over a common base L and the
     mutual actions they induce equal the source pair of pp.
     """
-    from .xmod import induced_mutual_actions
-
     mut = pp.source
     if xm_m.X != mut.M or xm_n.X != mut.N:
         raise GroupError("crossed modules are not over M and N")

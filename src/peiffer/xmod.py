@@ -1,9 +1,9 @@
 """Crossed modules of finite groups and the actions they induce."""
 from __future__ import annotations
 
-from .actions import Action, conjugation_action, pullback_action
+from .actions import Action, _conjugation_rows, conjugation_action, pullback_action
 from .compat import MutualActions
-from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_difference, is_normal
+from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_difference, identity_hom, is_normal
 
 
 class CrossedModule:
@@ -46,17 +46,10 @@ def inclusion_xmod(G: FiniteGroup, incl: Hom) -> CrossedModule:
         raise GroupError("expected an injective map into G")
     if not is_normal(G, incl.image()):
         raise GroupError("image is not a normal subgroup")
-    back = {incl(i): i for i in range(incl.dom.order)}
-    table = tuple(
-        tuple(back[G.conj(g, incl(i))] for i in range(incl.dom.order))
-        for g in range(G.order)
-    )
-    return CrossedModule(incl, Action(G, incl.dom, table))
+    return CrossedModule(incl, Action(G, incl.dom, _conjugation_rows(incl, range(G.order))))
 
 
 def identity_xmod(G: FiniteGroup) -> CrossedModule:
-    from .groups import identity_hom
-
     return CrossedModule(identity_hom(G), conjugation_action(G))
 
 

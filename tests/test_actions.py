@@ -34,6 +34,14 @@ def test_action_check_refuses_non_integer_entries(row):
         Action(Z2, Z2, [[0, 1], row]).check().expect("action axioms")
 
 
+def test_action_check_reports_an_out_of_range_entry_by_position_in_a_bounded_form():
+    assert Action(Z2, Z2, [[0, 1], [5, 0]]).check().witness == (1, 0, 5)
+    deep = [0]
+    for _ in range(900):
+        deep = [deep]
+    assert Action(Z2, Z2, [[0, 1], [deep, 0]]).check().witness == (1, 0, "[[[[[[[...]]]]]]]")
+
+
 def test_action_without_check_keeps_its_rows():
     rows = ((0, 1, 2), (0, 2, 1))
     act = Action(Z2, Z3, rows)
@@ -152,6 +160,16 @@ def test_point_to_action_round_trip():
         for a in range(psi.acting.order):
             for x in range(psi.target.order):
                 assert back.table[a][relabel[x]] == relabel[psi.table[a][x]]
+
+
+def test_point_to_action_refuses_a_p_that_is_no_hom():
+    # "kernel" {e, (12)}, which is not normal, and a section through a 3-cycle
+    t = next(x for x in S3.elements() if S3.element_order(x) == 2)
+    c = next(x for x in S3.elements() if S3.element_order(x) == 3)
+    p = Hom(S3, Z2, [0 if x in (S3.identity, t) else 1 for x in S3.elements()])
+    s = Hom(Z2, S3, (S3.identity, c))
+    with pytest.raises(GroupError, match="conjugate leaves the subgroup"):
+        point_to_action(Point(p, s))
 
 
 def test_enumerate_actions_counts():

@@ -811,6 +811,42 @@ def test_a_deep_entry_is_reported_by_position_in_a_bounded_form(tmp_path, verb, 
         assert "at index 0 is not an integer" in stdout
 
 
+_L, _, _LIE_XM_M, _ = solvable_files(None)
+_ONE = LieAlgebra(1, mats([[[0]]]))
+_EMPTY = {"dim": 0, "brackets": []}
+
+
+# A file is a name from golden_inputs or the data to write.
+@pytest.mark.parametrize("verb, files, code, expected", [
+    pytest.param("validate", [{"table": []}], 2, "empty table", id="validate-empty-table"),
+    pytest.param("check-action", [{**pio.action_to_dict(trivial_action(Z2, Z3)), "table": [[0, 1, 2]]}],
+                 1, "table dimensions do not match the groups", id="check-action-too-few-rows"),
+    pytest.param("xmod-check", [{**pio.xmod_to_dict(identity_xmod(Z2)), "boundary": [1, 0]}], 2,
+                 "homomorphism axioms failed: identity not preserved, witness=(0,)", id="xmod-check-boundary-no-hom"),
+    pytest.param("lie-validate", [{"dim": 2, "brackets": [{"i": 0, "j": 2, "coeffs": ["0", "1"]}]}], 2,
+                 "bracket entry out of range", id="lie-validate-j-is-dim"),
+    pytest.param("lie-validate", [{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1", "0"]}]}], 2,
+                 "bracket entry out of range", id="lie-validate-coeffs-too-long"),
+    pytest.param("lie-check-action", [{**pio.lie_action_to_dict(adjoint_action(_L)), "rho": [[["0"]]]}], 2,
+                 "action matrices have the wrong shape", id="lie-check-action-rho-shape"),
+    pytest.param("lie-xmod-check", [{**pio.lie_xmod_to_dict(_LIE_XM_M), "boundary": [["1"]]}], 2,
+                 "matrix shape does not match the algebras", id="lie-xmod-check-boundary-shape"),
+    pytest.param("lie-induce-actions", ["lie_xm_m", pio.lie_xmod_to_dict(
+        LieCrossedModule(identity_lie_map(_ONE), adjoint_action(_ONE)))], 2,
+        "crossed modules have different base algebras", id="lie-induce-actions-different-bases"),
+    pytest.param("lie-universal-map", [*LIE_PAIR, "lie_xm_n", "lie_xm_m"], 2,
+                 "crossed modules are not over M and N", id="lie-universal-map-wrong-algebras"),
+    pytest.param("lie-peiffer", [_EMPTY, _EMPTY, {"rho": []}, {"rho": []}], 0,
+                 {"algebra": _EMPTY, "l_m": [], "l_n": []}, id="lie-peiffer-dim-0"),
+])
+def test_error_paths_that_inputs_reach(golden_paths, tmp_path, verb, files, code, expected):
+    argv = [verb] + [f if isinstance(f, str) else write(tmp_path, f"{k}.json", f) for k, f in enumerate(files)]
+    got, stdout = run_case(golden_paths, argv)
+    report = json.loads(stdout)
+    assert got == code
+    assert (report if code == 0 else report.get("error", report.get("reason"))) == expected
+
+
 def test_golden_transcript_covers_every_verb():
     assert len({argv[0] for argv in GOLDEN_CASES.values()}) == 20
     assert set(json.loads(GOLDEN.read_text())) == set(GOLDEN_CASES)

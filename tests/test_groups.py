@@ -236,6 +236,11 @@ def test_is_isomorphic_cap():
         is_isomorphic(big, big, cap=64)
 
 
+def test_automorphisms_cap():
+    with pytest.raises(GroupError, match="cap exceeded: order 65 > 64"):
+        automorphisms(cyclic(65))
+
+
 def test_automorphism_counts():
     assert len(automorphisms(cyclic(2))) == 1
     assert len(automorphisms(cyclic(3))) == 2
