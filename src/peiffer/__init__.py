@@ -39,10 +39,8 @@ from .product import (
 from .lie import (
     LieAction,
     LieAlgebra,
-    LieCrossedModule,
     LieError,
     LieMap,
-    LieMutualActions,
     check_lie_action,
     check_lie_xmod,
     lie_compatible,

@@ -17,7 +17,6 @@ from .compat import MutualActions, check_compatible
 from .groups import GroupError
 from .lie import (
     LieError,
-    LieMutualActions,
     lie_compatible,
     lie_peiffer,
     lie_peiffer_xmods,
@@ -51,23 +50,23 @@ def _check(arg, parse, fail_code=1):
     return (arg,), run
 
 
-def _pair(args, names, load, load_action, mutual):
+def _pair(args, names, load, load_action) -> MutualActions:
     """The mutual actions that args names; a path named twice is loaded once."""
     m, n, nm, mn = (getattr(args, name) for name in names)
     M = load(pio.load_json(m))
     N = M if n == m else load(pio.load_json(n))
     act_nm = load_action(pio.load_json(nm), acting=N, target=M)
     if mn == nm and M is N:
-        return mutual(act_nm, act_nm)
-    return mutual(act_nm, load_action(pio.load_json(mn), acting=M, target=N))
+        return MutualActions(act_nm, act_nm)
+    return MutualActions(act_nm, load_action(pio.load_json(mn), acting=M, target=N))
 
 
 def _group_pair(args) -> MutualActions:
-    return _pair(args, GROUP_PAIR, pio.group_from_dict, pio.action_from_dict, MutualActions)
+    return _pair(args, GROUP_PAIR, pio.group_from_dict, pio.action_from_dict)
 
 
-def _lie_pair(args) -> LieMutualActions:
-    return _pair(args, LIE_PAIR, pio.lie_from_dict, pio.lie_action_from_dict, LieMutualActions)
+def _lie_pair(args) -> MutualActions:
+    return _pair(args, LIE_PAIR, pio.lie_from_dict, pio.lie_action_from_dict)
 
 
 def _xmod_pair(args, load):
@@ -134,7 +133,7 @@ def _lie_peiffer(args):
 
 def _lie_induce_actions(args):
     mut = lie_induced_actions(*_xmod_pair(args, pio.lie_xmod_from_dict))
-    return {"rho_nm": {"rho": mut.rho_nm.rho}, "rho_mn": {"rho": mut.rho_mn.rho}}, 0
+    return {"rho_nm": {"rho": mut.xi_nm.rho}, "rho_mn": {"rho": mut.xi_mn.rho}}, 0
 
 
 def _lie_universal_map(args):

@@ -7,28 +7,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import Action, conjugation_action
-from .groups import FiniteGroup, GroupError, _first_difference
+from .groups import FiniteGroup, _first_difference
 
 M_SIDE = 0
 N_SIDE = 1
 
 
 class MutualActions:
-    """A pair of actions: N on M (xi_nm) and M on N (xi_mn)."""
+    """A pair of actions, N on M (xi_nm) and M on N (xi_mn), of groups or of Lie algebras."""
 
-    def __init__(self, xi_nm: Action, xi_mn: Action):
-        if xi_nm.acting != xi_mn.target or xi_mn.acting != xi_nm.target:
-            raise GroupError("mutual actions: groups do not match up")
+    def __init__(self, xi_nm, xi_mn):
+        self.M, self.N = xi_nm.target, xi_mn.target
+        if xi_nm.acting != self.N or xi_mn.acting != self.M:
+            raise self.M.error(f"mutual actions: {self.M.noun}s do not match up")
         self.xi_nm = xi_nm
         self.xi_mn = xi_mn
-
-    @property
-    def M(self) -> FiniteGroup:
-        return self.xi_nm.target
-
-    @property
-    def N(self) -> FiniteGroup:
-        return self.xi_mn.target
 
     def group(self, side: int) -> FiniteGroup:
         return self.M if side == M_SIDE else self.N
@@ -51,7 +44,7 @@ class MutualActions:
         return hash((self.xi_nm, self.xi_mn))
 
     def __repr__(self):
-        return f"MutualActions(|M|={self.M.order}, |N|={self.N.order})"
+        return f"MutualActions(M={self.M!r}, N={self.N!r})"
 
 
 def coproduct_eval(mut: MutualActions, letters, side: int, x: int) -> int:

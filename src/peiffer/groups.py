@@ -107,6 +107,10 @@ class FiniteGroup:
     the loaders check a table in full.
     """
 
+    # the error and the noun of the guards compat and xmod share with Lie algebras
+    error = GroupError
+    noun = "group"
+
     def __init__(self, table, name: str | None = None):
         found = _axioms(table, check=False)
         if isinstance(found, Diagnosis):

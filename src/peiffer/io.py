@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
-from .lie import ZERO, LieAction, LieAlgebra, LieCrossedModule, LieError, LieMap
+from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_xmod
 from .product import PeifferProduct
-from .xmod import CrossedModule
+from .xmod import CrossedModule, check_xmod
 
 MAX_LIE_DIM = 16  # bound on a loaded dim; b5 has dim 15, the benchmark's b3 dim 6
 # "p" or "p/q" in decimal digits with an optional sign.  Fraction() would also
@@ -101,6 +101,14 @@ def _given_or_inline(d: dict, key: str, given, load, noun: str, error):
     return given
 
 
+def _name(d: dict, error):
+    """d's name: a string, or None when d has none; any other JSON value is refused."""
+    name = d.get("name")
+    if name is not None and not isinstance(name, str):
+        raise error("name must be a string or null")
+    return name
+
+
 def group_to_dict(G: FiniteGroup) -> dict:
     d = {"order": G.order, "table": [list(row) for row in G.table]}
     if G.name:
@@ -124,7 +132,7 @@ def parse_group(d) -> tuple[FiniteGroup | None, Diagnosis]:
     order = d.get("order", len(table))
     if not isinstance(order, int) or isinstance(order, bool) or order != len(table):
         return None, Diagnosis(False, "declared order does not match the table")
-    return _built_group(table, *found, name=d.get("name")), VALID
+    return _built_group(table, *found, name=_name(d, GroupError)), VALID
 
 
 def group_from_dict(d) -> FiniteGroup:
@@ -175,7 +183,7 @@ def parse_xmod(d) -> tuple[CrossedModule, Diagnosis]:
     boundary = Hom(dom, cod, int_entries(mapping, "boundary"))
     boundary.check().expect("homomorphism axioms")
     xm = CrossedModule(boundary, action_from_dict(d["action"], acting=cod, target=dom))
-    return xm, xm.check()
+    return xm, check_xmod(xm)
 
 
 def xmod_from_dict(d) -> CrossedModule:
@@ -239,7 +247,7 @@ def lie_from_dict(d) -> LieAlgebra:
         # listed partner that is not the negative fails antisymmetry below
         if (j, i) not in given:
             brackets[j][i] = tuple(-c if c else c for c in coeffs)
-    return LieAlgebra(n, tuple(map(tuple, brackets)), name=d.get("name"))
+    return LieAlgebra(n, tuple(map(tuple, brackets)), name=_name(d, LieError))
 
 
 def lie_action_to_dict(a: LieAction) -> dict:
@@ -266,7 +274,7 @@ def lie_action_from_dict(d, acting: LieAlgebra | None = None,
     return _checked(parse_lie_action(d, acting, target), "Lie action axioms", LieError)
 
 
-def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
+def lie_xmod_to_dict(xm: CrossedModule) -> dict:
     return {
         "boundary": [[str(x) for x in row] for row in xm.boundary.matrix],
         "action": {"rho": [[[str(x) for x in row] for row in m] for m in xm.action.rho]},
@@ -275,7 +283,7 @@ def lie_xmod_to_dict(xm: LieCrossedModule) -> dict:
     }
 
 
-def parse_lie_xmod(d) -> tuple[LieCrossedModule, Diagnosis]:
+def parse_lie_xmod(d) -> tuple[CrossedModule, Diagnosis]:
     """The Lie crossed module d describes, with its action checked, and its Diagnosis.
 
     The crossed-module check starts with the hom check of the boundary.
@@ -285,11 +293,11 @@ def parse_lie_xmod(d) -> tuple[LieCrossedModule, Diagnosis]:
     dom = lie_from_dict(d["dom"])
     cod = dom if d["cod"] == d["dom"] else lie_from_dict(d["cod"])
     boundary = LieMap(dom, cod, mat(nested_lists(d["boundary"], 2, "boundary")))
-    xm = LieCrossedModule(boundary, lie_action_from_dict(d["action"], acting=cod, target=dom))
-    return xm, xm.check()
+    xm = CrossedModule(boundary, lie_action_from_dict(d["action"], acting=cod, target=dom))
+    return xm, check_lie_xmod(xm)
 
 
-def lie_xmod_from_dict(d) -> LieCrossedModule:
+def lie_xmod_from_dict(d) -> CrossedModule:
     return _checked(parse_lie_xmod(d), "Lie crossed module axioms", LieError)
 
 

@@ -1,6 +1,7 @@
 """Finite-dimensional Lie algebras over the rationals, with exact arithmetic.
 
-Mirrors the group-side pipeline: mutual actions by derivations, the two
+Mutual actions by derivations and crossed modules are the groups' own
+compat.MutualActions and xmod.CrossedModule; this module adds the two
 compatibility equations, the semidirect sum, and the Peiffer quotient with
 its crossed-module structures and universal map.  All data are tuples of
 Fractions, kept as given; peiffer.io turns the rationals of a file into them.
@@ -13,7 +14,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .compat import MutualActions
 from .groups import VALID, Diagnosis
+from .xmod import CrossedModule
 
 
 class LieError(ValueError):
@@ -180,6 +183,10 @@ class LieAlgebra:
     peiffer.io checks what it loads; the flag stays only because
     perfbench/test_perfbench.py passes it.
     """
+
+    # the error and the noun of the guards compat and xmod share with groups
+    error = LieError
+    noun = "algebra"
 
     def __init__(self, dim: int, brackets, name: str | None = None, check: bool = True):
         self.dim = dim
@@ -372,35 +379,7 @@ def pullback_lie_action(f: LieMap, act: LieAction) -> LieAction:
     return LieAction(f.dom, act.target, rho)
 
 
-class LieMutualActions:
-    """rho_nm: N acting on M; rho_mn: M acting on N."""
-
-    def __init__(self, rho_nm: LieAction, rho_mn: LieAction):
-        if rho_nm.acting != rho_mn.target or rho_mn.acting != rho_nm.target:
-            raise LieError("mutual actions: algebras do not match up")
-        self.rho_nm = rho_nm
-        self.rho_mn = rho_mn
-
-    @property
-    def M(self) -> LieAlgebra:
-        return self.rho_nm.target
-
-    @property
-    def N(self) -> LieAlgebra:
-        return self.rho_mn.target
-
-    def swapped(self) -> "LieMutualActions":
-        return LieMutualActions(self.rho_mn, self.rho_nm)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieMutualActions)
-            and self.rho_nm == other.rho_nm
-            and self.rho_mn == other.rho_mn
-        )
-
-
-def lie_compatible(mut: LieMutualActions) -> Diagnosis:
+def lie_compatible(mut: MutualActions) -> Diagnosis:
     """The two compatibility equations on basis triples.
 
     (C1): rho_NM(rho_MN(m) n) m' = [m, rho_NM(n) m'] - rho_NM(n) [m, m']
@@ -411,7 +390,7 @@ def lie_compatible(mut: LieMutualActions) -> Diagnosis:
     """
     # (C2) is (C1) for the swapped pair, with the same witness layout
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
-        (p, nm), (q, mn), (a, ad) = pair.rho_nm.scaled, pair.rho_mn.scaled, pair.M.adjoint.scaled
+        (p, nm), (q, mn), (a, ad) = pair.xi_nm.scaled, pair.xi_mn.scaled, pair.M.adjoint.scaled
         for i, ad_i in enumerate(ad):
             for j, R in enumerate(nm):
                 lhs = combination(nm, column(mn[i], j), pair.M.dim)
@@ -421,25 +400,7 @@ def lie_compatible(mut: LieMutualActions) -> Diagnosis:
     return VALID
 
 
-class LieCrossedModule:
-    """A boundary map X -> A equivariant for an action of A on X."""
-
-    def __init__(self, boundary: LieMap, action: LieAction):
-        if boundary.dom != action.target or boundary.cod != action.acting:
-            raise LieError("crossed module: boundary and action do not match")
-        self.boundary = boundary
-        self.action = action
-        self.X = boundary.dom
-        self.A = boundary.cod
-
-    def check(self) -> Diagnosis:
-        return check_lie_xmod(self)
-
-    def __repr__(self):
-        return f"LieCrossedModule({self.X.dim} -> {self.A.dim})"
-
-
-def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
+def check_lie_xmod(xm: CrossedModule) -> Diagnosis:
     """The boundary d is a hom, d rho_a = ad(e_a) d, and rho(d e_i) = ad(e_i).
 
     Column i of the second identity is the equivariance witness and column j
@@ -461,17 +422,17 @@ def check_lie_xmod(xm: LieCrossedModule) -> Diagnosis:
     return VALID
 
 
-def lie_induced_actions(xm_m: LieCrossedModule, xm_n: LieCrossedModule) -> LieMutualActions:
+def lie_induced_actions(xm_m: CrossedModule, xm_n: CrossedModule) -> MutualActions:
     """Pullback actions of two crossed modules, trusted as loaded or built."""
     if xm_m.A != xm_n.A:
         raise LieError("crossed modules have different base algebras")
-    rho_nm = pullback_lie_action(xm_n.boundary, xm_m.action)
-    rho_mn = pullback_lie_action(xm_m.boundary, xm_n.action)
-    return LieMutualActions(rho_nm, rho_mn)
+    xi_nm = pullback_lie_action(xm_n.boundary, xm_m.action)
+    xi_mn = pullback_lie_action(xm_m.boundary, xm_n.action)
+    return MutualActions(xi_nm, xi_mn)
 
 
 class LieSemidirect:
-    """M + N with bracket twisted by rho_nm; basis is M's then N's."""
+    """M + N with bracket twisted by the action of N on M; basis is M's then N's."""
 
     def __init__(self, algebra, j_m, j_n, pi, action):
         self.algebra = algebra
@@ -543,7 +504,7 @@ class LiePeifferProduct:
     @cached_property
     def semidirect(self) -> LieSemidirect:
         """M x| N itself, built only when asked for."""
-        return lie_semidirect(self.source.rho_nm)
+        return lie_semidirect(self.source.xi_nm)
 
     @cached_property
     def proj(self) -> LieMap:
@@ -553,7 +514,7 @@ class LiePeifferProduct:
         return f"LiePeifferProduct(dim={self.algebra.dim})"
 
 
-def lie_peiffer_ideal(mut: LieMutualActions):
+def lie_peiffer_ideal(mut: MutualActions):
     """The ideal of M x| N generated by the Peiffer elements.
 
     Generators (rho_NM(n) m, rho_MN(m) n) over basis pairs, closed under
@@ -561,9 +522,9 @@ def lie_peiffer_ideal(mut: LieMutualActions):
     coordinates of M + N, and the ideal's rref basis and pivots.
     """
     dm, dn = mut.M.dim, mut.N.dim
-    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.rho_nm), check=False)
+    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm), check=False)
     gens = [
-        column(mut.rho_nm.rho[j], i) + column(mut.rho_mn.rho[i], j)
+        column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j)
         for i in range(dm)
         for j in range(dn)
     ]
@@ -579,7 +540,7 @@ def lie_peiffer_ideal(mut: LieMutualActions):
     return S, rows, pivots
 
 
-def lie_peiffer(mut: LieMutualActions) -> LiePeifferProduct:
+def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
     S, rows, pivots = lie_peiffer_ideal(mut)
     reps = tuple(c for c in range(S.dim) if c not in pivots)
 
@@ -606,7 +567,7 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
     """
     mut = pp.source
     # basis vector k of M + N acts on M as on_m[k] and on N as on_n[k]
-    on_m, on_n = mut.M.adjoint.rho + mut.rho_nm.rho, mut.rho_mn.rho + mut.N.adjoint.rho
+    on_m, on_n = mut.M.adjoint.rho + mut.xi_nm.rho, mut.xi_mn.rho + mut.N.adjoint.rho
     sides = ((on_m, mut.M, "M"), (on_n, mut.N, "N"))
     for row in pp.ideal_rows:
         for mats, X, tag in sides:
@@ -616,14 +577,14 @@ def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
     return tuple(LieAction(pp.algebra, X, tuple(mats[k] for k in pp.reps)) for mats, X, _ in sides)
 
 
-def lie_peiffer_xmods(pp: LiePeifferProduct) -> tuple[LieCrossedModule, LieCrossedModule]:
+def lie_peiffer_xmods(pp: LiePeifferProduct) -> tuple[CrossedModule, CrossedModule]:
     on_m, on_n = lie_peiffer_actions(pp)
-    xm_m = LieCrossedModule(pp.l_m, on_m)
-    xm_n = LieCrossedModule(pp.l_n, on_n)
+    xm_m = CrossedModule(pp.l_m, on_m)
+    xm_n = CrossedModule(pp.l_n, on_n)
     return xm_m, xm_n
 
 
-def lie_universal_map(pp: LiePeifferProduct, xm_m: LieCrossedModule, xm_n: LieCrossedModule) -> LieMap:
+def lie_universal_map(pp: LiePeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) -> LieMap:
     """The unique map P -> L through which both structure maps factor."""
     mut = pp.source
     if xm_m.X != mut.M or xm_n.X != mut.N:

@@ -7,21 +7,18 @@ from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_diffe
 
 
 class CrossedModule:
-    """A boundary map X -> A equivariant for an action of A on X."""
+    """A boundary map X -> A equivariant for an action of A on X, of groups or of Lie algebras."""
 
-    def __init__(self, boundary: Hom, action: Action):
+    def __init__(self, boundary, action):
         if boundary.dom != action.target or boundary.cod != action.acting:
-            raise GroupError("crossed module: boundary and action do not match")
+            raise boundary.dom.error("crossed module: boundary and action do not match")
         self.boundary = boundary
         self.action = action
         self.X = boundary.dom
         self.A = boundary.cod
 
-    def check(self) -> Diagnosis:
-        return check_xmod(self)
-
     def __repr__(self):
-        return f"CrossedModule(|X|={self.X.order}, |A|={self.A.order})"
+        return f"CrossedModule(X={self.X!r}, A={self.A!r})"
 
 
 def check_xmod(xm: CrossedModule) -> Diagnosis:

@@ -24,7 +24,7 @@ from peiffer.product import (
     strong_relation_check,
     universal_map,
 )
-from peiffer.xmod import check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
+from peiffer.xmod import CrossedModule, check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
 from peiffer import lie
 from peiffer.io import mat
 
@@ -206,25 +206,25 @@ def test_criterion_10_lie_suite():
     # (a) compatibility certification
     L = lie.LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
     I = lie.LieAlgebra(1, mats([[[0]]]))
-    xm_ideal = lie.LieCrossedModule(
+    xm_ideal = CrossedModule(
         lie.LieMap(I, L, mat([[0], [1]])), lie.LieAction(L, I, mats([[[1]], [[0]]]))
     )
-    xm_id = lie.LieCrossedModule(lie.identity_lie_map(L), lie.adjoint_action(L))
+    xm_id = CrossedModule(lie.identity_lie_map(L), lie.adjoint_action(L))
     A2 = lie.LieAlgebra(2, mats([[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
-    xm_ab = lie.LieCrossedModule(lie.identity_lie_map(A2), lie.adjoint_action(A2))
+    xm_ab = CrossedModule(lie.identity_lie_map(A2), lie.adjoint_action(A2))
     fixtures = [(xm_ideal, xm_id), (xm_id, xm_id), (xm_ab, xm_ab)]
     ok = all(
         lie.lie_compatible(lie.lie_induced_actions(a, b)).ok for a, b in fixtures
     )
     one = lie.LieAlgebra(1, mats([[[0]]]))
-    scalar = lie.LieMutualActions(
+    scalar = MutualActions(
         lie.LieAction(one, one, mats([[[1]]])), lie.LieAction(one, one, mats([[[1]]]))
     )
     ok = ok and not lie.lie_compatible(scalar).ok
 
     # (b) zero actions give the direct sum
     if ok:
-        zero = lie.LieMutualActions(
+        zero = MutualActions(
             lie.trivial_lie_action(L, I), lie.trivial_lie_action(I, L)
         )
         pp0 = lie.lie_peiffer(zero)

@@ -14,8 +14,8 @@ from peiffer.catalog import cyclic, symmetric_3
 from peiffer.cli import VERBS, build_parser, main
 from peiffer.groups import FiniteGroup, GroupError, Hom
 from peiffer.io import MAX_LIE_DIM
-from peiffer.lie import LieAction, LieAlgebra, LieCrossedModule, LieMap, adjoint_action, identity_lie_map
-from peiffer.xmod import CrossedModule, identity_xmod
+from peiffer.lie import LieAction, LieAlgebra, LieMap, adjoint_action, check_lie_xmod, identity_lie_map
+from peiffer.xmod import CrossedModule, check_xmod, identity_xmod
 
 from lie_data import mats
 
@@ -164,7 +164,7 @@ def test_peiffer_xmods(trivial_pair, capsys):
     code, report = run(capsys, "peiffer-xmods", *trivial_pair)
     assert code == 0
     xm = pio.xmod_from_dict(report["on_M"])
-    assert xm.check().ok
+    assert check_xmod(xm).ok
 
 
 def test_xmod_check(tmp_path, capsys):
@@ -303,8 +303,8 @@ def solvable_files(tmp_path):
     I = LieAlgebra(1, mats([[[0]]]))
     incl = LieMap(I, L, pio.mat([[0], [1]]))
     actI = LieAction(L, I, mats([[[1]], [[0]]]))
-    xm_m = LieCrossedModule(incl, actI)
-    xm_n = LieCrossedModule(identity_lie_map(L), adjoint_action(L))
+    xm_m = CrossedModule(incl, actI)
+    xm_n = CrossedModule(identity_lie_map(L), adjoint_action(L))
     return L, I, xm_m, xm_n
 
 
@@ -432,8 +432,8 @@ def lie_mutual_files(tmp_path):
     return (
         write(tmp_path, "lm.json", pio.lie_to_dict(I)),
         write(tmp_path, "ln.json", pio.lie_to_dict(L)),
-        write(tmp_path, "rho_nm.json", pio.lie_action_to_dict(mut.rho_nm)),
-        write(tmp_path, "rho_mn.json", pio.lie_action_to_dict(mut.rho_mn)),
+        write(tmp_path, "rho_nm.json", pio.lie_action_to_dict(mut.xi_nm)),
+        write(tmp_path, "rho_mn.json", pio.lie_action_to_dict(mut.xi_mn)),
         xm_m,
         xm_n,
     )
@@ -467,7 +467,7 @@ def test_lie_peiffer_and_xmods(tmp_path, capsys):
     assert report["algebra"]["dim"] <= 3
     code, report = run(capsys, "lie-peiffer-xmods", m, n, rnm, rmn)
     assert code == 0
-    assert pio.lie_xmod_from_dict(report["on_M"]).check().ok
+    assert check_lie_xmod(pio.lie_xmod_from_dict(report["on_M"])).ok
 
 
 def test_lie_xmod_check_refuses_a_disagreeing_inline_acting_algebra(tmp_path, capsys):
@@ -532,7 +532,7 @@ def test_constructors_run_no_check(monkeypatch):
     not_lie = LieAlgebra(2, not_antisymmetric, check=False)
     doubled = LieMap(L, L, matrix)
     not_derivations = LieAction(L, L, rho)
-    LieCrossedModule(doubled, not_derivations)
+    CrossedModule(doubled, not_derivations)
     assert [set(calls.values()) for calls in counts] == [{0}] * len(counts)
     # the Lie constructors keep the very data they are given
     assert not_lie.brackets is not_antisymmetric and doubled.matrix is matrix and not_derivations.rho is rho
@@ -548,7 +548,7 @@ def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, mon
     m, n, rnm, rmn, xm_m, xm_n = lie_mutual_files(tmp_path)
     fm = write(tmp_path, "xm_m.json", pio.lie_xmod_to_dict(xm_m))
     fn = write(tmp_path, "xm_n.json", pio.lie_xmod_to_dict(xm_n))
-    xmods = count_calls(monkeypatch, lie, ["check_lie_xmod"])
+    xmods = count_calls(monkeypatch, pio, ["check_lie_xmod"])
     maps = count_calls(monkeypatch, lie.LieMap, ["check"])
     code, report = run(capsys, "lie-universal-map", m, n, rnm, rmn, fm, fn)
     assert code == 0 and "matrix" in report
@@ -563,11 +563,12 @@ def test_lie_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monke
     pair = [write(tmp_path, "L.json", pio.lie_to_dict(L))] * 2
     pair += [write(tmp_path, "ad.json", {"rho": pio.lie_action_to_dict(adjoint_action(L))["rho"]})] * 2
     xms = [write(tmp_path, "xm.json", pio.lie_xmod_to_dict(xm))] * 2
-    calls = count_calls(monkeypatch, lie, ["validate_lie", "check_lie_action", "check_lie_xmod"])
+    calls = count_calls(monkeypatch, lie, ["validate_lie", "check_lie_action"])
+    xmods = count_calls(monkeypatch, pio, ["check_lie_xmod"])
     code, report = run(capsys, "lie-universal-map", *pair, *xms)
     assert code == 0 and len(report["matrix"]) == 2
     # L.json and xm.json, whose equal dom and cod load once; ad.json and the action of xm.json
-    assert calls == {"validate_lie": 2, "check_lie_action": 2, "check_lie_xmod": 1}
+    assert calls == {"validate_lie": 2, "check_lie_action": 2} and xmods == {"check_lie_xmod": 1}
 
 
 def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):
@@ -600,7 +601,7 @@ def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
     doubled = LieMap(L, L, pio.mat([[0, 0], [0, 2]]))
     assert not doubled.check().ok
-    bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(LieCrossedModule(doubled, adjoint_action(L))))
+    bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(CrossedModule(doubled, adjoint_action(L))))
     code, report = run(capsys, "lie-induce-actions", bad, bad)
     assert code == 2
     assert "Lie crossed module axioms failed: bracket not preserved" in report["error"]
@@ -642,7 +643,7 @@ def golden_inputs(directory) -> dict:
     lie_mut = lie_induced_actions(lie_xm_m, lie_xm_n)
     ad_bad = pio.lie_action_to_dict(adjoint_action(L))
     ad_bad["rho"][0] = [["1", "0"], ["0", "1"]]
-    lie_xm_bad = LieCrossedModule(identity_lie_map(L), trivial_lie_action(L, L))
+    lie_xm_bad = CrossedModule(identity_lie_map(L), trivial_lie_action(L, L))
 
     data = {
         "s3": pio.group_to_dict(S3),
@@ -674,8 +675,8 @@ def golden_inputs(directory) -> dict:
         "ad": pio.lie_action_to_dict(adjoint_action(L)),
         "ad_bad": ad_bad,
         "L_on_I": pio.lie_action_to_dict(LieAction(L, I, mats([[[1]], [[0]]]))),
-        "rho_nm": pio.lie_action_to_dict(lie_mut.rho_nm),
-        "rho_mn": pio.lie_action_to_dict(lie_mut.rho_mn),
+        "rho_nm": pio.lie_action_to_dict(lie_mut.xi_nm),
+        "rho_mn": pio.lie_action_to_dict(lie_mut.xi_mn),
         "lie_xm_m": pio.lie_xmod_to_dict(lie_xm_m),
         "lie_xm_n": pio.lie_xmod_to_dict(lie_xm_n),
         "lie_xm_bad": pio.lie_xmod_to_dict(lie_xm_bad),
@@ -814,6 +815,7 @@ def test_a_deep_entry_is_reported_by_position_in_a_bounded_form(tmp_path, verb, 
 _L, _, _LIE_XM_M, _ = solvable_files(None)
 _ONE = LieAlgebra(1, mats([[[0]]]))
 _EMPTY = {"dim": 0, "brackets": []}
+_S3_DEEP_NAME = {**pio.group_to_dict(S3), "name": json.loads("[" * 900 + "]" * 900)}
 
 
 # A file is a name from golden_inputs or the data to write.
@@ -832,10 +834,16 @@ _EMPTY = {"dim": 0, "brackets": []}
     pytest.param("lie-xmod-check", [{**pio.lie_xmod_to_dict(_LIE_XM_M), "boundary": [["1"]]}], 2,
                  "matrix shape does not match the algebras", id="lie-xmod-check-boundary-shape"),
     pytest.param("lie-induce-actions", ["lie_xm_m", pio.lie_xmod_to_dict(
-        LieCrossedModule(identity_lie_map(_ONE), adjoint_action(_ONE)))], 2,
+        CrossedModule(identity_lie_map(_ONE), adjoint_action(_ONE)))], 2,
         "crossed modules have different base algebras", id="lie-induce-actions-different-bases"),
     pytest.param("lie-universal-map", [*LIE_PAIR, "lie_xm_n", "lie_xm_m"], 2,
                  "crossed modules are not over M and N", id="lie-universal-map-wrong-algebras"),
+    # a name is echoed into reports, so one nested 900 deep would be too
+    pytest.param("validate", [_S3_DEEP_NAME], 2, "name must be a string or null", id="validate-deep-name"),
+    pytest.param("peiffer-xmods", [_S3_DEEP_NAME, "z2", "triv_nm", "triv_mn"], 2,
+                 "name must be a string or null", id="peiffer-xmods-deep-name"),
+    pytest.param("lie-validate", [{**_EMPTY, "name": _S3_DEEP_NAME["name"]}], 2,
+                 "name must be a string or null", id="lie-validate-deep-name"),
     pytest.param("lie-peiffer", [_EMPTY, _EMPTY, {"rho": []}, {"rho": []}], 0,
                  {"algebra": _EMPTY, "l_m": [], "l_n": []}, id="lie-peiffer-dim-0"),
 ])

@@ -10,6 +10,9 @@ from peiffer.compat import (
     coproduct_eval,
 )
 from peiffer.groups import GroupError
+from peiffer.lie import LieAlgebra, LieError, trivial_lie_action
+
+from lie_data import mats, upper_triangular
 
 S3 = symmetric_3()
 Z2 = cyclic(2)
@@ -120,3 +123,16 @@ def test_witness_is_deterministic():
 def test_check_compatible_symmetric_under_swap(family):
     for rec in family:
         assert rec.verdict.compatible == check_compatible(rec.mut.swapped()).compatible
+
+
+@pytest.mark.parametrize("trivial, N, M, error, noun", [
+    (trivial_action, Z2, S3, GroupError, "groups"),
+    (trivial_lie_action, LieAlgebra(1, mats(upper_triangular(1))),
+     LieAlgebra(3, mats(upper_triangular(2))), LieError, "algebras"),
+], ids=["groups", "lie"])
+def test_mutual_actions_that_do_not_match_up_raise_the_error_of_their_category(trivial, N, M, error, noun):
+    # N acts on M twice, so neither action is the other's partner
+    with pytest.raises(error, match=f"^mutual actions: {noun} do not match up$") as exc:
+        MutualActions(trivial(N, M), trivial(N, M))
+    assert exc.type is error
+    assert isinstance(repr(MutualActions(trivial(N, M), trivial(M, N))), str)

@@ -14,12 +14,11 @@ from peiffer.lie import (
     ZERO,
     LieAction,
     LieAlgebra,
-    LieCrossedModule,
     LieError,
     adjoint_action,
     identity_lie_map,
 )
-from peiffer.xmod import identity_xmod
+from peiffer.xmod import CrossedModule, identity_xmod
 
 from lie_data import mats
 
@@ -42,6 +41,19 @@ def test_group_load_refuses_non_integer_order(d):
     # true == 1 and 2.0 == 2, so a plain comparison would let both through
     with pytest.raises(GroupError, match="declared order does not match the table"):
         pio.group_from_dict(d)
+
+
+@pytest.mark.parametrize("name", [json.loads("[" * 900 + "]" * 900), 7, True, {"s": "S3"}],
+                         ids=["deep", "int", "bool", "object"])
+@pytest.mark.parametrize("load, d, error", [
+    (pio.group_from_dict, {"table": [[0, 1], [1, 0]]}, GroupError),
+    (pio.lie_from_dict, {"dim": 1, "brackets": []}, LieError),
+], ids=["group", "lie"])
+def test_loaders_refuse_a_name_that_is_not_a_string(load, d, error, name):
+    # a name is echoed into reports, so a nested one would be too
+    with pytest.raises(error, match="^name must be a string or null$"):
+        load({**d, "name": name})
+    assert load({**d, "name": None}).name is None and load({**d, "name": "Z"}).name == "Z"
 
 
 def test_action_round_trip():
@@ -130,7 +142,7 @@ def test_lie_action_load_refuses_boolean_entries():
 
 def test_lie_xmod_load_refuses_boolean_boundary():
     L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
-    d = pio.lie_xmod_to_dict(LieCrossedModule(identity_lie_map(L), adjoint_action(L)))
+    d = pio.lie_xmod_to_dict(CrossedModule(identity_lie_map(L), adjoint_action(L)))
     d["boundary"][0][0] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
         pio.lie_xmod_from_dict(d)

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import peiffer.lie
+from peiffer.compat import MutualActions
 from peiffer.groups import VALID, Diagnosis
 from peiffer.lie import (
     ZERO,
     LieAction,
     LieAlgebra,
-    LieCrossedModule,
     LieError,
     LieMap,
-    LieMutualActions,
     adjoint_action,
     basis_vec,
     check_lie_action,
@@ -42,6 +41,7 @@ from peiffer.lie import (
     zero_vec,
 )
 from peiffer.io import lie_action_from_dict, mat, vec
+from peiffer.xmod import CrossedModule
 
 from lie_data import mats
 
@@ -78,8 +78,8 @@ def ideal_fixture():
     I = abelian(1)
     incl = LieMap(I, L, mat([[0], [1]]))
     actI = LieAction(L, I, mats([[[1]], [[0]]]))
-    xm_m = LieCrossedModule(incl, actI)
-    xm_n = LieCrossedModule(identity_lie_map(L), adjoint_action(L))
+    xm_m = CrossedModule(incl, actI)
+    xm_n = CrossedModule(identity_lie_map(L), adjoint_action(L))
     return xm_m, xm_n
 
 
@@ -182,7 +182,7 @@ def test_lie_xmod_fixtures():
 
 def test_zero_boundary_nonabelian_fails_peiffer():
     L = solvable2()
-    xm = LieCrossedModule(
+    xm = CrossedModule(
         LieMap(L, abelian(1), mat([[0, 0]])),
         trivial_lie_action(abelian(1), L),
     )
@@ -194,7 +194,7 @@ def test_zero_boundary_nonabelian_fails_peiffer():
 def test_boundary_not_equivariant_witness():
     # the inclusion <e1> -> solvable2 under the trivial action
     L = solvable2()
-    xm = LieCrossedModule(LieMap(abelian(1), L, mat([[0], [1]])), trivial_lie_action(L, abelian(1)))
+    xm = CrossedModule(LieMap(abelian(1), L, mat([[0], [1]])), trivial_lie_action(L, abelian(1)))
     d = check_lie_xmod(xm)
     assert not d.ok and d.reason == "boundary is not equivariant"
     assert d.witness == (0, 0, fracs(0, -1))
@@ -227,7 +227,7 @@ def test_lie_semidirect_adjoint_on_ideal():
 
 def test_lie_compatible_zero_actions():
     M, N = solvable2(), sl2()
-    mut = LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
+    mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
     assert lie_compatible(mut).ok
 
 
@@ -239,7 +239,7 @@ def test_lie_compatible_from_coterminal_xmods():
 def scalar_pair():
     A = abelian(1)
     ident = mats([[[1]]])
-    return LieMutualActions(LieAction(A, A, ident), LieAction(A, A, ident))
+    return MutualActions(LieAction(A, A, ident), LieAction(A, A, ident))
 
 
 def test_scalar_pair_incompatible():
@@ -253,7 +253,7 @@ def test_scalar_pair_incompatible():
 def test_second_equation_witness():
     # N acts trivially, so C1 holds; M acts on N by ad(e1), and C2 fails
     L = solvable2()
-    mut = LieMutualActions(
+    mut = MutualActions(
         trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (L.ad(basis_vec(2, 1)),))
     )
     d = lie_compatible(mut)
@@ -263,25 +263,25 @@ def test_second_equation_witness():
 
 def test_lie_induced_actions_identity_xmods_are_adjoint():
     L = sl2()
-    xm = LieCrossedModule(identity_lie_map(L), adjoint_action(L))
+    xm = CrossedModule(identity_lie_map(L), adjoint_action(L))
     mut = lie_induced_actions(xm, xm)
-    assert mut.rho_nm == adjoint_action(L)
-    assert mut.rho_mn == adjoint_action(L)
+    assert mut.xi_nm == adjoint_action(L)
+    assert mut.xi_mn == adjoint_action(L)
 
 
 def test_lie_induced_actions_zero_base():
     Z = abelian(0)
     A = abelian(2)
-    xm = LieCrossedModule(
+    xm = CrossedModule(
         LieMap(A, Z, ()), trivial_lie_action(Z, A)
     )
     mut = lie_induced_actions(xm, xm)
-    assert mut.rho_nm.rho == (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),) * 2
+    assert mut.xi_nm.rho == (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),) * 2
 
 
 def test_lie_peiffer_zero_actions_direct_sum():
     M, N = solvable2(), sl2()
-    mut = LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
+    mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
     pp = lie_peiffer(mut)
     assert pp.algebra.dim == 5
     assert pp.ideal_rows == ()
@@ -319,12 +319,12 @@ def test_lie_peiffer_actions_reject_ill_defined():
 
 def test_lie_universal_map_zero_actions_identity():
     M, N = solvable2(), abelian(1)
-    mut = LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
+    mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
     pp = lie_peiffer(mut)
     sd = lie_semidirect(trivial_lie_action(N, M))
     L = sd.algebra
-    xm_m = LieCrossedModule(sd.j_m, pullback_m(L, M))
-    xm_n = LieCrossedModule(sd.j_n, pullback_n(L, N))
+    xm_m = CrossedModule(sd.j_m, pullback_m(L, M))
+    xm_n = CrossedModule(sd.j_n, pullback_n(L, N))
     h = lie_universal_map(pp, xm_m, xm_n)
     # h is a bijection of 3-dim algebras
     rows, pivots = rref(h.matrix)
@@ -360,7 +360,7 @@ def test_dim_bound(family=None):
     fixtures = [
         lie_induced_actions(*ideal_fixture()),
         scalar_pair(),
-        LieMutualActions(
+        MutualActions(
             trivial_lie_action(sl2(), abelian(2)), trivial_lie_action(abelian(2), sl2())
         ),
     ]
@@ -369,7 +369,7 @@ def test_dim_bound(family=None):
         assert pp.algebra.dim <= mut.M.dim + mut.N.dim
         if all(
             all(x == 0 for row in m for x in row)
-            for m in mut.rho_nm.rho + mut.rho_mn.rho
+            for m in mut.xi_nm.rho + mut.xi_mn.rho
         ):
             assert pp.algebra.dim == mut.M.dim + mut.N.dim
 
@@ -392,7 +392,7 @@ def b3():
 
 
 def identity_xmod(L):
-    return LieCrossedModule(identity_lie_map(L), adjoint_action(L))
+    return CrossedModule(identity_lie_map(L), adjoint_action(L))
 
 
 def test_constructions_pass_the_exhaustive_checks():
@@ -405,7 +405,7 @@ def test_constructions_pass_the_exhaustive_checks():
         assert all(check_lie_xmod(xm).ok for xm in xms)
     cases = [(lie_induced_actions(*xms), xms) for xms in cases]
     M, N = solvable2(), sl2()
-    cases.append((LieMutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N)), None))
+    cases.append((MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N)), None))
     for mut, xms in cases:
         assert lie_compatible(mut).ok
         pp = lie_peiffer(mut)
@@ -444,7 +444,7 @@ def ref_lie_peiffer(mut, xms=None):
     the fields the coordinate path must match; a LieError from the actions
     is returned as its message.
     """
-    M, N, rho = mut.M, mut.N, mut.rho_nm
+    M, N, rho = mut.M, mut.N, mut.xi_nm
     dm, dn = M.dim, N.dim
     dim = dm + dn
 
@@ -465,7 +465,7 @@ def ref_lie_peiffer(mut, xms=None):
     j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
     j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
     gens = [
-        mut.rho_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.rho_mn(basis_vec(dm, i), basis_vec(dn, j))
+        mut.xi_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.xi_mn(basis_vec(dm, i), basis_vec(dn, j))
         for i in range(dm)
         for j in range(dn)
     ]
@@ -502,10 +502,10 @@ def ref_lie_peiffer(mut, xms=None):
     }
 
     def act_on_m(v):
-        return mat_add(M.ad(v[:dm]), mut.rho_nm.of(v[dm:]))
+        return mat_add(M.ad(v[:dm]), mut.xi_nm.of(v[dm:]))
 
     def act_on_n(v):
-        return mat_add(N.ad(v[dm:]), mut.rho_mn.of(v[:dm]))
+        return mat_add(N.ad(v[dm:]), mut.xi_mn.of(v[:dm]))
 
     for row in rows:
         for act, tag in ((act_on_m, "M"), (act_on_n, "N")):
@@ -517,8 +517,8 @@ def ref_lie_peiffer(mut, xms=None):
     fields["rho_on_n"] = tuple(act_on_n(v) for v in lifted)
     if xms is None:
         xms = (
-            LieCrossedModule(LieMap(M, P, fields["l_m"]), LieAction(P, M, fields["rho_on_m"])),
-            LieCrossedModule(LieMap(N, P, fields["l_n"]), LieAction(P, N, fields["rho_on_n"])),
+            CrossedModule(LieMap(M, P, fields["l_m"]), LieAction(P, M, fields["rho_on_m"])),
+            CrossedModule(LieMap(N, P, fields["l_n"]), LieAction(P, N, fields["rho_on_n"])),
         )
     mu, nu = (xm.boundary for xm in xms)
     L = mu.cod
@@ -553,7 +553,7 @@ def coordinate_fields(mut, xms=None):
 def zero_base_xmods():
     """Two crossed modules abelian(2) -> 0: the universal map is 0 x 4."""
     Z, A = abelian(0), abelian(2)
-    xm = LieCrossedModule(LieMap(A, Z, ()), trivial_lie_action(Z, A))
+    xm = CrossedModule(LieMap(A, Z, ()), trivial_lie_action(Z, A))
     return xm, xm
 
 
@@ -569,7 +569,7 @@ ORACLE_CASES = {
     "identity-abelian2": lambda: identity_case(abelian(2)),
     "identity-b3": lambda: identity_case(b3()),
     "zero-actions": lambda: (
-        LieMutualActions(trivial_lie_action(sl2(), solvable2()), trivial_lie_action(solvable2(), sl2())),
+        MutualActions(trivial_lie_action(sl2(), solvable2()), trivial_lie_action(solvable2(), sl2())),
         None,
     ),
     "scalar-incompatible": lambda: (scalar_pair(), None),
@@ -844,7 +844,7 @@ def ref_lie_compatible(mut):
     """lie_compatible over every basis triple (i, j, k), (C1) then (C2)."""
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
         M, N = pair.M, pair.N
-        nm, mn = pair.rho_nm, pair.rho_mn
+        nm, mn = pair.xi_nm, pair.xi_mn
         for i in range(M.dim):
             m = basis_vec(M.dim, i)
             for j in range(N.dim):
@@ -919,7 +919,7 @@ def test_xmod_check_matches_loop_oracle(A, data):
     else:
         d, rho = zero_mat(A.dim, X.dim), zero_action(A, X)
     d, *rho = data.draw(nudged((d,) + rho))
-    xm = LieCrossedModule(LieMap(X, A, d), LieAction(A, X, tuple(rho)))
+    xm = CrossedModule(LieMap(X, A, d), LieAction(A, X, tuple(rho)))
     same_diagnosis(check_lie_xmod(xm), ref_check_lie_xmod(xm))
 
 
@@ -927,7 +927,7 @@ def test_peiffer_witness_in_the_first_column():
     # solvable2 -> abelian(1) by e0 -> 1, e1 -> 0, acted on through ad(e0): a
     # crossed module but for rho(d e1) = 0, whose column 0 misses [e1, e0] = -e1
     L = solvable2()
-    xm = LieCrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (L.ad(basis_vec(2, 0)),)))
+    xm = CrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (L.ad(basis_vec(2, 0)),)))
     want = Diagnosis(False, "Peiffer identity fails", (1, 0, fracs(0, 1)))
     assert check_lie_xmod(xm) == want == ref_check_lie_xmod(xm)
 
@@ -938,5 +938,5 @@ def test_compatibility_matches_loop_oracle(M, N, data):
     # the adjoint pair and zero actions are compatible
     nm, mn = (M.adjoint.rho,) * 2 if M == N else (zero_action(N, M), zero_action(M, N))
     mats = data.draw(nudged(nm + mn))
-    mut = LieMutualActions(LieAction(N, M, mats[: N.dim]), LieAction(M, N, mats[N.dim :]))
+    mut = MutualActions(LieAction(N, M, mats[: N.dim]), LieAction(M, N, mats[N.dim :]))
     same_diagnosis(lie_compatible(mut), ref_lie_compatible(mut))

@@ -166,7 +166,7 @@ def test_mutual_conjugation_well_defined():
 def test_peiffer_xmods_pass_checker():
     pp = peiffer_product(trivial_mut(S3, Z2))
     xm_m, xm_n = peiffer_xmods(pp)
-    assert xm_m.check().ok and xm_n.check().ok
+    assert check_xmod(xm_m).ok and check_xmod(xm_n).ok
     assert xm_m.boundary.kernel() == frozenset({S3.identity})
 
 

@@ -1,9 +1,10 @@
 import pytest
 
-from peiffer.actions import trivial_action
+from peiffer.actions import conjugation_action, trivial_action
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.compat import check_compatible
-from peiffer.groups import GroupError, Hom, subgroup_group
+from peiffer.groups import GroupError, Hom, identity_hom, subgroup_group
+from peiffer.lie import LieAlgebra, LieError, adjoint_action, identity_lie_map
 from peiffer.xmod import (
     CrossedModule,
     check_xmod,
@@ -11,6 +12,8 @@ from peiffer.xmod import (
     inclusion_xmod,
     induced_mutual_actions,
 )
+
+from lie_data import mats, upper_triangular
 
 S3 = symmetric_3()
 
@@ -98,3 +101,16 @@ def test_induced_actions_are_compatible():
     ]
     for xm_m, xm_n in fixtures:
         assert check_compatible(induced_mutual_actions(xm_m, xm_n)).compatible
+
+
+@pytest.mark.parametrize("identity, adjoint, X, A, error", [
+    (identity_hom, conjugation_action, S3, cyclic(2), GroupError),
+    (identity_lie_map, adjoint_action, LieAlgebra(3, mats(upper_triangular(2))),
+     LieAlgebra(1, mats(upper_triangular(1))), LieError),
+], ids=["groups", "lie"])
+def test_a_boundary_and_an_action_that_do_not_match_raise_the_error_of_their_category(
+        identity, adjoint, X, A, error):
+    with pytest.raises(error, match="^crossed module: boundary and action do not match$") as exc:
+        CrossedModule(identity(X), adjoint(A))
+    assert exc.type is error
+    assert isinstance(repr(CrossedModule(identity(X), adjoint(X))), str)
