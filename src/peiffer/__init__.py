@@ -51,6 +51,6 @@ from .lie import (
     lie_universal_map,
     validate_lie,
 )
-from .catalog import catalog, cyclic, enumerate_family, enumerate_mutual_actions, klein_four, symmetric_3
+from .catalog import cyclic, enumerate_family, enumerate_mutual_actions, klein_four, symmetric_3
 
 __version__ = "0.1.0"

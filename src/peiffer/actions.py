@@ -88,9 +88,6 @@ class Action:
     def __call__(self, a: int, x: int) -> int:
         return self.table[a][x]
 
-    def check(self) -> Diagnosis:
-        return check_action_table(self.acting, self.target, self.table)
-
     def __eq__(self, other):
         return (
             isinstance(other, Action)
@@ -144,15 +141,11 @@ class Point:
 class SemidirectData:
     """The semidirect product X x| A with its kernel, section and projection."""
 
-    def __init__(self, group, jX, jA, pi, action):
+    def __init__(self, group, jX, jA, pi):
         self.group = group
         self.jX = jX
         self.jA = jA
         self.pi = pi
-        self.action = action
-
-    def point(self) -> Point:
-        return Point(self.pi, self.jA)
 
 
 def semidirect_order(psi: Action, cap: int) -> int:
@@ -223,7 +216,7 @@ def semidirect(psi: Action, cap: int = DEFAULT_SEMIDIRECT_CAP) -> SemidirectData
     jX = Hom(X, G, tuple(x * na + A.identity for x in range(X.order)))
     jA = Hom(A, G, tuple(X.identity * na + a for a in range(na)))
     pi = Hom(G, A, tuple(s % na for s in range(n)))
-    return SemidirectData(G, jX, jA, pi, psi)
+    return SemidirectData(G, jX, jA, pi)
 
 
 def _conjugation_rows(incl: Hom, elements) -> tuple:

@@ -16,9 +16,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def klein_four() -> FiniteGroup:
-    G = direct_product(cyclic(2), cyclic(2))
-    G.name = "Z2xZ2"
-    return G
+    return direct_product(cyclic(2), cyclic(2))
 
 
 def symmetric_3() -> FiniteGroup:

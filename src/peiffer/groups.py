@@ -143,9 +143,6 @@ class FiniteGroup:
     def order_multiset(self) -> tuple:
         return tuple(sorted(self.element_order(x) for x in range(self.order)))
 
-    def validate(self) -> Diagnosis:
-        return validate_table(self.table)
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
-from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_xmod
+from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_action, check_lie_xmod
 from .product import PeifferProduct
 from .xmod import CrossedModule, check_xmod
 
@@ -266,7 +266,7 @@ def parse_lie_action(d, acting: LieAlgebra | None = None,
     acting = _given_or_inline(d, "acting", acting, lie_from_dict, "algebra", LieError)
     target = _given_or_inline(d, "target", target, lie_from_dict, "algebra", LieError)
     act = LieAction(acting, target, tuple(map(mat, nested_lists(d["rho"], 3, "rho"))))
-    return act, act.check()
+    return act, check_lie_action(act)
 
 
 def lie_action_from_dict(d, acting: LieAlgebra | None = None,

@@ -282,14 +282,6 @@ class LieMap:
                 return Diagnosis(False, "bracket not preserved", (i,) + bad)
         return VALID
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieMap)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.matrix == other.matrix
-        )
-
     def __repr__(self):
         return f"LieMap({self.dom.dim} -> {self.cod.dim})"
 
@@ -311,9 +303,6 @@ class LieAction:
         ):
             raise LieError("action matrices have the wrong shape")
 
-    def check(self) -> Diagnosis:
-        return check_lie_action(self)
-
     @cached_property
     def scaled(self) -> tuple:
         """(D, rho times D as ints), D the least common denominator."""
@@ -333,6 +322,9 @@ class LieAction:
             and self.target == other.target
             and self.rho == other.rho
         )
+
+    def __hash__(self):
+        return hash((self.acting, self.target, self.rho))
 
     def __repr__(self):
         return f"LieAction({self.acting.dim} on {self.target.dim})"
@@ -434,12 +426,11 @@ def lie_induced_actions(xm_m: CrossedModule, xm_n: CrossedModule) -> MutualActio
 class LieSemidirect:
     """M + N with bracket twisted by the action of N on M; basis is M's then N's."""
 
-    def __init__(self, algebra, j_m, j_n, pi, action):
+    def __init__(self, algebra, j_m, j_n, pi):
         self.algebra = algebra
         self.j_m = j_m
         self.j_n = j_n
         self.pi = pi
-        self.action = action
 
 
 def _semidirect_brackets(rho: LieAction) -> tuple:
@@ -475,7 +466,7 @@ def lie_semidirect(rho: LieAction) -> LieSemidirect:
     j_m = LieMap(M, S, tuple(row[:dm] for row in ident))
     j_n = LieMap(N, S, tuple(row[dm:] for row in ident))
     pi = LieMap(S, N, ident[dm:])
-    return LieSemidirect(S, j_m, j_n, pi, rho)
+    return LieSemidirect(S, j_m, j_n, pi)
 
 
 def _lie_map_from_columns(dom, cod, columns) -> LieMap:

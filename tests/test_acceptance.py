@@ -8,6 +8,7 @@ import pytest
 
 from peiffer.actions import (
     Action,
+    Point,
     enumerate_actions,
     point_to_action,
     semidirect,
@@ -168,7 +169,7 @@ def test_criterion_9_point_action_round_trip(family):
     actions = {rec.mut.xi_nm for rec in family} | {rec.mut.xi_mn for rec in family}
     for psi in actions:
         sd = semidirect(psi)
-        back, incl = point_to_action(sd.point())
+        back, incl = point_to_action(Point(sd.pi, sd.jA))
         relabel = {}
         jx_back = {sd.jX(x): x for x in range(psi.target.order)}
         for i in range(back.target.order):

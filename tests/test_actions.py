@@ -31,15 +31,15 @@ def test_check_action_table_accepts_conjugation():
 def test_action_check_refuses_non_integer_entries(row):
     # int() would turn each row into (0, 1) and accept the table
     with pytest.raises(GroupError, match="action axioms failed: entry out of range"):
-        Action(Z2, Z2, [[0, 1], row]).check().expect("action axioms")
+        check_action_table(Z2, Z2, [[0, 1], row]).expect("action axioms")
 
 
 def test_action_check_reports_an_out_of_range_entry_by_position_in_a_bounded_form():
-    assert Action(Z2, Z2, [[0, 1], [5, 0]]).check().witness == (1, 0, 5)
+    assert check_action_table(Z2, Z2, [[0, 1], [5, 0]]).witness == (1, 0, 5)
     deep = [0]
     for _ in range(900):
         deep = [deep]
-    assert Action(Z2, Z2, [[0, 1], [deep, 0]]).check().witness == (1, 0, "[[[[[[[...]]]]]]]")
+    assert check_action_table(Z2, Z2, [[0, 1], [deep, 0]]).witness == (1, 0, "[[[[[[[...]]]]]]]")
 
 
 def test_action_without_check_keeps_its_rows():
@@ -84,7 +84,7 @@ def test_trivial_and_pullback():
     assert pulled.acting.order == 4
     assert pulled.table[1] == psi.table[1]
     assert pulled.table[2] == psi.table[0]
-    assert pulled.check().ok
+    assert check_action_table(pulled.acting, pulled.target, pulled.table).ok
 
 
 def test_pullback_functorial():
@@ -139,10 +139,12 @@ def test_semidirect_cap():
 
 def test_point_validates():
     sd = semidirect(inversion_action())
-    pt = sd.point()
+    pt = Point(sd.pi, sd.jA)
     assert pt.p(pt.s(1)) == 1
     with pytest.raises(GroupError):
         Point(sd.jX, sd.pi)  # mismatched domains
+    with pytest.raises(GroupError, match="^point: p o s is not the identity$"):
+        Point(sd.pi, Hom(Z2, sd.group, (sd.group.identity,) * 2))
 
 
 def test_point_to_action_round_trip():
@@ -153,7 +155,7 @@ def test_point_to_action_round_trip():
         conjugation_action(klein_four()),
     ):
         sd = semidirect(psi)
-        back, incl = point_to_action(sd.point())
+        back, incl = point_to_action(Point(sd.pi, sd.jA))
         # kernel coordinates: incl composed with jX's inverse is x -> x
         order = {incl(i): i for i in range(back.target.order)}
         relabel = [order[sd.jX(x)] for x in range(psi.target.order)]
@@ -181,7 +183,7 @@ def test_enumerate_actions_counts():
     # Z3 on Z2: Aut(Z2) trivial
     assert len(enumerate_actions(Z3, Z2)) == 1
     for act in enumerate_actions(S3, S3):
-        assert act.check().ok
+        assert check_action_table(S3, S3, act.table).ok
 
 
 def test_pullback_along_identity():
@@ -192,6 +194,6 @@ def test_pullback_along_identity():
 def test_semidirect_of_round_tripped_action_is_isomorphic():
     for psi in (trivial_action(Z2, S3), inversion_action(), conjugation_action(Z3)):
         sd = semidirect(psi)
-        back, _ = point_to_action(sd.point())
+        back, _ = point_to_action(Point(sd.pi, sd.jA))
         sd2 = semidirect(back)
         assert is_isomorphic(sd.group, sd2.group) is not None

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from peiffer import io as pio
-from peiffer.actions import Action, conjugation_action, trivial_action
+from peiffer.actions import Action, check_action_table, conjugation_action, trivial_action
 from peiffer.catalog import cyclic, symmetric_3
 from peiffer.cli import VERBS, build_parser, main
 from peiffer.groups import FiniteGroup, GroupError, Hom
 from peiffer.io import MAX_LIE_DIM
-from peiffer.lie import LieAction, LieAlgebra, LieMap, adjoint_action, check_lie_xmod, identity_lie_map
+from peiffer.lie import (
+    LieAction, LieAlgebra, LieMap, adjoint_action, check_lie_action, check_lie_xmod, identity_lie_map,
+)
 from peiffer.xmod import CrossedModule, check_xmod, identity_xmod
 
 from lie_data import mats
@@ -537,9 +539,9 @@ def test_constructors_run_no_check(monkeypatch):
     # the Lie constructors keep the very data they are given
     assert not_lie.brackets is not_antisymmetric and doubled.matrix is matrix and not_derivations.rho is rho
     # the data is invalid: each check, run by hand, refuses it
-    assert not not_a_hom.check().ok and not not_an_action.check().ok
+    assert not not_a_hom.check().ok and not check_action_table(Z2, Z3, not_an_action.table).ok
     assert not lie.validate_lie(not_lie).ok
-    assert not doubled.check().ok and not not_derivations.check().ok
+    assert not doubled.check().ok and not check_lie_action(not_derivations).ok
 
 
 def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, monkeypatch):
@@ -563,12 +565,12 @@ def test_lie_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monke
     pair = [write(tmp_path, "L.json", pio.lie_to_dict(L))] * 2
     pair += [write(tmp_path, "ad.json", {"rho": pio.lie_action_to_dict(adjoint_action(L))["rho"]})] * 2
     xms = [write(tmp_path, "xm.json", pio.lie_xmod_to_dict(xm))] * 2
-    calls = count_calls(monkeypatch, lie, ["validate_lie", "check_lie_action"])
-    xmods = count_calls(monkeypatch, pio, ["check_lie_xmod"])
+    calls = count_calls(monkeypatch, lie, ["validate_lie"])
+    checks = count_calls(monkeypatch, pio, ["check_lie_action", "check_lie_xmod"])
     code, report = run(capsys, "lie-universal-map", *pair, *xms)
     assert code == 0 and len(report["matrix"]) == 2
     # L.json and xm.json, whose equal dom and cod load once; ad.json and the action of xm.json
-    assert calls == {"validate_lie": 2, "check_lie_action": 2} and xmods == {"check_lie_xmod": 1}
+    assert calls == {"validate_lie": 2} and checks == {"check_lie_action": 2, "check_lie_xmod": 1}
 
 
 def test_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):

@@ -136,3 +136,14 @@ def test_mutual_actions_that_do_not_match_up_raise_the_error_of_their_category(t
         MutualActions(trivial(N, M), trivial(N, M))
     assert exc.type is error
     assert isinstance(repr(MutualActions(trivial(N, M), trivial(M, N))), str)
+
+
+@pytest.mark.parametrize("trivial, N, M", [
+    (trivial_action, Z2, S3),
+    (trivial_lie_action, LieAlgebra(1, mats(upper_triangular(1))), LieAlgebra(3, mats(upper_triangular(2)))),
+], ids=["groups", "lie"])
+def test_equal_mutual_actions_hash_equal(trivial, N, M):
+    # two pairs built apart: equal, but no action object is shared
+    a, b = (MutualActions(trivial(N, M), trivial(M, N)) for _ in range(2))
+    assert a == b and a.xi_nm is not b.xi_nm
+    assert hash(a) == hash(b) and len({a, b}) == 1

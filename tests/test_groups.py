@@ -48,6 +48,23 @@ def test_validate_rejects_nonassociative():
     assert not validate_table(table).ok
 
 
+def test_constructor_refuses_a_table_with_no_identity():
+    # the constructor searches for the identity and inverses, and checks nothing else
+    with pytest.raises(GroupError, match="^group axioms failed: no identity element"):
+        FiniteGroup(((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: identity_hom(cyclic(2)).compose(identity_hom(cyclic(3))), "composition mismatch"),
+    (lambda: Hom(cyclic(4), cyclic(2), (0, 1, 0, 1)).inverse(), "not bijective"),
+    (lambda: normal_closure(cyclic(3), [3]), "generator out of range"),
+    (lambda: subgroup_group(symmetric_3(), {1}), "not a subgroup"),  # no identity
+], ids=["compose", "inverse", "normal-closure", "subgroup-group"])
+def test_group_guards_refuse_parts_that_do_not_fit(call, message):
+    with pytest.raises(GroupError, match=f"^{message}$"):
+        call()
+
+
 def test_identity_not_forced_to_zero():
     # Z2 written with the identity at index 1
     G = FiniteGroup(((1, 0), (0, 1)))
@@ -198,7 +215,7 @@ def test_automorphisms_against_brute_force(G):
 def test_aut_group_is_a_group():
     for G in (klein_four(), symmetric_3(), cyclic(6)):
         A, auts = aut_group(G)
-        assert A.validate().ok
+        assert validate_table(A.table).ok
         # closure under composition matches the table
         for i, a in enumerate(auts):
             for j, b in enumerate(auts):
@@ -219,6 +236,7 @@ def test_is_isomorphic_identity_on_same_table():
 def test_is_isomorphic_distinguishes_groups():
     assert is_isomorphic(cyclic(4), klein_four()) is None
     assert is_isomorphic(cyclic(6), symmetric_3()) is None
+    assert is_isomorphic(cyclic(4), cyclic(6)) is None  # orders differ
 
 
 def test_is_isomorphic_symmetric():

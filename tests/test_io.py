@@ -83,11 +83,12 @@ def test_lie_round_trip_preserves_rationals():
             [[0, 0], [0, Fraction(2, 3)]],
             [[0, Fraction(-2, 3)], [0, 0]],
         ]),
+        name="r2",
     )
     d = pio.lie_to_dict(L)
-    assert d["brackets"][0]["coeffs"] == ["0", "2/3"]
+    assert d["brackets"][0]["coeffs"] == ["0", "2/3"] and d["name"] == "r2"
     back = pio.lie_from_dict(d)
-    assert back.brackets == L.brackets
+    assert back.brackets == L.brackets and back.name == "r2"
 
 
 def lie_data(*entries):

@@ -611,6 +611,8 @@ def test_lie_checks_raise_lie_error():
     # the Lie side shares groups.Diagnosis but keeps its own exception
     with pytest.raises(LieError, match="Lie axioms failed: antisymmetry fails"):
         LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]))
+    with pytest.raises(LieError, match="^structure constants have the wrong shape$"):
+        LieAlgebra(2, mats([[[0, 0], [0, 1]]]))
     L = solvable2()
     with pytest.raises(LieError, match="Lie homomorphism failed"):
         LieMap(L, L, mat([[0, 0], [0, 2]])).check().expect("Lie homomorphism", LieError)

@@ -1,10 +1,10 @@
 import pytest
 
-from peiffer.actions import conjugation_action, trivial_action
+from peiffer.actions import conjugation_action, pullback_action, trivial_action
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.compat import check_compatible
 from peiffer.groups import GroupError, Hom, identity_hom, subgroup_group
-from peiffer.lie import LieAlgebra, LieError, adjoint_action, identity_lie_map
+from peiffer.lie import LieAlgebra, LieError, adjoint_action, identity_lie_map, pullback_lie_action
 from peiffer.xmod import (
     CrossedModule,
     check_xmod,
@@ -38,6 +38,11 @@ def test_inclusion_xmod_rejects_non_normal():
     _, incl = subgroup_group(S3, frozenset({S3.identity, t}))
     with pytest.raises(GroupError):
         inclusion_xmod(S3, incl)
+
+
+def test_inclusion_xmod_rejects_a_map_that_is_not_injective():
+    with pytest.raises(GroupError, match="^expected an injective map into G$"):
+        inclusion_xmod(S3, Hom(cyclic(2), S3, (S3.identity,) * 2))
 
 
 def test_zero_map_fails_peiffer():
@@ -103,14 +108,19 @@ def test_induced_actions_are_compatible():
         assert check_compatible(induced_mutual_actions(xm_m, xm_n)).compatible
 
 
-@pytest.mark.parametrize("identity, adjoint, X, A, error", [
-    (identity_hom, conjugation_action, S3, cyclic(2), GroupError),
-    (identity_lie_map, adjoint_action, LieAlgebra(3, mats(upper_triangular(2))),
+@pytest.mark.parametrize("identity, adjoint, pullback, X, A, error", [
+    (identity_hom, conjugation_action, pullback_action, S3, cyclic(2), GroupError),
+    (identity_lie_map, adjoint_action, pullback_lie_action, LieAlgebra(3, mats(upper_triangular(2))),
      LieAlgebra(1, mats(upper_triangular(1))), LieError),
 ], ids=["groups", "lie"])
 def test_a_boundary_and_an_action_that_do_not_match_raise_the_error_of_their_category(
-        identity, adjoint, X, A, error):
+        identity, adjoint, pullback, X, A, error):
     with pytest.raises(error, match="^crossed module: boundary and action do not match$") as exc:
         CrossedModule(identity(X), adjoint(A))
     assert exc.type is error
+    # nor can the action be pulled back along that map
+    with pytest.raises(error, match="^pullback: codomain does not match the acting ") as exc:
+        pullback(identity(X), adjoint(A))
+    assert exc.type is error
     assert isinstance(repr(CrossedModule(identity(X), adjoint(X))), str)
+
