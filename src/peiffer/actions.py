@@ -74,7 +74,7 @@ def check_action_table(acting: FiniteGroup, target: FiniteGroup, table) -> Diagn
             for y in range(target.order):
                 if row[target.table[x][y]] != target.table[row[x]][row[y]]:
                     return Diagnosis(False, "row is not an automorphism", (a, x, y))
-    return VALID
+    raise AssertionError("_generators_act failed on a table that satisfies every action axiom")
 
 
 class Action:

@@ -86,7 +86,7 @@ def enumerate_family(
     return out
 
 
-def census(max_pair_order: int = 36, cap: int = DEFAULT_SEMIDIRECT_CAP) -> list[dict]:
+def census(max_pair_order: int, cap: int) -> list[dict]:
     """Plain rows summarising the enumerated family, for serialization."""
     rows = []
     for rec in enumerate_family(max_pair_order=max_pair_order, cap=cap):

@@ -1,5 +1,6 @@
 """Batch command-line front door: load JSON inputs, run one operation,
-print a deterministic JSON report.
+print a deterministic JSON report.  Each verb takes --out and only the
+other options it reads: the third element of its VERBS entry.
 
 Exit codes: 0 success (or property true), 1 property false (report carries
 the witness), 2 invalid input, cap exceeded, or failed precondition.
@@ -146,22 +147,27 @@ GROUP_PAIR = ("m", "n", "xi_nm", "xi_mn")
 LIE_PAIR = ("m", "n", "rho_nm", "rho_mn")
 XMOD_PAIR = ("xm_m", "xm_n")
 
-# verb -> (positional arguments, run); run(args) returns (report, exit code)
+CAP = {"--semidirect-cap": {"type": int, "default": DEFAULT_SEMIDIRECT_CAP}}
+WORD_BOUND = {"--strong-word-bound": {"type": int, "default": 2, "help": "longest word compared, "
+              "at least 0; every bound >= 1 gives the same verdict and witness (default 2)"}}
+
+# verb -> (positional arguments, run[, options]); run(args) returns (report, exit code)
+# and options maps each flag besides --out that run reads to its add_argument keywords
 VERBS = {
     "validate": _check("group", pio.parse_group, fail_code=2),
     "check-action": _check("action", pio.parse_action),
     "check-compat": (GROUP_PAIR, _check_compat),
-    "semidirect": (("action",), _semidirect),
-    "peiffer": (GROUP_PAIR, lambda args: (pio.peiffer_to_dict(_product(args)), 0)),
+    "semidirect": (("action",), _semidirect, CAP),
+    "peiffer": (GROUP_PAIR, lambda args: (pio.peiffer_to_dict(_product(args)), 0), CAP),
     "strong-check": (GROUP_PAIR, lambda args: _verdict(
-        "ok", strong_relation_check(_product(args), bound=args.strong_word_bound))),
+        "ok", strong_relation_check(_product(args), bound=args.strong_word_bound)), CAP | WORD_BOUND),
     "peiffer-xmods": (GROUP_PAIR, lambda args: (
-        _on_sides(peiffer_xmods(_product(args)), pio.xmod_to_dict), 0)),
-    "universal-map": (GROUP_PAIR + XMOD_PAIR, _universal_map),
+        _on_sides(peiffer_xmods(_product(args)), pio.xmod_to_dict), 0), CAP),
+    "universal-map": (GROUP_PAIR + XMOD_PAIR, _universal_map, CAP),
     "xmod-check": _check("xmod", pio.parse_xmod),
     "induce-actions": (XMOD_PAIR, _induce_actions),
-    "enumerate": ((), lambda args: (
-        {"rows": census(max_pair_order=args.max_order, cap=args.semidirect_cap)}, 0)),
+    "enumerate": ((), lambda args: ({"rows": census(args.max_order, args.semidirect_cap)}, 0),
+                  CAP | {"--max-order": {"type": int, "default": 12}}),
     "lie-validate": (("algebra",), _lie_validate),
     "lie-check-action": _check("action", pio.parse_lie_action),
     "lie-check-compat": (LIE_PAIR, lambda args: _verdict(
@@ -179,24 +185,18 @@ VERBS = {
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first main call; callers must not change it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="also write the report to this path")
-    common.add_argument("--semidirect-cap", type=int, default=DEFAULT_SEMIDIRECT_CAP)
-    common.add_argument(
-        "--strong-word-bound", type=int, default=2,
-        help="longest word strong-check compares, at least 0; every bound >= 1 gives "
-        "the same verdict and witness (default 2)",
-    )
-    common.add_argument("--max-order", type=int, default=12)
     parser = argparse.ArgumentParser(
         prog="peiffer",
         description="Compatible actions, Peiffer products and crossed modules",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (positional, _) in VERBS.items():
-        p = sub.add_parser(verb, parents=[common])
+    for verb, (positional, _, *options) in VERBS.items():
+        p = sub.add_parser(verb)
+        p.add_argument("--out", default=None, help="also write the report to this path")
         for arg in positional:
             p.add_argument(arg)
+        for flag, kwargs in dict(*options).items():  # options is [] or [the verb's table]
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -302,7 +302,7 @@ def lie_xmod_from_dict(d) -> CrossedModule:
 
 
 def load_json(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -318,6 +318,6 @@ def _encode(v):
 def dump_json(data, path: str | None = None) -> str:
     text = json.dumps(data, indent=2, sort_keys=True, default=_encode)
     if path is not None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text

@@ -1,5 +1,6 @@
 import pytest
 
+from peiffer import actions
 from peiffer.actions import (
     Action,
     Point,
@@ -25,6 +26,15 @@ def inversion_action():
 
 def test_check_action_table_accepts_conjugation():
     assert check_action_table(S3, S3, conjugation_action(S3).table).ok
+
+
+def test_check_action_table_fails_loudly_if_the_generator_pass_fails_a_valid_table(monkeypatch):
+    # the full scan runs only when _generators_act fails, and it fails only
+    # when some axiom does, so a scan that finds none is a broken invariant
+    monkeypatch.setattr(actions, "_generators_act", lambda *args: False)
+    with pytest.raises(AssertionError, match="satisfies every action axiom"):
+        check_action_table(S3, S3, conjugation_action(S3).table)
+    assert not check_action_table(Z2, Z3, [[0, 1, 2], [0, 1, 1]]).ok
 
 
 @pytest.mark.parametrize("row", [[0.3, 1.9], [0, 1.9], [0, True], [0, "1"]])

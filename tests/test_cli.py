@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
@@ -9,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from peiffer import io as pio
-from peiffer.actions import Action, check_action_table, conjugation_action, trivial_action
+from peiffer.actions import (
+    DEFAULT_SEMIDIRECT_CAP, Action, check_action_table, conjugation_action, trivial_action,
+)
 from peiffer.catalog import cyclic, symmetric_3
 from peiffer.cli import VERBS, build_parser, main
 from peiffer.groups import FiniteGroup, GroupError, Hom
@@ -855,6 +860,55 @@ def test_error_paths_that_inputs_reach(golden_paths, tmp_path, verb, files, code
     report = json.loads(stdout)
     assert got == code
     assert (report if code == 0 else report.get("error", report.get("reason"))) == expected
+
+
+# every verb takes --out; these are the other options each verb reads, with
+# the value the golden case passes or else the default: 28 (verb, option) pairs
+OPTION_VALUES = {
+    "--semidirect-cap": str(DEFAULT_SEMIDIRECT_CAP), "--strong-word-bound": "1", "--max-order": "4",
+}
+READS = {
+    "semidirect": {"--semidirect-cap"},
+    "peiffer": {"--semidirect-cap"},
+    "strong-check": {"--semidirect-cap", "--strong-word-bound"},
+    "peiffer-xmods": {"--semidirect-cap"},
+    "universal-map": {"--semidirect-cap"},
+    "enumerate": {"--semidirect-cap", "--max-order"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_each_verb_takes_only_the_options_it_reads(golden_paths, tmp_path, verb):
+    # an option the verb reads leaves the golden report as it is; any other
+    # one is refused as a usage error, like an unknown verb
+    expected = json.loads(GOLDEN.read_text())[verb]
+    takes = READS.get(verb, set()) | {"--out"}
+    for option, value in {**OPTION_VALUES, "--out": str(tmp_path / "out.json")}.items():
+        argv = [*GOLDEN_CASES[verb], option, value]
+        if option in takes:
+            assert run_case(golden_paths, argv) == (expected["code"], expected["stdout"]), argv
+        else:
+            with pytest.raises(SystemExit) as err:
+                run_case(golden_paths, argv)
+            assert err.value.code == 2, argv
+    assert (tmp_path / "out.json").read_text() == expected["stdout"]
+    out = StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as err:
+        main([verb, "--help"])
+    assert err.value.code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out.getvalue())) == takes | {"--help"}
+
+
+def test_a_utf8_file_loads_under_an_ascii_locale(tmp_path):
+    # JSON between systems is UTF-8 (RFC 8259, section 8.1), whatever the locale's encoding
+    path = tmp_path / "z1.json"
+    path.write_text('{"name": "Z\u2081", "order": 1, "table": [[0]]}', encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "peiffer.cli", "validate", str(path)],
+                          env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, json.loads(proc.stdout)) == (0, {"valid": True}), proc.stdout
 
 
 def test_golden_transcript_covers_every_verb():
