@@ -113,15 +113,6 @@ def _induce_actions(args):
     return {"xi_nm": {"table": mut.xi_nm.table}, "xi_mn": {"table": mut.xi_mn.table}}, 0
 
 
-def _lie_validate(args):
-    d = pio.load_json(args.algebra)
-    try:
-        pio.lie_from_dict(d)
-    except LieError as exc:
-        return {"valid": False, "reason": str(exc)}, 2
-    return {"valid": True}, 0
-
-
 def _lie_semidirect(args):
     sd = lie_semidirect(pio.lie_action_from_dict(pio.load_json(args.action)))
     return {"algebra": pio.lie_to_dict(sd.algebra)}, 0
@@ -168,7 +159,7 @@ VERBS = {
     "induce-actions": (XMOD_PAIR, _induce_actions),
     "enumerate": ((), lambda args: ({"rows": census(args.max_order, args.semidirect_cap)}, 0),
                   CAP | {"--max-order": {"type": int, "default": 12}}),
-    "lie-validate": (("algebra",), _lie_validate),
+    "lie-validate": _check("algebra", pio.parse_lie, fail_code=2),
     "lie-check-action": _check("action", pio.parse_lie_action),
     "lie-check-compat": (LIE_PAIR, lambda args: _verdict(
         "compatible", lie_compatible(_lie_pair(args)))),

@@ -50,7 +50,7 @@ def _first_difference(u, v) -> int:
     return next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
 
 
-def _axioms(table, check: bool):
+def _axioms(table, check: bool = False):
     """The identity and the inverses of a table, or the first failed axiom.
 
     With check the raw table is validated in full: shape, entry types and
@@ -112,7 +112,7 @@ class FiniteGroup:
     noun = "group"
 
     def __init__(self, table, name: str | None = None):
-        found = _axioms(table, check=False)
+        found = _axioms(table)
         if isinstance(found, Diagnosis):
             found.expect("group axioms")
         self.identity, self.inverses = found

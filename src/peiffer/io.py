@@ -1,8 +1,9 @@
 """JSON serialization for groups, actions, crossed modules and Lie data.
 
 Every input is checked here, on load; the constructors trust their input.
-Each input kind has one parse step, parse_*, that refuses a malformed shape,
-loads the parts and returns the object with the Diagnosis of its axioms: the
+Each input kind (a group or a Lie algebra, and an action or a crossed module
+of either) has one parse step, parse_*, that refuses a malformed shape, loads
+the parts and returns the object with the Diagnosis of its axioms: the
 loader raises a failed one, the check verb reports it.  Rationals travel as
 "p/q" strings so nothing is lost to floating point; this module alone reads
 and writes them.
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
-from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_action, check_lie_xmod
+from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_action, check_lie_xmod, validate_lie
 from .product import PeifferProduct
 from .xmod import CrossedModule, check_xmod
 
@@ -174,16 +175,19 @@ def xmod_to_dict(xm: CrossedModule) -> dict:
 
 
 def parse_xmod(d) -> tuple[CrossedModule, Diagnosis]:
-    """The crossed module d describes, with its boundary and action checked, and its Diagnosis."""
+    """The crossed module d describes, with its action checked, and its Diagnosis.
+
+    A failed hom check of the boundary is the Diagnosis, as in check_lie_xmod.
+    """
     if not isinstance(d, dict) or not {"boundary", "action", "dom", "cod"} <= set(d):
         raise GroupError("crossed module data needs boundary, action, dom, cod")
     dom = group_from_dict(d["dom"])
     cod = dom if d["cod"] == d["dom"] else group_from_dict(d["cod"])
     mapping = nested_lists(d["boundary"], 1, "boundary", GroupError)
     boundary = Hom(dom, cod, int_entries(mapping, "boundary"))
-    boundary.check().expect("homomorphism axioms")
     xm = CrossedModule(boundary, action_from_dict(d["action"], acting=cod, target=dom))
-    return xm, check_xmod(xm)
+    hom = boundary.check()
+    return xm, check_xmod(xm) if hom.ok else hom
 
 
 def xmod_from_dict(d) -> CrossedModule:
@@ -220,8 +224,8 @@ def lie_to_dict(L: LieAlgebra) -> dict:
     return d
 
 
-def lie_from_dict(d) -> LieAlgebra:
-    """The Lie algebra d describes; LieAlgebra checks its axioms."""
+def parse_lie(d) -> tuple[LieAlgebra, Diagnosis]:
+    """The Lie algebra d describes, and the Diagnosis of its axioms."""
     if not isinstance(d, dict) or "dim" not in d:
         raise LieError("Lie data must be an object with a dim")
     (n,) = int_entries((d["dim"],), "dim", LieError)
@@ -247,7 +251,12 @@ def lie_from_dict(d) -> LieAlgebra:
         # listed partner that is not the negative fails antisymmetry below
         if (j, i) not in given:
             brackets[j][i] = tuple(-c if c else c for c in coeffs)
-    return LieAlgebra(n, tuple(map(tuple, brackets)), name=_name(d, LieError))
+    L = LieAlgebra(n, tuple(map(tuple, brackets)), name=_name(d, LieError))
+    return L, validate_lie(L)
+
+
+def lie_from_dict(d) -> LieAlgebra:
+    return _checked(parse_lie(d), "Lie axioms", LieError)
 
 
 def lie_action_to_dict(a: LieAction) -> dict:

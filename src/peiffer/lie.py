@@ -178,17 +178,16 @@ class LieAlgebra:
     """Structure constants on a chosen basis: brackets[i][j] = [e_i, e_j].
 
     brackets is kept as given: tuples of Fractions at every level, as
-    peiffer.io builds them.  The one constructor that still checks its input,
-    unless check=False.  Every other constructor trusts its input and
-    peiffer.io checks what it loads; the flag stays only because
-    perfbench/test_perfbench.py passes it.
+    peiffer.io builds them.  Like every constructor it trusts its input, and
+    peiffer.io checks what it loads; check=True runs validate_lie, and the
+    flag stays only because perfbench/test_perfbench.py passes it.
     """
 
     # the error and the noun of the guards compat and xmod share with groups
     error = LieError
     noun = "algebra"
 
-    def __init__(self, dim: int, brackets, name: str | None = None, check: bool = True):
+    def __init__(self, dim: int, brackets, name: str | None = None, check: bool = False):
         self.dim = dim
         self.brackets = brackets
         self.name = name
@@ -461,7 +460,7 @@ def lie_semidirect(rho: LieAction) -> LieSemidirect:
     M, N = rho.target, rho.acting
     dm = M.dim
     # Jacobi holds because M and N do and rho is a Lie hom into Der(M)
-    S = LieAlgebra(dm + N.dim, _semidirect_brackets(rho), check=False)
+    S = LieAlgebra(dm + N.dim, _semidirect_brackets(rho))
     ident = identity_mat(S.dim)
     j_m = LieMap(M, S, tuple(row[:dm] for row in ident))
     j_n = LieMap(N, S, tuple(row[dm:] for row in ident))
@@ -513,7 +512,7 @@ def lie_peiffer_ideal(mut: MutualActions):
     coordinates of M + N, and the ideal's rref basis and pivots.
     """
     dm, dn = mut.M.dim, mut.N.dim
-    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm), check=False)
+    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm))
     gens = [
         column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j)
         for i in range(dm)
@@ -541,7 +540,7 @@ def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
 
     # the closure in lie_peiffer_ideal is an ideal, so P is a quotient algebra
     brackets = tuple(tuple(project(S.brackets[a][b]) for b in reps) for a in reps)
-    P = LieAlgebra(len(reps), brackets, check=False)
+    P = LieAlgebra(len(reps), brackets)
     columns = tuple(project(basis_vec(S.dim, c)) for c in range(S.dim))
     dm = mut.M.dim
     l_m = _lie_map_from_columns(mut.M, P, columns[:dm])

@@ -1,8 +1,10 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peiffer import io as pio
 from peiffer.actions import conjugation_action
@@ -17,6 +19,7 @@ from peiffer.lie import (
     LieError,
     adjoint_action,
     identity_lie_map,
+    validate_lie,
 )
 from peiffer.xmod import CrossedModule, identity_xmod
 
@@ -108,6 +111,47 @@ def test_lie_load_validates():
     for partner in (["0", "1"], ["0", "2"]):
         with pytest.raises(LieError, match="antisymmetry fails"):
             pio.lie_from_dict(lie_data((0, 1, ["0", "1"]), (1, 0, partner)))
+
+
+# the entries of a drawn file, as JSON values and as the Fractions they stand for
+ENTRY = {0: ZERO, 1: Fraction(1), -1: Fraction(-1), "1/2": Fraction(1, 2), "-1/2": Fraction(-1, 2)}
+NEGATIVE = {0: 0, 1: -1, -1: 1, "1/2": "-1/2"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_parse_lie_diagnoses_the_algebra_as_validate_lie_does(n, data):
+    # each pair i < j is listed or not; a listed one's partner is left to the
+    # loader, listed as its negative, or listed with any entries
+    coeffs = st.lists(st.sampled_from(list(NEGATIVE)), min_size=n, max_size=n)
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                c = data.draw(coeffs)
+                entries.append((i, j, c))
+                partner = data.draw(st.sampled_from(["filled", "negative", "any"]))
+                if partner == "negative":
+                    entries.append((j, i, [NEGATIVE[x] for x in c]))
+                elif partner == "any":
+                    entries.append((j, i, data.draw(coeffs)))
+    entries = data.draw(st.permutations(entries))
+    listed = {(i, j) for i, j, _ in entries}
+    brackets = [[(ZERO,) * n] * n for _ in range(n)]
+    for i, j, c in entries:
+        brackets[i][j] = tuple(ENTRY[x] for x in c)
+        if (j, i) not in listed:
+            brackets[j][i] = tuple(-ENTRY[x] for x in c)
+    L = LieAlgebra(n, tuple(map(tuple, brackets)))  # well shaped, so it never raises
+    d = {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": c} for i, j, c in entries]}
+    parsed, diag = pio.parse_lie(d)
+    assert parsed == L and diag == validate_lie(L)
+    if diag.ok:
+        assert pio.lie_from_dict(d) == L
+    else:
+        message = f"Lie axioms failed: {diag.reason}, witness={diag.witness}"
+        with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
+            pio.lie_from_dict(d)
 
 
 def test_lie_load_refuses_repeated_entry():

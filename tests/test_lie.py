@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from peiffer.lie import (
     zero_mat,
     zero_vec,
 )
-from peiffer.io import lie_action_from_dict, mat, vec
+from peiffer.io import lie_action_from_dict, lie_from_dict, mat, vec
 from peiffer.xmod import CrossedModule
 
 from lie_data import mats
@@ -89,7 +90,7 @@ def test_validate_accepts_fixtures():
 
 
 def test_validate_rejects_antisymmetry():
-    bad = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]), check=False)
+    bad = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]))
     d = validate_lie(bad)
     assert not d.ok and d.reason == "antisymmetry fails"
     assert d.witness == (0, 1, fracs(0, 2))
@@ -104,7 +105,6 @@ def test_validate_rejects_jacobi():
             [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
             [[-1, 0, 0], [-1, 0, 0], [0, 0, 0]],
         ]),
-        check=False,
     )
     d = validate_lie(bad)
     assert not d.ok and d.reason == "Jacobi fails"
@@ -461,7 +461,7 @@ def ref_lie_peiffer(mut, xms=None):
             mpart = vadd(M.bracket(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
             row.append(mpart + N.bracket(n1, n2))
         brackets.append(tuple(row))
-    S = LieAlgebra(dim, tuple(brackets), check=False)
+    S = LieAlgebra(dim, tuple(brackets))
     j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
     j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
     gens = [
@@ -487,7 +487,6 @@ def ref_lie_peiffer(mut, xms=None):
     P = LieAlgebra(
         len(free),
         tuple(tuple(project(S.bracket(basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
-        check=False,
     )
     proj = from_columns(S, P, [project(basis_vec(dim, c)) for c in range(dim)])
     lift = from_columns(P, S, [basis_vec(dim, c) for c in free])
@@ -609,8 +608,12 @@ def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
 
 def test_lie_checks_raise_lie_error():
     # the Lie side shares groups.Diagnosis but keeps its own exception
-    with pytest.raises(LieError, match="Lie axioms failed: antisymmetry fails"):
-        LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]))
+    own_partner = [{"i": 0, "j": 1, "coeffs": [0, 1]}, {"i": 1, "j": 0, "coeffs": [0, 1]}]
+    message = "Lie axioms failed: antisymmetry fails, witness=(0, 1, (Fraction(0, 1), Fraction(2, 1)))"
+    with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
+        lie_from_dict({"dim": 2, "brackets": own_partner})
+    with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
+        LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, 1], [0, 0]]]), check=True)
     with pytest.raises(LieError, match="^structure constants have the wrong shape$"):
         LieAlgebra(2, mats([[[0, 0], [0, 1]]]))
     L = solvable2()
@@ -701,7 +704,7 @@ def test_sparse_kernels_match_dense_oracle(r, k, c, data):
     u, v = data.draw(fraction_rows(2, k))
     ((s,),) = data.draw(fraction_rows(1, 1))
     brackets = tuple(data.draw(fraction_rows(k, k)) for _ in range(k))
-    L = LieAlgebra(k, brackets, check=False)
+    L = LieAlgebra(k, brackets)
     rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
     act = LieAction(abelian(r), abelian(k), rho)
     (w,) = data.draw(fraction_rows(1, r))
@@ -775,7 +778,7 @@ def test_sorted_jacobi_matches_full_oracle(n, data):
         tuple(upper[i, j] if i < j else vscale(-1, upper[j, i]) if i > j else zero_vec(n) for j in range(n))
         for i in range(n)
     )
-    L = LieAlgebra(n, brackets, check=False)
+    L = LieAlgebra(n, brackets)
     assert validate_lie(L) == full_validate_lie(L)
 
 

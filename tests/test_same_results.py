@@ -11,7 +11,11 @@ and every witness must still be the lexicographically first one.
 
 The Lie digests pin the exit code and stdout of the nine lie-* verbs.  They
 were taken while every Lie check still computed on Fractions, before the
-checks moved to integer numerators over a common denominator.
+checks moved to integer numerators over a common denominator.  One was
+re-recorded since, when lie-validate took the report shape of validate: the
+"jacobi" digest, whose lie-validate entry now gives the reason and witness
+as separate keys, the residual in "p/q" strings.  Its other verbs refuse the
+algebra with the same message as before.
 
 To see the digests of the current tree:
 
@@ -88,7 +92,7 @@ PINNED_LIE = {
     "b3-dense-2": "a6939c4a7f2ea1b6",
     "b3-dense-3": "242ef9413e67d7db",
     "b4": "e6776f328a98418c",
-    "jacobi": "c31ce628ebb08bd2",
+    "jacobi": "7cfe2c1c67ba2f88",
     "action": "abb438b44cb9cc02",
     "compat-first": "4f0063f6331964fc",
     "compat-second": "d9c991447134533e",
