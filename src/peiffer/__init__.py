@@ -27,7 +27,6 @@ from .actions import (
 from .compat import CompatVerdict, MutualActions, check_compatible, coproduct_eval
 from .xmod import CrossedModule, check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
 from .product import (
-    NotWellDefined,
     PeifferProduct,
     induced_actions,
     peiffer_product,
@@ -46,7 +45,6 @@ from .lie import (
     lie_compatible,
     lie_induced_actions,
     lie_peiffer,
-    lie_peiffer_xmods,
     lie_semidirect,
     lie_universal_map,
     validate_lie,

@@ -20,7 +20,6 @@ from .lie import (
     LieError,
     lie_compatible,
     lie_peiffer,
-    lie_peiffer_xmods,
     lie_induced_actions,
     lie_semidirect,
     lie_universal_map,
@@ -120,7 +119,7 @@ def _lie_semidirect(args):
 
 def _lie_peiffer(args):
     pp = lie_peiffer(_lie_pair(args))
-    return {"algebra": pio.lie_to_dict(pp.algebra), "l_m": pp.l_m.matrix, "l_n": pp.l_n.matrix}, 0
+    return {"algebra": pio.lie_to_dict(pp.product), "l_m": pp.lM.matrix, "l_n": pp.lN.matrix}, 0
 
 
 def _lie_induce_actions(args):
@@ -168,7 +167,7 @@ VERBS = {
     "lie-xmod-check": _check("xmod", pio.parse_lie_xmod),
     "lie-induce-actions": (XMOD_PAIR, _lie_induce_actions),
     "lie-peiffer-xmods": (LIE_PAIR, lambda args: (
-        _on_sides(lie_peiffer_xmods(lie_peiffer(_lie_pair(args))), pio.lie_xmod_to_dict), 0)),
+        _on_sides(peiffer_xmods(lie_peiffer(_lie_pair(args))), pio.lie_xmod_to_dict), 0)),
     "lie-universal-map": (LIE_PAIR + XMOD_PAIR, _lie_universal_map),
 }
 

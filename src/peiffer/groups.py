@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 from math import prod
@@ -27,7 +28,7 @@ class Diagnosis:
 
     def expect(self, what: str = "check", error=GroupError) -> None:
         if not self.ok:
-            tail = "" if self.witness is None else f", witness={self.witness}"
+            tail = "" if self.witness is None else f", witness={_shown(self.witness)}"
             raise error(f"{what} failed: {self.reason}{tail}")
 
 
@@ -43,6 +44,16 @@ def _bounded(v):
     """v for a witness: itself if it is an int or reprlib shows it whole, else reprlib's short form."""
     short = reprlib.repr(v)
     return v if isinstance(v, int) or "..." not in short else short
+
+
+def _shown(w) -> str:
+    """repr(w) of a witness, with each Fraction in it written p/q (or n) as in a report."""
+    if isinstance(w, Fraction):
+        return str(w)
+    if isinstance(w, tuple):
+        inner = ", ".join(map(_shown, w))
+        return f"({inner},)" if len(w) == 1 else f"({inner})"
+    return repr(w)
 
 
 def _first_difference(u, v) -> int:

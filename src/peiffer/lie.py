@@ -3,7 +3,9 @@
 Mutual actions by derivations and crossed modules are the groups' own
 compat.MutualActions and xmod.CrossedModule; this module adds the two
 compatibility equations, the semidirect sum, and the Peiffer quotient with
-its crossed-module structures and universal map.  All data are tuples of
+its induced actions and universal map.  The quotient has the interface of
+product.PeifferProduct, so product.peiffer_xmods gives its crossed-module
+structures as it does the groups'.  All data are tuples of
 Fractions, kept as given; peiffer.io turns the rationals of a file into them.
 The checks compute exactly on integer numerators over one common denominator
 per action or map, and only a witness goes back to Fractions.
@@ -255,8 +257,6 @@ class LieMap:
         self.dom = dom
         self.cod = cod
         self.matrix = matrix
-        if len(self.matrix) != cod.dim or any(len(r) != dom.dim for r in self.matrix):
-            raise LieError("matrix shape does not match the algebras")
 
     def __call__(self, v) -> tuple:
         return mat_vec(self.matrix, v)
@@ -271,8 +271,10 @@ class LieMap:
 
         That residual is antisymmetric in (i, j) and zero at i = j, so the
         first failing pair in lexicographic order has i < j: columns j > i
-        suffice.
+        suffice.  A matrix of the wrong shape fails first.
         """
+        if len(self.matrix) != self.cod.dim or any(len(r) != self.dom.dim for r in self.matrix):
+            return Diagnosis(False, "matrix shape does not match the algebras", ())
         (s, (F,)), (a, ad), (c, cod_ad) = self.scaled, self.dom.adjoint.scaled, self.cod.adjoint.scaled
         for i, ad_i in enumerate(ad):
             rhs = mat_mul(combination(cod_ad, column(F, i), self.cod.dim), F)
@@ -296,11 +298,6 @@ class LieAction:
         self.acting = acting
         self.target = target
         self.rho = rho
-        if len(self.rho) != acting.dim or any(
-            len(m) != target.dim or any(len(r) != target.dim for r in m)
-            for m in self.rho
-        ):
-            raise LieError("action matrices have the wrong shape")
 
     @cached_property
     def scaled(self) -> tuple:
@@ -337,8 +334,11 @@ def check_lie_action(act: LieAction) -> Diagnosis:
     derivation rule at (e_i, e_j).  Each difference is antisymmetric in its
     two indices and zero when they agree, so the first failing pair in
     lexicographic order is increasing: pairs a < b and columns j > i suffice.
+    Matrices of the wrong shape fail first.
     """
     A, n = act.acting, act.target.dim
+    if len(act.rho) != A.dim or any(len(m) != n or any(len(r) != n for r in m) for m in act.rho):
+        return Diagnosis(False, "action matrices have the wrong shape", ())
     (r, rho), (s, acting_ad), (x, ad) = act.scaled, A.adjoint.scaled, act.target.adjoint.scaled
     for a in range(A.dim):
         for b in range(a + 1, A.dim):
@@ -475,19 +475,23 @@ def _lie_map_from_columns(dom, cod, columns) -> LieMap:
 class LiePeifferProduct:
     """The quotient of M x| N by the Peiffer ideal, on the coordinates of M + N.
 
-    The coordinates are M's basis then N's.  reps are the coordinates off the
-    ideal's pivots, whose basis vectors represent P's basis; columns[c] is
-    the image in P of basis vector c, so l_m and l_n are its first M.dim and
-    last N.dim columns.
+    product, lM, lN, source, actions and disagreement are the interface of
+    product.PeifferProduct; the witness is (side, row), the first ideal row
+    that does not act as zero on that side.  The coordinates are M's basis
+    then N's.  reps are the coordinates off the ideal's pivots, whose basis
+    vectors represent P's basis; columns[c] is the image in P of basis
+    vector c, so lM and lN are its first M.dim and last N.dim columns.
     """
 
-    def __init__(self, algebra, reps, columns, l_m, l_n, source, ideal_rows, ideal_pivots):
-        self.algebra = algebra
+    def __init__(self, product, lM, lN, source, actions, disagreement, reps, columns, ideal_rows, ideal_pivots):
+        self.product = product
+        self.lM = lM
+        self.lN = lN
+        self.source = source
+        self.actions = actions
+        self.disagreement = disagreement
         self.reps = reps
         self.columns = columns
-        self.l_m = l_m
-        self.l_n = l_n
-        self.source = source
         self.ideal_rows = ideal_rows
         self.ideal_pivots = ideal_pivots
 
@@ -498,10 +502,10 @@ class LiePeifferProduct:
 
     @cached_property
     def proj(self) -> LieMap:
-        return _lie_map_from_columns(self.semidirect.algebra, self.algebra, self.columns)
+        return _lie_map_from_columns(self.semidirect.algebra, self.product, self.columns)
 
     def __repr__(self):
-        return f"LiePeifferProduct(dim={self.algebra.dim})"
+        return f"LiePeifferProduct(dim={self.product.dim})"
 
 
 def lie_peiffer_ideal(mut: MutualActions):
@@ -543,35 +547,19 @@ def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
     P = LieAlgebra(len(reps), brackets)
     columns = tuple(project(basis_vec(S.dim, c)) for c in range(S.dim))
     dm = mut.M.dim
-    l_m = _lie_map_from_columns(mut.M, P, columns[:dm])
-    l_n = _lie_map_from_columns(mut.N, P, columns[dm:])
-    return LiePeifferProduct(P, reps, columns, l_m, l_n, mut, rows, pivots)
-
-
-def lie_peiffer_actions(pp: LiePeifferProduct) -> tuple[LieAction, LieAction]:
-    """The actions of the quotient on M and on N, checked well defined.
-
-    On M a representative (m, n) acts as ad(m) + rho_NM(n); on N as
-    ad(n) + rho_MN(m).  Well-definedness means every ideal basis vector
-    acts as zero, which is checked exactly.
-    """
-    mut = pp.source
-    # basis vector k of M + N acts on M as on_m[k] and on N as on_n[k]
-    on_m, on_n = mut.M.adjoint.rho + mut.xi_nm.rho, mut.xi_mn.rho + mut.N.adjoint.rho
-    sides = ((on_m, mut.M, "M"), (on_n, mut.N, "N"))
-    for row in pp.ideal_rows:
-        for mats, X, tag in sides:
-            if any(x != 0 for r in combination(mats, row, X.dim) for x in r):
-                raise LieError(f"induced action on {tag} is not well defined, witness={row}")
-    # once the ideal acts as zero both are Lie homs into derivations
-    return tuple(LieAction(pp.algebra, X, tuple(mats[k] for k in pp.reps)) for mats, X, _ in sides)
-
-
-def lie_peiffer_xmods(pp: LiePeifferProduct) -> tuple[CrossedModule, CrossedModule]:
-    on_m, on_n = lie_peiffer_actions(pp)
-    xm_m = CrossedModule(pp.l_m, on_m)
-    xm_n = CrossedModule(pp.l_n, on_n)
-    return xm_m, xm_n
+    lM = _lie_map_from_columns(mut.M, P, columns[:dm])
+    lN = _lie_map_from_columns(mut.N, P, columns[dm:])
+    # (m, n) acts on M as ad(m) + rho_NM(n) and on N as ad(n) + rho_MN(m), so
+    # basis vector k of M + N as mats[k]; once every ideal row acts as zero,
+    # checked exactly, both actions are well defined and by derivations
+    sides = ((mut.M.adjoint.rho + mut.xi_nm.rho, mut.M), (mut.xi_mn.rho + mut.N.adjoint.rho, mut.N))
+    disagreement = next((
+        (side, row) for row in rows for side, (mats, X) in enumerate(sides)
+        if any(x for r in combination(mats, row, X.dim) for x in r)
+    ), None)
+    actions = None if disagreement else tuple(
+        LieAction(P, X, tuple(mats[k] for k in reps)) for mats, X in sides)
+    return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, columns, rows, pivots)
 
 
 def lie_universal_map(pp: LiePeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) -> LieMap:
@@ -589,4 +577,4 @@ def lie_universal_map(pp: LiePeifferProduct, xm_m: CrossedModule, xm_n: CrossedM
     rows = tuple(
         tuple(mu[i][k] if k < dm else nu[i][k - dm] for k in pp.reps) for i in range(L.dim)
     )
-    return LieMap(pp.algebra, L, rows)
+    return LieMap(pp.product, L, rows)

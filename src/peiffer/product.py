@@ -5,6 +5,7 @@ action of N on M by the normal closure of the relators
 j_M(m) j_N(n) j_M(m)^-1 j_N(m n)^-1 (with m n meaning n acted on by m).  The
 table of M x| N is never built: the element (m, n) is the index m |N| + n,
 and (x, a)(y, b) = (x psi(a, y), a b) with psi the action of N on M.
+induced_actions and peiffer_xmods also take lie.lie_peiffer's product.
 """
 from __future__ import annotations
 
@@ -26,26 +27,22 @@ from .groups import (
     Hom,
     VALID,
     _first_difference,
+    _shown,
     quotient,  # noqa: F401 -- unused; perfbench's wrapper self-test asserts this binding
 )
 from .xmod import CrossedModule, induced_mutual_actions
 
 
-class NotWellDefined(GroupError):
-    """An induced operation disagrees on two representatives of a coset."""
-
-    def __init__(self, message, witness):
-        super().__init__(f"{message}, witness={witness}")
-        self.witness = witness
-
-
 class PeifferProduct:
     """The quotient group with its structure maps and induced actions.
 
-    proj sends each index m |N| + n of M x| N to its coset in P.  actions is
-    a MutualActions pair when the induced actions are well defined
-    (equivalently, when the source pair is compatible); otherwise it is None
-    and disagreement holds the first witness.
+    The interface it shares with lie.LiePeifferProduct, and that
+    induced_actions and peiffer_xmods read: product is P, lM and lN the
+    structure maps from M and N, and source the MutualActions pair.  actions
+    is the tuple (on_M, on_N) of the actions of P on M and on N when they are
+    well defined (equivalently, when the source pair is compatible);
+    otherwise it is None and disagreement holds the first witness.  Here proj
+    sends each index m |N| + n of M x| N to its coset in P.
     """
 
     def __init__(self, product, proj, lM, lN, source, actions, disagreement):
@@ -179,15 +176,15 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     return PeifferProduct(P, proj, lM, lN, mut, actions, disagreement)
 
 
-def induced_actions(pp: PeifferProduct):
-    """The actions of P on M and on N; raises when they are not well defined."""
+def induced_actions(pp):
+    """The actions of P on M and on N, of groups or of Lie algebras; raises when not well defined."""
     if pp.actions is None:
-        raise NotWellDefined("induced action disagrees across a coset", pp.disagreement)
+        raise pp.source.M.error(f"induced action disagrees across a coset, witness={_shown(pp.disagreement)}")
     return pp.actions
 
 
-def peiffer_xmods(pp: PeifferProduct) -> tuple[CrossedModule, CrossedModule]:
-    """lM and lN as crossed modules over the Peiffer product."""
+def peiffer_xmods(pp) -> tuple[CrossedModule, CrossedModule]:
+    """lM and lN as crossed modules over the Peiffer product, of groups or of Lie algebras."""
     on_m, on_n = induced_actions(pp)
     return CrossedModule(pp.lM, on_m), CrossedModule(pp.lN, on_n)
 

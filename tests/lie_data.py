@@ -10,6 +10,7 @@ up to 69).  These are the inputs of the lie_b3 and lie_dense benchmark
 workloads, drawn the same way from the same seeds.
 """
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -24,6 +25,11 @@ DENSE_BASIS = (
     (-2, 0, -1, 2, -2, -1),
     (-2, -1, 0, -2, 0, -2),
 )
+
+
+def reported(witness) -> str:
+    """repr(witness) with each Fraction(p, q) in it written as p/q, or p when q is 1."""
+    return re.sub(r"Fraction\((-?\d+), (\d+)\)", lambda m: str(Fraction(int(m[1]), int(m[2]))), repr(witness))
 
 
 def mats(values):

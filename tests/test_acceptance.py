@@ -16,9 +16,8 @@ from peiffer.actions import (
 )
 from peiffer.catalog import catalog, cyclic, klein_four, symmetric_3
 from peiffer.compat import M_SIDE, N_SIDE, MutualActions, check_compatible
-from peiffer.groups import direct_product, is_isomorphic, subgroup_closure, subgroup_group, all_homs
+from peiffer.groups import GroupError, direct_product, is_isomorphic, subgroup_closure, subgroup_group, all_homs
 from peiffer.product import (
-    NotWellDefined,
     induced_actions,
     peiffer_product,
     peiffer_xmods,
@@ -154,9 +153,9 @@ def test_criterion_8_negative_control():
     try:
         induced_actions(pp)
         ok = False
-    except NotWellDefined as err:
-        w = err.witness
-        ok = ok and w is not None
+    except GroupError as err:
+        w = pp.disagreement
+        ok = ok and w is not None and str(err) == f"induced action disagrees across a coset, witness={w}"
         # the witness really exhibits two preimages of one coset disagreeing
         p, rep, other, side, x, val1, val2 = w
         ok = ok and pp.from_semidirect(rep) == p == pp.from_semidirect(other)
@@ -229,14 +228,14 @@ def test_criterion_10_lie_suite():
             lie.trivial_lie_action(L, I), lie.trivial_lie_action(I, L)
         )
         pp0 = lie.lie_peiffer(zero)
-        ok = pp0.algebra.dim == I.dim + L.dim and pp0.ideal_rows == ()
+        ok = pp0.product.dim == I.dim + L.dim and pp0.ideal_rows == ()
 
     # (c) compatible fixtures carry crossed modules and the universal map
     if ok:
         for xm_m, xm_n in fixtures:
             mut = lie.lie_induced_actions(xm_m, xm_n)
             pp = lie.lie_peiffer(mut)
-            q_m, q_n = lie.lie_peiffer_xmods(pp)
+            q_m, q_n = peiffer_xmods(pp)
             if not (lie.check_lie_xmod(q_m).ok and lie.check_lie_xmod(q_n).ok):
                 ok = False
                 break

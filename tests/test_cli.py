@@ -833,9 +833,9 @@ _S3_DEEP_NAME = {**pio.group_to_dict(S3), "name": json.loads("[" * 900 + "]" * 9
                  "bracket entry out of range", id="lie-validate-j-is-dim"),
     pytest.param("lie-validate", [{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1", "0"]}]}], 2,
                  "bracket entry out of range", id="lie-validate-coeffs-too-long"),
-    pytest.param("lie-check-action", [{**pio.lie_action_to_dict(adjoint_action(_L)), "rho": [[["0"]]]}], 2,
+    pytest.param("lie-check-action", [{**pio.lie_action_to_dict(adjoint_action(_L)), "rho": [[["0"]]]}], 1,
                  "action matrices have the wrong shape", id="lie-check-action-rho-shape"),
-    pytest.param("lie-xmod-check", [{**pio.lie_xmod_to_dict(_LIE_XM_M), "boundary": [["1"]]}], 2,
+    pytest.param("lie-xmod-check", [{**pio.lie_xmod_to_dict(_LIE_XM_M), "boundary": [["1"]]}], 1,
                  "matrix shape does not match the algebras", id="lie-xmod-check-boundary-shape"),
     pytest.param("lie-induce-actions", ["lie_xm_m", pio.lie_xmod_to_dict(
         CrossedModule(identity_lie_map(_ONE), adjoint_action(_ONE)))], 2,
@@ -867,17 +867,21 @@ _DOUBLED = pio.lie_xmod_to_dict(CrossedModule(LieMap(_L, _L, pio.mat([[0, 0], [0
 
 
 # Each pair of twin check verbs: for the group verb and then its lie-* twin, a
-# file with a malformed field and one that fails an axiom (for the crossed
-# modules, a boundary that is not a homomorphism).
-@pytest.mark.parametrize("verbs, fail_code, malformed, failing", [
+# file with a malformed field, one that fails an axiom (for the crossed
+# modules, a boundary that is not a homomorphism) and one with a part of the
+# wrong size.  The validate pair has none of the last: parse_lie always
+# builds structure constants of the right shape.
+@pytest.mark.parametrize("verbs, fail_code, malformed, failing, wrong_size", [
     pytest.param(("validate", "lie-validate"), 2, [{"table": 5}, {"dim": 2, "brackets": None}],
-                 ["no_inverse", "own_partner"], id="validate"),
+                 ["no_inverse", "own_partner"], [], id="validate"),
     pytest.param(("check-action", "lie-check-action"), 1, [{**_Z2_ON_Z3, "table": 5}, {**_AD, "rho": None}],
-                 ["conj_bad", "ad_bad"], id="check-action"),
+                 ["conj_bad", "ad_bad"], [{**_Z2_ON_Z3, "table": [[0, 1, 2]]}, {**_AD, "rho": [[["0"]]]}],
+                 id="check-action"),
     pytest.param(("xmod-check", "lie-xmod-check"), 1, [{**_Z2_XM, "boundary": 5}, {**_LIE_XM, "boundary": None}],
-                 [{**_Z2_XM, "boundary": [1, 0]}, _DOUBLED], id="xmod-check"),
+                 [{**_Z2_XM, "boundary": [1, 0]}, _DOUBLED],
+                 [{**_Z2_XM, "boundary": [0]}, {**_LIE_XM, "boundary": [["1"]]}], id="xmod-check"),
 ])
-def test_twin_check_verbs_report_alike(golden_paths, tmp_path, verbs, fail_code, malformed, failing):
+def test_twin_check_verbs_report_alike(golden_paths, tmp_path, verbs, fail_code, malformed, failing, wrong_size):
     for k, (verb, bad_field, bad_axiom) in enumerate(zip(verbs, malformed, failing)):
         code, stdout = run_case(golden_paths, [verb, write(tmp_path, f"field{k}.json", bad_field)])
         assert code == 2 and list(json.loads(stdout)) == ["error"], (verb, stdout)
@@ -887,6 +891,11 @@ def test_twin_check_verbs_report_alike(golden_paths, tmp_path, verbs, fail_code,
         report = json.loads(stdout)
         assert code == fail_code and list(report) == ["reason", "valid", "witness"], (verb, stdout)
         assert report["valid"] is False and "Fraction(" not in stdout
+    for k, (verb, bad_size) in enumerate(zip(verbs, wrong_size)):
+        code, stdout = run_case(golden_paths, [verb, write(tmp_path, f"size{k}.json", bad_size)])
+        report = json.loads(stdout)
+        assert code == 1 and list(report) == ["reason", "valid", "witness"], (verb, stdout)
+        assert report["valid"] is False
 
 
 # every verb takes --out; these are the other options each verb reads, with

@@ -1,7 +1,9 @@
 import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peiffer.groups import (
     FiniteGroup,
@@ -19,9 +21,12 @@ from peiffer.groups import (
     subgroup_closure,
     subgroup_group,
     validate_table,
+    _shown,
 )
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.io import group_from_dict
+
+from lie_data import reported
 
 
 def test_validate_accepts_cyclic():
@@ -287,3 +292,25 @@ def test_hom_search_refuses_past_budget():
     with pytest.raises(GroupError, match="search budget exceeded"):
         automorphisms(G)
     assert time.perf_counter() - start < 1
+
+
+# what a witness holds: ints, Fractions and the quoted strings of _bounded,
+# in tuples of any length, the empty tuple and 1-tuples included; the strings
+# have no parentheses, so reported() cannot mistake one for a Fraction
+WITNESSES = st.recursive(
+    st.integers(-10**6, 10**6) | st.fractions() | st.text(alphabet="ab[]. '\"\\", max_size=6),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WITNESSES)
+def test_a_witness_is_shown_as_its_repr_with_fractions_as_p_over_q(witness):
+    assert _shown(witness) == reported(witness)
+
+
+def test_a_witness_is_shown_as_a_report_writes_it():
+    assert _shown(()) == "()" and _shown((Fraction(1, 2),)) == "(1/2,)"
+    assert _shown((0, 1, (Fraction(0), Fraction(-2), Fraction(190, 483)))) == "(0, 1, (0, -2, 190/483))"
+    assert _shown((0, 1, "[[[...]]]")) == "(0, 1, '[[[...]]]')"

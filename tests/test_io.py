@@ -23,7 +23,7 @@ from peiffer.lie import (
 )
 from peiffer.xmod import CrossedModule, identity_xmod
 
-from lie_data import mats
+from lie_data import mats, reported
 
 
 def test_group_round_trip():
@@ -149,7 +149,7 @@ def test_parse_lie_diagnoses_the_algebra_as_validate_lie_does(n, data):
     if diag.ok:
         assert pio.lie_from_dict(d) == L
     else:
-        message = f"Lie axioms failed: {diag.reason}, witness={diag.witness}"
+        message = f"Lie axioms failed: {diag.reason}, witness={reported(diag.witness)}"
         with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
             pio.lie_from_dict(d)
 

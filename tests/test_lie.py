@@ -23,8 +23,6 @@ from peiffer.lie import (
     lie_compatible,
     lie_induced_actions,
     lie_peiffer,
-    lie_peiffer_actions,
-    lie_peiffer_xmods,
     lie_semidirect,
     lie_universal_map,
     mat_add,
@@ -42,6 +40,7 @@ from peiffer.lie import (
     zero_vec,
 )
 from peiffer.io import lie_action_from_dict, lie_from_dict, mat, vec
+from peiffer.product import induced_actions, peiffer_xmods
 from peiffer.xmod import CrossedModule
 
 from lie_data import mats
@@ -283,38 +282,42 @@ def test_lie_peiffer_zero_actions_direct_sum():
     M, N = solvable2(), sl2()
     mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
     pp = lie_peiffer(mut)
-    assert pp.algebra.dim == 5
+    assert pp.product.dim == 5
     assert pp.ideal_rows == ()
 
 
 def test_lie_peiffer_scalar_pair_quotient():
     pp = lie_peiffer(scalar_pair())
     # the ideal closure swallows everything: generators (n m, m n) = (1, 1)
-    assert pp.algebra.dim == 0
+    assert pp.product.dim == 0
 
 
 def test_lie_peiffer_compatible_fixture():
     xm_m, xm_n = ideal_fixture()
     mut = lie_induced_actions(xm_m, xm_n)
     pp = lie_peiffer(mut)
-    assert pp.algebra.dim <= 3
-    xms = lie_peiffer_xmods(pp)
+    assert pp.product.dim <= 3
+    xms = peiffer_xmods(pp)
     assert check_lie_xmod(xms[0]).ok and check_lie_xmod(xms[1]).ok
     h = lie_universal_map(pp, xm_m, xm_n)
     assert h.check().ok
     # triangles
     for j in range(mut.M.dim):
-        assert h(pp.l_m(basis_vec(mut.M.dim, j))) == xm_m.boundary(basis_vec(mut.M.dim, j))
+        assert h(pp.lM(basis_vec(mut.M.dim, j))) == xm_m.boundary(basis_vec(mut.M.dim, j))
     for j in range(mut.N.dim):
-        assert h(pp.l_n(basis_vec(mut.N.dim, j))) == xm_n.boundary(basis_vec(mut.N.dim, j))
+        assert h(pp.lN(basis_vec(mut.N.dim, j))) == xm_n.boundary(basis_vec(mut.N.dim, j))
 
 
 def test_lie_peiffer_actions_reject_ill_defined():
     # cook a pair where an ideal generator does not act as zero
     mut = scalar_pair()
     pp = lie_peiffer(mut)
-    with pytest.raises(LieError):
-        lie_peiffer_actions(pp)
+    # the ideal is all of M + N; its first row (1, 0) acts as zero on M, by
+    # ad(e_0), and on N as rho_MN(e_0) = 1
+    assert pp.actions is None and pp.disagreement == (1, fracs(1, 0))
+    message = "induced action disagrees across a coset, witness=(1, (1, 0))"
+    with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
+        induced_actions(pp)
 
 
 def test_lie_universal_map_zero_actions_identity():
@@ -366,12 +369,12 @@ def test_dim_bound(family=None):
     ]
     for mut in fixtures:
         pp = lie_peiffer(mut)
-        assert pp.algebra.dim <= mut.M.dim + mut.N.dim
+        assert pp.product.dim <= mut.M.dim + mut.N.dim
         if all(
             all(x == 0 for row in m for x in row)
             for m in mut.xi_nm.rho + mut.xi_mn.rho
         ):
-            assert pp.algebra.dim == mut.M.dim + mut.N.dim
+            assert pp.product.dim == mut.M.dim + mut.N.dim
 
 
 def b3():
@@ -410,23 +413,23 @@ def test_constructions_pass_the_exhaustive_checks():
         assert lie_compatible(mut).ok
         pp = lie_peiffer(mut)
         if mut.M == B3:
-            assert pp.algebra.dim == 9
+            assert pp.product.dim == 9
         sd = pp.semidirect
-        assert validate_lie(sd.algebra).ok and validate_lie(pp.algebra).ok
+        assert validate_lie(sd.algebra).ok and validate_lie(pp.product).ok
         for f in (sd.j_m, sd.j_n, sd.pi, pp.proj):
             assert f.check().ok
-        for act in lie_peiffer_actions(pp):
+        for act in induced_actions(pp):
             assert check_lie_action(act).ok
-        for xm in lie_peiffer_xmods(pp):
+        for xm in peiffer_xmods(pp):
             assert check_lie_xmod(xm).ok
-        xm_m, xm_n = xms or lie_peiffer_xmods(pp)
+        xm_m, xm_n = xms or peiffer_xmods(pp)
         h = lie_universal_map(pp, xm_m, xm_n)
         assert h.check().ok
         dm, dn = mut.M.dim, mut.N.dim
         for j in range(dm):
-            assert h(pp.l_m(basis_vec(dm, j))) == xm_m.boundary(basis_vec(dm, j))
+            assert h(pp.lM(basis_vec(dm, j))) == xm_m.boundary(basis_vec(dm, j))
         for j in range(dn):
-            assert h(pp.l_n(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
+            assert h(pp.lN(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
         for row in pp.ideal_rows:
             assert not any(vadd(xm_m.boundary(row[:dm]), xm_n.boundary(row[dm:])))
 
@@ -507,9 +510,11 @@ def ref_lie_peiffer(mut, xms=None):
         return mat_add(N.ad(v[dm:]), mut.xi_mn.of(v[:dm]))
 
     for row in rows:
-        for act, tag in ((act_on_m, "M"), (act_on_n, "N")):
+        for side, act in enumerate((act_on_m, act_on_n)):
             if any(x for r in act(row) for x in r):
-                fields["error"] = f"induced action on {tag} is not well defined, witness={row}"
+                # the witness (side, row) as a report writes it, rationals p/q
+                shown = ", ".join(map(str, row)) + ("," if len(row) == 1 else "")
+                fields["error"] = f"induced action disagrees across a coset, witness=({side}, ({shown}))"
                 return fields
     lifted = [lift(basis_vec(P.dim, c)) for c in range(P.dim)]
     fields["rho_on_m"] = tuple(act_on_m(v) for v in lifted)
@@ -532,20 +537,20 @@ def coordinate_fields(mut, xms=None):
     pp = lie_peiffer(mut)
     fields = {
         "semidirect": pp.semidirect.algebra.brackets,
-        "brackets": pp.algebra.brackets,
-        "l_m": pp.l_m.matrix,
-        "l_n": pp.l_n.matrix,
+        "brackets": pp.product.brackets,
+        "l_m": pp.lM.matrix,
+        "l_n": pp.lN.matrix,
         "proj": pp.proj.matrix,
         "ideal_rows": pp.ideal_rows,
         "ideal_pivots": pp.ideal_pivots,
     }
     try:
-        on_m, on_n = lie_peiffer_actions(pp)
+        on_m, on_n = induced_actions(pp)
     except LieError as exc:
         fields["error"] = str(exc)
         return fields
     fields["rho_on_m"], fields["rho_on_n"] = on_m.rho, on_n.rho
-    fields["universal"] = lie_universal_map(pp, *(xms or lie_peiffer_xmods(pp))).matrix
+    fields["universal"] = lie_universal_map(pp, *(xms or peiffer_xmods(pp))).matrix
     return fields
 
 
@@ -597,7 +602,7 @@ def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
     monkeypatch.setattr(peiffer.lie, "lie_semidirect", refuse)
     xm_m, xm_n = ideal_fixture()
     pp = lie_peiffer(lie_induced_actions(xm_m, xm_n))
-    lie_peiffer_xmods(pp)
+    peiffer_xmods(pp)
     lie_universal_map(pp, xm_m, xm_n)
     monkeypatch.undo()
     # M x| N and the projection are still there when asked for
@@ -609,7 +614,7 @@ def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
 def test_lie_checks_raise_lie_error():
     # the Lie side shares groups.Diagnosis but keeps its own exception
     own_partner = [{"i": 0, "j": 1, "coeffs": [0, 1]}, {"i": 1, "j": 0, "coeffs": [0, 1]}]
-    message = "Lie axioms failed: antisymmetry fails, witness=(0, 1, (Fraction(0, 1), Fraction(2, 1)))"
+    message = "Lie axioms failed: antisymmetry fails, witness=(0, 1, (0, 2))"
     with pytest.raises(LieError, match=f"^{re.escape(message)}$"):
         lie_from_dict({"dim": 2, "brackets": own_partner})
     with pytest.raises(LieError, match=f"^{re.escape(message)}$"):

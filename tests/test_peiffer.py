@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from peiffer.actions import Action, trivial_action
@@ -11,8 +13,8 @@ from peiffer.groups import (
     subgroup_closure,
     subgroup_group,
 )
+from peiffer.lie import LieError, check_lie_xmod, lie_induced_actions, lie_peiffer
 from peiffer.product import (
-    NotWellDefined,
     induced_actions,
     peiffer_product,
     peiffer_relators,
@@ -27,6 +29,8 @@ from peiffer.xmod import (
     inclusion_xmod,
     induced_mutual_actions,
 )
+
+from test_lie import ideal_fixture, scalar_pair
 
 S3 = symmetric_3()
 Z2 = cyclic(2)
@@ -141,11 +145,12 @@ def test_incompatible_fixture_has_no_actions():
     assert not pp.compatible
     assert pp.actions is None
     assert pp.disagreement is not None
-    with pytest.raises(NotWellDefined) as err:
+    message = "induced action disagrees across a coset, witness=(2, 2, 4, 0, 1, 1, 5)"
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
         induced_actions(pp)
-    assert err.value.witness == pp.disagreement
+    assert message.endswith(f"witness={pp.disagreement}")
     # the witness names a coset with two disagreeing preimages
-    p, rep, other, side, x, v1, v2 = err.value.witness
+    p, rep, other, side, x, v1, v2 = pp.disagreement
     assert pp.from_semidirect(rep) == p == pp.from_semidirect(other)
     assert v1 != v2
 
@@ -171,8 +176,40 @@ def test_peiffer_xmods_pass_checker():
 
 
 def test_peiffer_xmods_gated_on_compatibility():
-    with pytest.raises(NotWellDefined):
+    message = "induced action disagrees across a coset, witness=(2, 2, 4, 0, 1, 1, 5)"
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
         peiffer_xmods(peiffer_product(s3_z2_incompatible()))
+
+
+# Both categories' products, each incompatible and compatible: (build, error, other error, check)
+PRODUCTS = [
+    pytest.param(lambda: peiffer_product(s3_z2_incompatible()), GroupError, LieError, None,
+                 id="groups-s3-z2-incompatible"),
+    pytest.param(lambda: peiffer_product(a3_fixture()[2]), GroupError, LieError, check_xmod,
+                 id="groups-a3-in-s3"),
+    pytest.param(lambda: lie_peiffer(scalar_pair()), LieError, GroupError, None, id="lie-scalar-pair"),
+    pytest.param(lambda: lie_peiffer(lie_induced_actions(*ideal_fixture())), LieError, GroupError,
+                 check_lie_xmod, id="lie-ideal"),
+]
+
+
+@pytest.mark.parametrize("build, error, other, check", PRODUCTS)
+def test_both_products_serve_one_interface(build, error, other, check):
+    # induced_actions and peiffer_xmods read the same fields of either product
+    pp = build()
+    assert (pp.actions is None) == (pp.disagreement is not None) == (check is None)
+    if check is None:
+        with pytest.raises(error) as err:
+            peiffer_xmods(pp)
+        message = str(err.value)
+        assert not isinstance(err.value, other)
+        assert message.startswith("induced action disagrees across a coset, witness=")
+        assert "Fraction(" not in message
+    else:
+        xmods = peiffer_xmods(pp)
+        assert [xm.boundary for xm in xmods] == [pp.lM, pp.lN]
+        assert [xm.action for xm in xmods] == list(pp.actions)
+        assert all(check(xm).ok for xm in xmods)
 
 
 def test_strong_check_trivial_actions():

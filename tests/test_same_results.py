@@ -11,11 +11,18 @@ and every witness must still be the lexicographically first one.
 
 The Lie digests pin the exit code and stdout of the nine lie-* verbs.  They
 were taken while every Lie check still computed on Fractions, before the
-checks moved to integer numerators over a common denominator.  One was
-re-recorded since, when lie-validate took the report shape of validate: the
-"jacobi" digest, whose lie-validate entry now gives the reason and witness
-as separate keys, the residual in "p/q" strings.  Its other verbs refuse the
-algebra with the same message as before.
+checks moved to integer numerators over a common denominator.  Some were
+re-recorded since, each for a change of report alone:
+
+- "jacobi", when lie-validate took the report shape of validate: its
+  lie-validate entry gives the reason and witness as separate keys, the
+  residual in "p/q" strings;
+- "jacobi", "compat-first", "compat-second", "xmod-hom", "xmod-equivariance"
+  and "xmod-peiffer", when the error of a failed check that a loader raises
+  began to write each rational of its witness as "p/q" (or "p"), as the
+  reports do, where it wrote Fraction(p, q).  The compat cases also
+  reach lie-peiffer-xmods, whose error became that of the groups:
+  "induced action disagrees across a coset, witness=(side, row)".
 
 To see the digests of the current tree:
 
@@ -92,13 +99,13 @@ PINNED_LIE = {
     "b3-dense-2": "a6939c4a7f2ea1b6",
     "b3-dense-3": "242ef9413e67d7db",
     "b4": "e6776f328a98418c",
-    "jacobi": "7cfe2c1c67ba2f88",
+    "jacobi": "890265b34d19dff7",
     "action": "abb438b44cb9cc02",
-    "compat-first": "4f0063f6331964fc",
-    "compat-second": "d9c991447134533e",
-    "xmod-hom": "a9f89cd3bc2482d6",
-    "xmod-equivariance": "865e4918ae3f8755",
-    "xmod-peiffer": "95274c53db7e8032",
+    "compat-first": "f861db79f135fa91",
+    "compat-second": "240757a20efffdfb",
+    "xmod-hom": "e3f9f48ab995a7c4",
+    "xmod-equivariance": "fc78e3210a096b5b",
+    "xmod-peiffer": "88c4316ab0e12451",
 }
 LIE_VERBS = (
     ("lie-validate", ("L",)),
