@@ -7,8 +7,14 @@ its induced actions and universal map.  The quotient has the interface of
 product.PeifferProduct, so product.peiffer_xmods gives its crossed-module
 structures as it does the groups'.  All data are tuples of
 Fractions, kept as given; peiffer.io turns the rationals of a file into them.
-The checks compute exactly on integer numerators over one common denominator
-per action or map, and only a witness goes back to Fractions.
+
+The checks run on integer numerators over one common denominator per action
+or map, packed column-major into Python ints, w bits a lane (_Packed): a matrix
+product is a few big-int multiply-adds in C.  Each check is a matrix identity
+whose sides are packed ints, with w two bits more than a bound it states on
+every lane of both sides, so the sides are equal exactly when the matrices are.
+Only a failing identity is unpacked: the lowest set bit of the difference lies
+in its first nonzero column, whose lanes over the denominator are the witness.
 """
 from __future__ import annotations
 
@@ -33,9 +39,9 @@ def zero_vec(n: int) -> tuple:
     return (ZERO,) * n
 
 
-# The kernels below skip every product with a zero factor and every sum with
-# a zero term: no exact value changes, and Lie data are mostly zeros.  mat_mul,
-# combination and the sums take their zero from their operands, Fraction or int.
+# The Fraction kernels below skip every product with a zero factor and every
+# sum with a zero term: Lie data are mostly zeros.  The checks use the packed
+# int kernels after them, whose lane width and witness the module docstring gives.
 
 def vadd(u, v):
     return tuple(a + b if a and b else a or b for a, b in zip(u, v))
@@ -56,9 +62,7 @@ def zero_mat(rows: int, cols: int) -> tuple:
 
 
 def identity_mat(n: int) -> tuple:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
+    return tuple(basis_vec(n, i) for i in range(n))
 
 
 def mat_vec(A, v) -> tuple:
@@ -69,21 +73,6 @@ def mat_vec(A, v) -> tuple:
             a = row[k]
             if a:
                 out[i] = out[i] + a * x if out[i] else a * x
-    return tuple(out)
-
-
-def mat_mul(A, B) -> tuple:
-    cols = len(B[0]) if B else 0
-    zero = B[0][0] * 0 if cols else ZERO
-    out = []
-    for row in A:
-        acc = [zero] * cols
-        for k, a in enumerate(row):
-            if a:
-                for j, b in enumerate(B[k]):
-                    if b:
-                        acc[j] = acc[j] + a * b if acc[j] else a * b
-        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -101,42 +90,77 @@ def combination(mats, coeffs, n: int) -> tuple:
     return tuple(map(tuple, out))
 
 
-def mat_add(A, B) -> tuple:
-    return tuple(vadd(r, s) for r, s in zip(A, B))
-
-
-def mat_sub(A, B) -> tuple:
-    return tuple(vsub(r, s) for r, s in zip(A, B))
-
-
-def mat_commutator(A, B) -> tuple:
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
 def column(A, j) -> tuple:
     return tuple(row[j] for row in A)
 
 
-def _scaled(mats) -> tuple:
-    """(D, mats with every entry times D as an int), D the entries' least common denominator."""
-    D = lcm(*(x.denominator for m in mats for row in m for x in row))
-    return D, tuple(tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in m) for m in mats)
+class _Packed:
+    """Integer matrices packed w bits a signed lane, for products with R rows.
 
-
-def _disagreement(A, B, first, a, b):
-    """The first column j >= first where A/a and B/b differ, with column j of A/a - B/b.
-
-    A and B are integer matrices over the scales a and b, compared as A b = B a;
-    None when they agree on every such column.  Every Lie check below is one
-    such matrix identity, and the column found, in Fractions, is its witness.
+    X packs as the sum of X[i][j] << w (j R + i).  rows[m][k] is row k of matrix
+    m at lanes j R, whole[m] the matrix, nonzeros[m] its entries a at (i, k) as
+    (w i, k, a): A B is the sum of a (row k of B) << w i over the nonzeros of A
+    (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
     """
-    if a != b:
-        A, B, a = tuple(tuple(x * b for x in r) for r in A), tuple(tuple(x * a for x in r) for r in B), a * b
-    cols = [j for r, s in zip(A, B) if r != s for j in range(first, len(r)) if r[j] != s[j]]
-    if not cols:
+
+    def __init__(self, mats, w: int, R: int):
+        self.w, self.R = w, R
+        self.rows = tuple(tuple(sum(x << w * R * j for j, x in enumerate(row)) for row in m) for m in mats)
+        self.whole = tuple(sum(x << w * k for k, x in enumerate(rows)) for rows in self.rows)
+        self.nonzeros = tuple(tuple((w * i, k, a) for i, row in enumerate(m) for k, a in enumerate(row) if a)
+                              for m in mats)
+
+
+def _mul(nonzeros, rows) -> int:
+    return sum(a * rows[k] << shift for shift, k, a in nonzeros)
+
+
+def _bracket(p: _Packed, a: int, q: _Packed, b: int) -> int:
+    """A B - B A packed, for A matrix a of p and B matrix b of q."""
+    return _mul(p.nonzeros[a], q.rows[b]) - _mul(q.nonzeros[b], p.rows[a])
+
+
+def _combination(whole, coeffs) -> int:
+    return sum(c * W for c, W in zip(coeffs, whole) if c)
+
+
+def _witness(lhs: int, rhs: int, p: _Packed, D: int):
+    """None when packed lhs and rhs are equal; else the first column j where they
+    differ, found by the lowest set bit of lhs - rhs, and column j of (lhs - rhs) / D."""
+    diff, col, half = lhs - rhs, [], 1 << (p.w - 1)
+    if not diff:
         return None
-    j = min(cols)
-    return j, tuple(Fraction(r[j] - s[j], a) for r, s in zip(A, B))
+    j = ((diff & -diff).bit_length() - 1) // (p.w * p.R)
+    diff >>= p.w * p.R * j
+    for _ in range(p.R):
+        col.append(((diff + half) & (2 * half - 1)) - half)
+        diff = (diff - col[-1]) >> p.w
+    return j, tuple(Fraction(x, D) for x in col)
+
+
+class _IntegerForms:
+    """The integer forms of mats, a tuple of rational matrices, each built once and kept here."""
+
+    def __init__(self, mats):
+        self.mats, self.packs = mats, {}
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(D, mats with every entry times D as an int), D the least common denominator."""
+        D = lcm(*(x.denominator for m in self.mats for row in m for x in row))
+        return D, tuple(tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in m) for m in self.mats)
+
+    @cached_property
+    def height(self) -> int:
+        return max((abs(x) for m in self.scaled[1] for row in m for x in row), default=0)
+
+    def packed(self, bound: int, R: int) -> _Packed:
+        """scaled packed for R-row products in an identity with no lane above bound:
+        w = bound.bit_length() + 2 bits a lane, so 2 bound < 2^(w - 1).  Built once for each (w, R)."""
+        w = bound.bit_length() + 2
+        if (w, R) not in self.packs:
+            self.packs[w, R] = _Packed(self.scaled[1], w, R)
+        return self.packs[w, R]
 
 
 def basis_vec(n: int, i: int) -> tuple:
@@ -202,11 +226,19 @@ class LieAlgebra:
             validate_lie(self).expect("Lie axioms", LieError)
 
     @cached_property
+    def _adjoint_forms(self) -> _IntegerForms:
+        return _IntegerForms(tuple(tuple(zip(*row)) for row in self.brackets))  # ad(e_i) is brackets[i] transposed
+
+    @property
     def adjoint(self) -> "LieAction":
-        """The adjoint action: rho[i] is ad(e_i), whose column j is [e_i, e_j]."""
-        n = self.dim
-        rho = tuple(tuple(column(row, r) for r in range(n)) for row in self.brackets)
-        return LieAction(self, self, rho)
+        """The adjoint action: rho[i] is ad(e_i), whose column j is [e_i, e_j].
+
+        A new LieAction on each access, around the rho and integer forms kept
+        here: with no reference cycle, refcounting frees a dropped algebra at once.
+        """
+        act = LieAction(self, self, self._adjoint_forms.mats)
+        act.forms = self._adjoint_forms
+        return act
 
     def bracket(self, u, v) -> tuple:
         return self.adjoint(u, v)
@@ -230,21 +262,24 @@ def validate_lie(L: LieAlgebra) -> Diagnosis:
     """Antisymmetry, then Jacobi as [ad e_i, ad e_j] = ad([e_i, e_j]).
 
     Column k of the difference is the Jacobiator of (e_i, e_j, e_k).  Once
-    antisymmetry holds it is alternating, so it vanishes when two indices
-    agree and the first failing triple in lexicographic order is sorted:
-    pairs i < j and columns k > j suffice.
+    antisymmetry holds it is alternating, so the first failing triple in
+    lexicographic order is sorted: pairs i < j suffice, and their columns
+    k <= j vanish once the pairs before pass.  Both sides are over D^2, with
+    no lane above 2 n E^2 for E the height of ad.
     """
-    n, (D, ad) = L.dim, L.adjoint.scaled
+    n = L.dim
     for i in range(n):
-        for j in range(n):
-            resid = vadd(column(ad[i], j), column(ad[j], i))
+        for j in range(i, n):  # the residual of (j, i) is that of (i, j)
+            resid = vadd(L.brackets[i][j], L.brackets[j][i])
             if any(resid):
-                return Diagnosis(False, "antisymmetry fails", (i, j, tuple(Fraction(x, D) for x in resid)))
+                return Diagnosis(False, "antisymmetry fails", (i, j, resid))
+    forms = L.adjoint.forms
+    (D, ad), E = forms.scaled, forms.height
+    p = forms.packed(2 * n * E * E, n)
     for i in range(n):
         for j in range(i + 1, n):
-            # both sides are over D^2: [e_i, e_j] is column j of ad[i] over D
-            rhs = combination(ad, column(ad[i], j), n)
-            bad = _disagreement(mat_commutator(ad[i], ad[j]), rhs, j + 1, D * D, D * D)
+            # [e_i, e_j] is column j of ad[i] over D
+            bad = _witness(_bracket(p, i, p, j), _combination(p.whole, column(ad[i], j)), p, D * D)
             if bad:
                 return Diagnosis(False, "Jacobi fails", (i, j) + bad)
     return VALID
@@ -261,24 +296,28 @@ class LieMap:
     def __call__(self, v) -> tuple:
         return mat_vec(self.matrix, v)
 
-    @cached_property
-    def scaled(self) -> tuple:
-        """(D, (the matrix times D as ints,)), D the least common denominator."""
-        return _scaled((self.matrix,))
+    forms = cached_property(lambda self: _IntegerForms((self.matrix,)))
 
     def check(self) -> Diagnosis:
         """f ad(e_i) = ad(f e_i) f, whose column j is f[e_i, e_j] - [f e_i, f e_j].
 
-        That residual is antisymmetric in (i, j) and zero at i = j, so the
-        first failing pair in lexicographic order has i < j: columns j > i
-        suffice.  A matrix of the wrong shape fails first.
+        That residual is antisymmetric in (i, j) and zero at i = j, so its
+        columns j <= i vanish once the pairs before pass.  A matrix of the wrong
+        shape fails first.  The sides, over s a and s^2 c, go to L = lcm(s a, s^2 c)
+        with no lane above n Ef Ea L / (s a) or m^2 Ef^2 Ec L / (s^2 c), for Ef,
+        Ea and Ec the heights of f and of ad.
         """
         if len(self.matrix) != self.cod.dim or any(len(r) != self.dom.dim for r in self.matrix):
             return Diagnosis(False, "matrix shape does not match the algebras", ())
-        (s, (F,)), (a, ad), (c, cod_ad) = self.scaled, self.dom.adjoint.scaled, self.cod.adjoint.scaled
-        for i, ad_i in enumerate(ad):
-            rhs = mat_mul(combination(cod_ad, column(F, i), self.cod.dim), F)
-            bad = _disagreement(mat_mul(F, ad_i), rhs, i + 1, s * a, s * s * c)
+        f, dom, cod, m, n = self.forms, self.dom.adjoint.forms, self.cod.adjoint.forms, self.cod.dim, self.dom.dim
+        (s, (F,)), (a, _), (c, _) = f.scaled, dom.scaled, cod.scaled
+        L = lcm(s * a, s * s * c)
+        b = max(n * f.height * dom.height * L // (s * a), m * m * f.height ** 2 * cod.height * L // (s * s * c))
+        p, q = f.packed(b, m), dom.packed(b, m)
+        ad_F = [_mul(nonzeros, p.rows[0]) for nonzeros in cod.packed(b, m).nonzeros]  # ad(e_k) F
+        for i in range(n):
+            lhs = _mul(p.nonzeros[0], q.rows[i]) * (L // (s * a))
+            bad = _witness(lhs, _combination(ad_F, column(F, i)) * (L // (s * s * c)), p, L)
             if bad:
                 return Diagnosis(False, "bracket not preserved", (i,) + bad)
         return VALID
@@ -299,10 +338,7 @@ class LieAction:
         self.target = target
         self.rho = rho
 
-    @cached_property
-    def scaled(self) -> tuple:
-        """(D, rho times D as ints), D the least common denominator."""
-        return _scaled(self.rho)
+    forms = cached_property(lambda self: _IntegerForms(self.rho))
 
     def of(self, u) -> tuple:
         """The matrix acting for a general element u of the acting algebra."""
@@ -332,24 +368,28 @@ def check_lie_action(act: LieAction) -> Diagnosis:
     Two matrix identities: rho([e_a, e_b]) = [rho_a, rho_b], and
     rho_a ad(e_i) = ad(rho_a e_i) + ad(e_i) rho_a, whose column j is the
     derivation rule at (e_i, e_j).  Each difference is antisymmetric in its
-    two indices and zero when they agree, so the first failing pair in
-    lexicographic order is increasing: pairs a < b and columns j > i suffice.
-    Matrices of the wrong shape fail first.
+    two indices and zero when they agree, so pairs a < b suffice, and columns
+    j <= i vanish once the pairs before pass.  Matrices of the wrong shape fail
+    first.  The sides, over s r and r r, go to L r for L = lcm(s, r), and over
+    r x, with no lane above A.dim Es Er L / s, 2 n Er^2 L / r or 2 n Er Ex, for
+    Er, Es and Ex the heights of rho and ad.
     """
     A, n = act.acting, act.target.dim
     if len(act.rho) != A.dim or any(len(m) != n or any(len(r) != n for r in m) for m in act.rho):
         return Diagnosis(False, "action matrices have the wrong shape", ())
-    (r, rho), (s, acting_ad), (x, ad) = act.scaled, A.adjoint.scaled, act.target.adjoint.scaled
+    forms, acting, target = act.forms, A.adjoint.forms, act.target.adjoint.forms
+    (r, rho), (s, acting_ad), (x, _) = forms.scaled, acting.scaled, target.scaled
+    Er, Es, Ex, L = forms.height, acting.height, target.height, lcm(s, r)
+    bound = max(A.dim * Es * Er * L // s, 2 * n * Er * Er * L // r, 2 * n * Er * Ex)
+    p, q = forms.packed(bound, n), target.packed(bound, n)
     for a in range(A.dim):
         for b in range(a + 1, A.dim):
-            lhs = combination(rho, column(acting_ad[a], b), n)
-            if _disagreement(lhs, mat_commutator(rho[a], rho[b]), 0, s * r, r * r):
+            if _combination(p.whole, column(acting_ad[a], b)) * (L // s) != _bracket(p, a, p, b) * (L // r):
                 return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
     for a, R in enumerate(rho):
-        for i, ad_i in enumerate(ad):
-            # all three terms are over r x
-            rhs = mat_add(combination(ad, column(R, i), n), mat_mul(ad_i, R))
-            bad = _disagreement(mat_mul(R, ad_i), rhs, i + 1, r * x, r * x)
+        for i in range(n):
+            rhs = _combination(q.whole, column(R, i)) + _mul(q.nonzeros[i], p.rows[a])
+            bad = _witness(_mul(p.nonzeros[a], q.rows[i]), rhs, p, r * x)
             if bad:
                 return Diagnosis(False, "rho(a) is not a derivation", (a, i, bad[0]))
     return VALID
@@ -378,14 +418,20 @@ def lie_compatible(mut: MutualActions) -> Diagnosis:
 
     At m = e_i and n = e_j, (C1) is the matrix identity
     rho_NM(rho_MN(e_i) e_j) = [ad e_i, rho_NM(e_j)], whose column k is m' = e_k.
+    Its sides, over q p and a p, go to L p for L = lcm(q, a), with no lane
+    above N.dim Eq Ep L / q or 2 M.dim Ea Ep L / a, Ep, Eq and Ea the heights.
     """
     # (C2) is (C1) for the swapped pair, with the same witness layout
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
-        (p, nm), (q, mn), (a, ad) = pair.xi_nm.scaled, pair.xi_mn.scaled, pair.M.adjoint.scaled
-        for i, ad_i in enumerate(ad):
-            for j, R in enumerate(nm):
-                lhs = combination(nm, column(mn[i], j), pair.M.dim)
-                bad = _disagreement(lhs, mat_commutator(ad_i, R), 0, q * p, a * p)
+        f_nm, f_mn, f_ad = pair.xi_nm.forms, pair.xi_mn.forms, pair.M.adjoint.forms
+        (p, _), (q, mn), (a, _) = f_nm.scaled, f_mn.scaled, f_ad.scaled
+        m, L = pair.M.dim, lcm(q, a)
+        bound = max(pair.N.dim * f_mn.height * f_nm.height * L // q, 2 * m * f_ad.height * f_nm.height * L // a)
+        nm, ad = f_nm.packed(bound, m), f_ad.packed(bound, m)
+        for i in range(m):
+            for j in range(pair.N.dim):
+                lhs = _combination(nm.whole, column(mn[i], j)) * (L // q)
+                bad = _witness(lhs, _bracket(ad, i, nm, j) * (L // a), nm, L * p)
                 if bad:
                     return Diagnosis(False, reason, (i, j) + bad)
     return VALID
@@ -395,19 +441,27 @@ def check_lie_xmod(xm: CrossedModule) -> Diagnosis:
     """The boundary d is a hom, d rho_a = ad(e_a) d, and rho(d e_i) = ad(e_i).
 
     Column i of the second identity is the equivariance witness and column j
-    of the third the Peiffer one.
+    of the third the Peiffer one.  Their sides, over e r and a e, go to e L for
+    L = lcm(r, a), and over e r and x to K = lcm(e r, x), with no lane above
+    X.dim Ee Er L / r, A.dim Ea Ee L / a, A.dim Ee Er K / (e r) or Ex K / x.
     """
     diag = xm.boundary.check()
     if not diag.ok:
         return diag
-    (e, (d,)), (r, rho) = xm.boundary.scaled, xm.action.scaled
-    (a, A_ad), (x, X_ad) = xm.A.adjoint.scaled, xm.X.adjoint.scaled
-    for k, ad_k in enumerate(A_ad):
-        bad = _disagreement(mat_mul(d, rho[k]), mat_mul(ad_k, d), 0, e * r, a * e)
+    fd, fr, fa, fx = xm.boundary.forms, xm.action.forms, xm.A.adjoint.forms, xm.X.adjoint.forms
+    (e, (d,)), (r, _), (a, _), (x, _) = fd.scaled, fr.scaled, fa.scaled, fx.scaled
+    L, K, Ee, Er, k, n = lcm(r, a), lcm(e * r, x), fd.height, fr.height, xm.A.dim, xm.X.dim
+    b = max(n * Ee * Er * L // r, k * fa.height * Ee * L // a, k * Ee * Er * K // (e * r), fx.height * K // x)
+    pd, pr, pa = fd.packed(b, k), fr.packed(b, k), fa.packed(b, k)
+    for j in range(k):
+        lhs = _mul(pd.nonzeros[0], pr.rows[j]) * (L // r)
+        bad = _witness(lhs, _mul(pa.nonzeros[j], pd.rows[0]) * (L // a), pd, e * L)
         if bad:
-            return Diagnosis(False, "boundary is not equivariant", (k,) + bad)
-    for i, ad_i in enumerate(X_ad):
-        bad = _disagreement(combination(rho, column(d, i), xm.X.dim), ad_i, 0, e * r, x)
+            return Diagnosis(False, "boundary is not equivariant", (j,) + bad)
+    pr, px = fr.packed(b, n), fx.packed(b, n)
+    for i in range(n):
+        lhs = _combination(pr.whole, column(d, i)) * (K // (e * r))
+        bad = _witness(lhs, px.whole[i] * (K // x), px, K)
         if bad:
             return Diagnosis(False, "Peiffer identity fails", (i,) + bad)
     return VALID
@@ -508,57 +562,62 @@ class LiePeifferProduct:
         return f"LiePeifferProduct(dim={self.product.dim})"
 
 
-def lie_peiffer_ideal(mut: MutualActions):
-    """The ideal of M x| N generated by the Peiffer elements.
+def _sides(mut: MutualActions) -> tuple:
+    # (m, n) acts on M as ad(m) + rho_NM(n) and on N as ad(n) + rho_MN(m): basis vector k of M + N as mats[k]
+    return ((mut.M.adjoint.rho + mut.xi_nm.rho, mut.M), (mut.xi_mn.rho + mut.N.adjoint.rho, mut.N))
 
-    Generators (rho_NM(n) m, rho_MN(m) n) over basis pairs, closed under
-    bracketing with all basis vectors; returns M x| N as an algebra on the
-    coordinates of M + N, and the ideal's rref basis and pivots.
+
+def _disagreement(mut: MutualActions, rows):
+    """The first (side, row) of rows that does not act as zero on M (side 0) or N (side 1), or None."""
+    return next(((side, row) for row in rows for side, (mats, X) in enumerate(_sides(mut))
+                 if any(x for r in combination(mats, row, X.dim) for x in r)), None)
+
+
+def lie_peiffer_ideal(mut: MutualActions):
+    """M x| N on the coordinates of M + N, and its Peiffer ideal's rref basis, pivots and _disagreement.
+
+    The generators are r(m, n) = (n.m, m.n) over basis pairs, for n.m = rho_NM(n) m
+    and m.n = rho_MN(m) n.  As the actions are by derivations, r(m, n) acts as
+    zero on M exactly when (C1) of lie_compatible holds at (m, n), and on N when
+    (C2) does.  As [(a, b), (c, d)] = ([a, c] + b.c - d.a, [b, d]) in M x| N,
+    [m', r(m, n)] is minus (r(m, n) acting on m', 0), and, as rho_NM is a hom,
+    [n', r(m, n)] - r(m, [n', n]) - r(n'.m, n) is minus (0, r(m, n') acting on n).
+    So when every generator row acts as zero, as for a compatible pair, their
+    span is the ideal.  Otherwise the rows are closed under brackets with the
+    basis until their span stops growing; the rref of a span is unique.
     """
     dm, dn = mut.M.dim, mut.N.dim
     S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm))
-    gens = [
-        column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j)
-        for i in range(dm)
-        for j in range(dn)
-    ]
+    gens = [column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j) for i in range(dm) for j in range(dn)]
     rows, pivots = rref(gens)
-    work = list(rows)
-    while work:
-        v = work.pop()
-        for ad_b in S.adjoint.rho:
-            w = reduce_mod(rows, pivots, mat_vec(ad_b, v))
-            if any(w):
-                rows, pivots = rref(list(rows) + [w])
-                work.append(w)
-    return S, rows, pivots
+    if _disagreement(mut, rows) is None:
+        return S, rows, pivots, None
+    while True:
+        grown, grown_pivots = rref(rows + tuple(mat_vec(ad_b, v) for v in rows for ad_b in S.adjoint.rho))
+        if len(grown) == len(rows):
+            return S, rows, pivots, _disagreement(mut, rows)
+        rows, pivots = grown, grown_pivots
 
 
 def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
-    S, rows, pivots = lie_peiffer_ideal(mut)
+    S, rows, pivots, disagreement = lie_peiffer_ideal(mut)
     reps = tuple(c for c in range(S.dim) if c not in pivots)
 
     def project(v):
         red = reduce_mod(rows, pivots, v)
         return tuple(red[c] for c in reps)
 
-    # the closure in lie_peiffer_ideal is an ideal, so P is a quotient algebra
+    # lie_peiffer_ideal returns an ideal, so P is a quotient algebra
     brackets = tuple(tuple(project(S.brackets[a][b]) for b in reps) for a in reps)
     P = LieAlgebra(len(reps), brackets)
     columns = tuple(project(basis_vec(S.dim, c)) for c in range(S.dim))
     dm = mut.M.dim
     lM = _lie_map_from_columns(mut.M, P, columns[:dm])
     lN = _lie_map_from_columns(mut.N, P, columns[dm:])
-    # (m, n) acts on M as ad(m) + rho_NM(n) and on N as ad(n) + rho_MN(m), so
-    # basis vector k of M + N as mats[k]; once every ideal row acts as zero,
-    # checked exactly, both actions are well defined and by derivations
-    sides = ((mut.M.adjoint.rho + mut.xi_nm.rho, mut.M), (mut.xi_mn.rho + mut.N.adjoint.rho, mut.N))
-    disagreement = next((
-        (side, row) for row in rows for side, (mats, X) in enumerate(sides)
-        if any(x for r in combination(mats, row, X.dim) for x in r)
-    ), None)
+    # once every ideal row acts as zero, checked exactly, both actions are
+    # well defined and by derivations
     actions = None if disagreement else tuple(
-        LieAction(P, X, tuple(mats[k] for k in reps)) for mats, X in sides)
+        LieAction(P, X, tuple(mats[k] for k in reps)) for mats, X in _sides(mut))
     return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, columns, rows, pivots)
 
 

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,10 @@ from peiffer.compat import MutualActions
 from peiffer.groups import VALID, Diagnosis
 from peiffer.lie import (
     ZERO,
+    _bracket,
+    _combination,
+    _mul,
+    _witness,
     LieAction,
     LieAlgebra,
     LieError,
@@ -25,9 +30,6 @@ from peiffer.lie import (
     lie_peiffer,
     lie_semidirect,
     lie_universal_map,
-    mat_add,
-    mat_mul,
-    mat_sub,
     mat_vec,
     reduce_mod,
     rref,
@@ -43,6 +45,9 @@ from peiffer.io import lie_action_from_dict, lie_from_dict, mat, vec
 from peiffer.product import induced_actions, peiffer_xmods
 from peiffer.xmod import CrossedModule
 
+import int_kernels
+from int_kernels import disagreement, mat_add, mat_commutator, mat_mul, mat_sub
+import lie_data
 from lie_data import mats
 
 
@@ -735,9 +740,9 @@ def test_kernels_on_integer_numerators_match_the_fraction_kernels(r, k, c, data)
     u = data.draw(fraction_rows(1, r))[0]
     rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
     act = LieAction(abelian(r), abelian(k), rho)
-    a, (A_int,) = LieMap(abelian(k), abelian(r), A).scaled
-    b, (B_int,) = LieMap(abelian(c), abelian(k), B).scaled
-    (s, rho_int), (t, ((u_int,),)) = act.scaled, LieMap(abelian(r), abelian(1), (u,)).scaled
+    a, (A_int,) = LieMap(abelian(k), abelian(r), A).forms.scaled
+    b, (B_int,) = LieMap(abelian(c), abelian(k), B).forms.scaled
+    (s, rho_int), (t, ((u_int,),)) = act.forms.scaled, LieMap(abelian(r), abelian(1), (u,)).forms.scaled
     cases = [(mat_mul(A_int, B_int), a * b, mat_mul(A, B))]
     if r:  # with no terms a combination has no operand to take its zero from
         cases.append((combination(rho_int, u_int, k), s * t, act.of(u)))
@@ -950,3 +955,223 @@ def test_compatibility_matches_loop_oracle(M, N, data):
     mats = data.draw(nudged(nm + mn))
     mut = MutualActions(LieAction(N, M, mats[: N.dim]), LieAction(M, N, mats[N.dim :]))
     same_diagnosis(lie_compatible(mut), ref_lie_compatible(mut))
+
+
+# The packed kernels and checks against the integer ones they replaced
+# (int_kernels).  Entries are drawn at their matrix's height, 0 or plus or
+# minus E over a denominator, so that products reach the lane bounds the
+# checks state: one bit narrower than _IntegerForms.packed makes a lane, and
+# the witness of a failing identity aliases.
+
+dims = st.integers(0, 4)
+
+
+@st.composite
+def at_height(draw, rows, cols):
+    """A rows x cols tuple of Fractions x / D, each x in {-E, 0, E} for one drawn E and D."""
+    E, D = draw(st.integers(1, 2**40)), draw(st.integers(1, 60))
+    signs = st.sampled_from((-1, 1, 1, 0))
+    return tuple(tuple(Fraction(draw(signs) * E, D) for _ in range(cols)) for _ in range(rows))
+
+
+def negated(A):
+    return tuple(tuple(-x for x in row) for row in A)
+
+
+def map_of(matrix, rows, cols):
+    return LieMap(abelian(cols), abelian(rows), matrix)
+
+
+@given(dims, st.integers(1, 4), dims, st.data())
+def test_packed_product_matches_integer_kernels(r, k, c, data):
+    # A B / (a b) against C / c, with C drawn at its height or as -A B, whose
+    # difference reaches twice the bound on every lane where the signs align;
+    # k is at least 1, as mat_mul of an r x 0 by a 0 x c matrix has no columns
+    A, B = map_of(data.draw(at_height(r, k)), r, k), map_of(data.draw(at_height(k, c)), k, c)
+    C = mat_mul(A.matrix, B.matrix)
+    C = map_of(data.draw(st.sampled_from((negated(C), C)) | at_height(r, c)), r, c)
+    (a, (A_int,)), (b, (B_int,)), (s, (C_int,)) = A.forms.scaled, B.forms.scaled, C.forms.scaled
+    L = lcm(a * b, s)
+    bound = max(k * A.forms.height * B.forms.height * L // (a * b), C.forms.height * L // s)
+    p, q, t = A.forms.packed(bound, r), B.forms.packed(bound, r), C.forms.packed(bound, r)
+    got = _witness(_mul(p.nonzeros[0], q.rows[0]) * (L // (a * b)), t.whole[0] * (L // s), t, L)
+    assert got == disagreement(mat_mul(A_int, B_int), C_int, 0, a * b, s)
+
+
+@given(dims, dims, st.data())
+def test_packed_bracket_and_combination_match_integer_kernels(k, d, data):
+    # [A, B] / (a b) against the combination sum_t u_t rho_t / (s t), then
+    # against its own negative
+    A, B = map_of(data.draw(at_height(k, k)), k, k), map_of(data.draw(at_height(k, k)), k, k)
+    rho = tuple(data.draw(at_height(k, k)) for _ in range(d))
+    act = LieAction(abelian(d), abelian(k), rho)
+    u = map_of(data.draw(at_height(1, d)), 1, d)
+    (a, (A_int,)), (b, (B_int,)) = A.forms.scaled, B.forms.scaled
+    (s, rho_int), (t, (u_int,)) = act.forms.scaled, u.forms.scaled
+    L = lcm(a * b, s * t)
+    f, g = L // (a * b), L // (s * t)
+    bound = max(2 * k * A.forms.height * B.forms.height * f, d * act.forms.height * u.forms.height * g)
+    p, q, m = A.forms.packed(bound, k), B.forms.packed(bound, k), act.forms.packed(bound, k)
+    bracket, comb = _bracket(p, 0, q, 0) * f, _combination(m.whole, u_int[0]) * g
+    if d:  # with no terms combination has no operand to take its zero from
+        want = disagreement(mat_commutator(A_int, B_int), combination(rho_int, u_int[0], k), 0, a * b, s * t)
+        assert _witness(bracket, comb, p, L) == want
+    bound = 2 * k * A.forms.height * B.forms.height
+    p, q = A.forms.packed(bound, k), B.forms.packed(bound, k)
+    commutator = mat_commutator(A_int, B_int)
+    want = disagreement(commutator, negated(commutator), 0, a * b, a * b)
+    assert _witness(_bracket(p, 0, q, 0), -_bracket(p, 0, q, 0), p, a * b) == want
+
+
+entry = st.sampled_from([Fraction(v) for v in (0, 0, 0, 1, -1, 2, "1/2", "-1/3", "5/7", "-9/4")])
+
+
+@st.composite
+def antisymmetric(draw, n):
+    """Structure constants of dim n with [e_j, e_i] = -[e_i, e_j]: Lie or, mostly, not."""
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple) | at_height(1, n).map(lambda m: m[0])
+    upper = {(i, j): draw(row) for i in range(n) for j in range(i + 1, n)}
+    return LieAlgebra(n, tuple(
+        tuple(upper[i, j] if i < j else vscale(-1, upper[j, i]) if i > j else zero_vec(n) for j in range(n))
+        for i in range(n)
+    ))
+
+
+any_algebra = algebras | dims.flatmap(antisymmetric)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols).map(tuple), min_size=rows,
+                    max_size=rows).map(tuple) | at_height(rows, cols)
+
+
+@st.composite
+def action_on(draw, A, X):
+    """An action of A on X: the adjoint when A is X, the zero action, or drawn, then nudged."""
+    base = A.adjoint.rho if A == X else zero_action(A, X)
+    return LieAction(A, X, draw(nudged(base) | st.tuples(*[matrices(X.dim, X.dim)] * A.dim)))
+
+
+@oracle_settings
+@given(any_algebra)
+def test_packed_validate_lie_matches_integer_kernels(L):
+    same_diagnosis(validate_lie(L), int_kernels.validate_lie(L))
+
+
+@oracle_settings
+@given(any_algebra, any_algebra, st.data())
+def test_packed_map_check_matches_integer_kernels(dom, cod, data):
+    # square and not, with the identity, zero and drawn matrices nudged
+    base = identity_mat(dom.dim) if dom == cod else zero_mat(cod.dim, dom.dim)
+    (matrix,) = data.draw(nudged((base,)) | matrices(cod.dim, dom.dim).map(lambda m: (m,)))
+    f = LieMap(dom, cod, matrix)
+    same_diagnosis(f.check(), int_kernels.map_check(f))
+
+
+@oracle_settings
+@given(any_algebra, any_algebra, st.data())
+def test_packed_action_check_matches_integer_kernels(A, X, data):
+    act = data.draw(action_on(A, X))
+    same_diagnosis(check_lie_action(act), int_kernels.check_lie_action(act))
+
+
+@oracle_settings
+@given(any_algebra, any_algebra, st.data())
+def test_packed_compatibility_matches_integer_kernels(M, N, data):
+    mut = MutualActions(data.draw(action_on(N, M)), data.draw(action_on(M, N)))
+    same_diagnosis(lie_compatible(mut), int_kernels.lie_compatible(mut))
+
+
+@oracle_settings
+@given(any_algebra, any_algebra, st.data())
+def test_packed_xmod_check_matches_integer_kernels(A, X, data):
+    d = identity_mat(X.dim) if X == A else zero_mat(A.dim, X.dim)
+    (d,) = data.draw(nudged((d,)) | matrices(A.dim, X.dim).map(lambda m: (m,)))
+    xm = CrossedModule(LieMap(X, A, d), data.draw(action_on(A, X)))
+    same_diagnosis(check_lie_xmod(xm), int_kernels.check_lie_xmod(xm))
+
+
+def test_an_adjoint_is_packed_once_for_the_checks_of_an_adjoint_pair():
+    # the checks that lie-check-compat runs on b3 share one pack of each action
+    L = b3()
+    act = LieAction(L, L, L.adjoint.rho)
+    assert validate_lie(L).ok and check_lie_action(act).ok
+    assert lie_compatible(MutualActions(act, act)).ok
+    assert len(L.adjoint.forms.packs) == 1 and len(act.forms.packs) == 1
+
+
+def closure_adds(mut):
+    """The rows that lie_peiffer_ideal's closure adds to the span of the generators.
+
+    The closure as it ran on every pair: bracket each ideal row with every
+    basis vector of M x| N, and add what the span does not reach.
+    """
+    dm, dn = mut.M.dim, mut.N.dim
+    S = lie_semidirect(mut.xi_nm).algebra
+    gens = [mut.xi_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.xi_mn(basis_vec(dm, i), basis_vec(dn, j))
+            for i in range(dm) for j in range(dn)]
+    rows, pivots = rref(gens)
+    added, work = [], list(rows)
+    while work:
+        v = work.pop()
+        for b in range(S.dim):
+            w = reduce_mod(rows, pivots, S.bracket(basis_vec(S.dim, b), v))
+            if any(w):
+                rows, pivots = rref(list(rows) + [w])
+                work.append(w)
+                added.append(w)
+    return added
+
+
+def adjoint_pair(brackets):
+    L = LieAlgebra(len(brackets), mats(brackets))
+    return MutualActions(L.adjoint, L.adjoint)
+
+
+FIXTURE_PAIRS = {f"{name}-{seed}": (name, seed) for name in ("sparse_b3", "dense_b3") for seed in range(3)}
+
+
+@pytest.mark.parametrize("case", sorted(FIXTURE_PAIRS) + sorted(ORACLE_CASES))
+def test_the_closure_adds_no_row_for_a_compatible_pair(case):
+    # the fixtures of lie_data (the benchmark's adjoint pairs) and the oracle
+    # cases here; the one incompatible case needs the closure
+    if case in FIXTURE_PAIRS:
+        name, seed = FIXTURE_PAIRS[case]
+        mut = adjoint_pair(getattr(lie_data, name)(seed))
+    else:
+        mut = ORACLE_CASES[case]()[0]
+    compatible = lie_compatible(mut).ok
+    assert compatible == (case != "scalar-incompatible")
+    assert bool(closure_adds(mut)) != compatible
+    assert (lie_peiffer(mut).disagreement is None) == compatible
+
+
+@st.composite
+def xmod_over(draw, L):
+    """A crossed module over L: the identity, or the adjoint or a trivial module with zero boundary."""
+    kind = draw(st.sampled_from(("identity", "adjoint module", "trivial module")))
+    if kind == "identity":
+        return CrossedModule(identity_lie_map(L), L.adjoint)
+    V = abelian(L.dim if kind == "adjoint module" else draw(st.integers(0, 2)))
+    rho = L.adjoint.rho if kind == "adjoint module" else zero_action(L, V)
+    return CrossedModule(LieMap(V, L, zero_mat(L.dim, V.dim)), LieAction(L, V, rho))
+
+
+@st.composite
+def transported(draw):
+    """One of ALGEBRAS on a drawn basis diag(c) U, U unitriangular: rational constants."""
+    L = draw(algebras)
+    n = L.dim
+    P = [[draw(st.integers(-2, 2)) if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    P = [[draw(st.sampled_from((1, 2, -3))) * x for x in row] for row in P]
+    return LieAlgebra(n, mats(lie_data.transport(L.brackets, P)))
+
+
+@oracle_settings
+@given(transported(), st.data())
+def test_the_closure_adds_no_row_for_pairs_induced_by_crossed_modules(L, data):
+    # two crossed modules over one base induce a compatible pair
+    mut = lie_induced_actions(*data.draw(st.tuples(xmod_over(L), xmod_over(L)) | st.just(ideal_fixture())))
+    assert lie_compatible(mut).ok
+    assert closure_adds(mut) == []
+    assert lie_peiffer(mut).disagreement is None
