@@ -9,12 +9,12 @@ structures as it does the groups'.  All data are tuples of
 Fractions, kept as given; peiffer.io turns the rationals of a file into them.
 
 The checks run on integer numerators over one common denominator per action
-or map, packed column-major into Python ints, w bits a lane (_Packed): a matrix
-product is a few big-int multiply-adds in C.  Each check is a matrix identity
-whose sides are packed ints, with w two bits more than a bound it states on
-every lane of both sides, so the sides are equal exactly when the matrices are.
-Only a failing identity is unpacked: the lowest set bit of the difference lies
-in its first nonzero column, whose lanes over the denominator are the witness.
+or map, each matrix packed column-major at its own row count, w bits a lane
+(_Packed): a product sums multiples of its left factor's packed columns.  Each
+check is a matrix identity of packed ints, with w two bits more than a bound it
+states on every lane of both sides, so they are equal exactly when the matrices
+are.  Only a failing identity is unpacked: the lowest set bit of the difference
+lies in its first nonzero column, whose lanes over the denominator are the witness.
 """
 from __future__ import annotations
 
@@ -40,8 +40,7 @@ def zero_vec(n: int) -> tuple:
 
 
 # The Fraction kernels below skip every product with a zero factor and every
-# sum with a zero term: Lie data are mostly zeros.  The checks use the packed
-# int kernels after them, whose lane width and witness the module docstring gives.
+# sum with a zero term: Lie data are mostly zeros.
 
 def vadd(u, v):
     return tuple(a + b if a and b else a or b for a, b in zip(u, v))
@@ -95,29 +94,35 @@ def column(A, j) -> tuple:
 
 
 class _Packed:
-    """Integer matrices packed w bits a signed lane, for products with R rows.
+    """Integer matrices of r rows each, packed column-major w bits a signed lane: X packs as
+    the sum of X[i][j] << w (j r + i).  cols[m][k] is column k of matrix m as an r-lane int,
+    whole[m] the matrix, and nonzeros[m] its entries b at (k, j) as (k, j, b), column by column:
+    column j of A B is the sum of b (column k of A) over the nonzeros of B in column j
+    (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer Algebra, 8.4)."""
 
-    X packs as the sum of X[i][j] << w (j R + i).  rows[m][k] is row k of matrix
-    m at lanes j R, whole[m] the matrix, nonzeros[m] its entries a at (i, k) as
-    (w i, k, a): A B is the sum of a (row k of B) << w i over the nonzeros of A
-    (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
-    """
-
-    def __init__(self, mats, w: int, R: int):
-        self.w, self.R = w, R
-        self.rows = tuple(tuple(sum(x << w * R * j for j, x in enumerate(row)) for row in m) for m in mats)
-        self.whole = tuple(sum(x << w * k for k, x in enumerate(rows)) for rows in self.rows)
-        self.nonzeros = tuple(tuple((w * i, k, a) for i, row in enumerate(m) for k, a in enumerate(row) if a)
-                              for m in mats)
+    def __init__(self, mats, w: int):
+        self.w, self.r = w, len(mats[0]) if mats else 0
+        self.nonzeros = [tuple((k, j, b) for j, c in enumerate(zip(*m)) for k, b in enumerate(c) if b) for m in mats]
+        self.cols = [[0] * len(m[0]) if m else [] for m in mats]
+        for cols, nonzeros in zip(self.cols, self.nonzeros):
+            for k, j, b in nonzeros:
+                cols[j] += b << w * k
+        self.whole = tuple(sum(c << w * self.r * k for k, c in enumerate(cols)) for cols in self.cols)
 
 
-def _mul(nonzeros, rows) -> int:
-    return sum(a * rows[k] << shift for shift, k, a in nonzeros)
+def _mul(p: _Packed, a: int, q: _Packed, b: int) -> int:
+    """A B packed, for A matrix a of p and B matrix b of q; 0 when A has no rows, as it then keeps no columns."""
+    cols, s, out, col, at = p.cols[a], p.w * p.r, 0, 0, 0
+    for k, j, x in q.nonzeros[b] if cols else ():
+        if j != at:
+            out, col, at = out + (col << s * at), 0, j
+        col += x * cols[k]
+    return out + (col << s * at)
 
 
 def _bracket(p: _Packed, a: int, q: _Packed, b: int) -> int:
     """A B - B A packed, for A matrix a of p and B matrix b of q."""
-    return _mul(p.nonzeros[a], q.rows[b]) - _mul(q.nonzeros[b], p.rows[a])
+    return _mul(p, a, q, b) - _mul(q, b, p, a)
 
 
 def _combination(whole, coeffs) -> int:
@@ -130,9 +135,9 @@ def _witness(lhs: int, rhs: int, p: _Packed, D: int):
     diff, col, half = lhs - rhs, [], 1 << (p.w - 1)
     if not diff:
         return None
-    j = ((diff & -diff).bit_length() - 1) // (p.w * p.R)
-    diff >>= p.w * p.R * j
-    for _ in range(p.R):
+    j = ((diff & -diff).bit_length() - 1) // (p.w * p.r)
+    diff >>= p.w * p.r * j
+    for _ in range(p.r):
         col.append(((diff + half) & (2 * half - 1)) - half)
         diff = (diff - col[-1]) >> p.w
     return j, tuple(Fraction(x, D) for x in col)
@@ -154,13 +159,13 @@ class _IntegerForms:
     def height(self) -> int:
         return max((abs(x) for m in self.scaled[1] for row in m for x in row), default=0)
 
-    def packed(self, bound: int, R: int) -> _Packed:
-        """scaled packed for R-row products in an identity with no lane above bound:
-        w = bound.bit_length() + 2 bits a lane, so 2 bound < 2^(w - 1).  Built once for each (w, R)."""
+    def packed(self, bound: int) -> _Packed:
+        """scaled packed for an identity with no lane above bound: w = bound.bit_length() + 2
+        bits a lane, so 2 bound < 2^(w - 1).  Built once for each w."""
         w = bound.bit_length() + 2
-        if (w, R) not in self.packs:
-            self.packs[w, R] = _Packed(self.scaled[1], w, R)
-        return self.packs[w, R]
+        if w not in self.packs:
+            self.packs[w] = _Packed(self.scaled[1], w)
+        return self.packs[w]
 
 
 def basis_vec(n: int, i: int) -> tuple:
@@ -275,7 +280,7 @@ def validate_lie(L: LieAlgebra) -> Diagnosis:
                 return Diagnosis(False, "antisymmetry fails", (i, j, resid))
     forms = L.adjoint.forms
     (D, ad), E = forms.scaled, forms.height
-    p = forms.packed(2 * n * E * E, n)
+    p = forms.packed(2 * n * E * E)
     for i in range(n):
         for j in range(i + 1, n):
             # [e_i, e_j] is column j of ad[i] over D
@@ -313,10 +318,10 @@ class LieMap:
         (s, (F,)), (a, _), (c, _) = f.scaled, dom.scaled, cod.scaled
         L = lcm(s * a, s * s * c)
         b = max(n * f.height * dom.height * L // (s * a), m * m * f.height ** 2 * cod.height * L // (s * s * c))
-        p, q = f.packed(b, m), dom.packed(b, m)
-        ad_F = [_mul(nonzeros, p.rows[0]) for nonzeros in cod.packed(b, m).nonzeros]  # ad(e_k) F
+        p, q, ad = f.packed(b), dom.packed(b), cod.packed(b)
+        ad_F = [_mul(ad, k, p, 0) for k in range(m)]  # ad(e_k) F
         for i in range(n):
-            lhs = _mul(p.nonzeros[0], q.rows[i]) * (L // (s * a))
+            lhs = _mul(p, 0, q, i) * (L // (s * a))
             bad = _witness(lhs, _combination(ad_F, column(F, i)) * (L // (s * s * c)), p, L)
             if bad:
                 return Diagnosis(False, "bracket not preserved", (i,) + bad)
@@ -381,15 +386,15 @@ def check_lie_action(act: LieAction) -> Diagnosis:
     (r, rho), (s, acting_ad), (x, _) = forms.scaled, acting.scaled, target.scaled
     Er, Es, Ex, L = forms.height, acting.height, target.height, lcm(s, r)
     bound = max(A.dim * Es * Er * L // s, 2 * n * Er * Er * L // r, 2 * n * Er * Ex)
-    p, q = forms.packed(bound, n), target.packed(bound, n)
+    p, q = forms.packed(bound), target.packed(bound)
     for a in range(A.dim):
         for b in range(a + 1, A.dim):
             if _combination(p.whole, column(acting_ad[a], b)) * (L // s) != _bracket(p, a, p, b) * (L // r):
                 return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
     for a, R in enumerate(rho):
         for i in range(n):
-            rhs = _combination(q.whole, column(R, i)) + _mul(q.nonzeros[i], p.rows[a])
-            bad = _witness(_mul(p.nonzeros[a], q.rows[i]), rhs, p, r * x)
+            rhs = _combination(q.whole, column(R, i)) + _mul(q, i, p, a)
+            bad = _witness(_mul(p, a, q, i), rhs, p, r * x)
             if bad:
                 return Diagnosis(False, "rho(a) is not a derivation", (a, i, bad[0]))
     return VALID
@@ -397,10 +402,6 @@ def check_lie_action(act: LieAction) -> Diagnosis:
 
 def trivial_lie_action(acting: LieAlgebra, target: LieAlgebra) -> LieAction:
     return LieAction(acting, target, (zero_mat(target.dim, target.dim),) * acting.dim)
-
-
-def adjoint_action(L: LieAlgebra) -> LieAction:
-    return L.adjoint
 
 
 def pullback_lie_action(f: LieMap, act: LieAction) -> LieAction:
@@ -427,7 +428,7 @@ def lie_compatible(mut: MutualActions) -> Diagnosis:
         (p, _), (q, mn), (a, _) = f_nm.scaled, f_mn.scaled, f_ad.scaled
         m, L = pair.M.dim, lcm(q, a)
         bound = max(pair.N.dim * f_mn.height * f_nm.height * L // q, 2 * m * f_ad.height * f_nm.height * L // a)
-        nm, ad = f_nm.packed(bound, m), f_ad.packed(bound, m)
+        nm, ad = f_nm.packed(bound), f_ad.packed(bound)
         for i in range(m):
             for j in range(pair.N.dim):
                 lhs = _combination(nm.whole, column(mn[i], j)) * (L // q)
@@ -452,13 +453,12 @@ def check_lie_xmod(xm: CrossedModule) -> Diagnosis:
     (e, (d,)), (r, _), (a, _), (x, _) = fd.scaled, fr.scaled, fa.scaled, fx.scaled
     L, K, Ee, Er, k, n = lcm(r, a), lcm(e * r, x), fd.height, fr.height, xm.A.dim, xm.X.dim
     b = max(n * Ee * Er * L // r, k * fa.height * Ee * L // a, k * Ee * Er * K // (e * r), fx.height * K // x)
-    pd, pr, pa = fd.packed(b, k), fr.packed(b, k), fa.packed(b, k)
+    pd, pr, pa, px = fd.packed(b), fr.packed(b), fa.packed(b), fx.packed(b)
     for j in range(k):
-        lhs = _mul(pd.nonzeros[0], pr.rows[j]) * (L // r)
-        bad = _witness(lhs, _mul(pa.nonzeros[j], pd.rows[0]) * (L // a), pd, e * L)
+        lhs = _mul(pd, 0, pr, j) * (L // r)
+        bad = _witness(lhs, _mul(pa, j, pd, 0) * (L // a), pd, e * L)
         if bad:
             return Diagnosis(False, "boundary is not equivariant", (j,) + bad)
-    pr, px = fr.packed(b, n), fx.packed(b, n)
     for i in range(n):
         lhs = _combination(pr.whole, column(d, i)) * (K // (e * r))
         bad = _witness(lhs, px.whole[i] * (K // x), px, K)

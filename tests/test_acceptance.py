@@ -209,9 +209,9 @@ def test_criterion_10_lie_suite():
     xm_ideal = CrossedModule(
         lie.LieMap(I, L, mat([[0], [1]])), lie.LieAction(L, I, mats([[[1]], [[0]]]))
     )
-    xm_id = CrossedModule(lie.identity_lie_map(L), lie.adjoint_action(L))
+    xm_id = CrossedModule(lie.identity_lie_map(L), L.adjoint)
     A2 = lie.LieAlgebra(2, mats([[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
-    xm_ab = CrossedModule(lie.identity_lie_map(A2), lie.adjoint_action(A2))
+    xm_ab = CrossedModule(lie.identity_lie_map(A2), A2.adjoint)
     fixtures = [(xm_ideal, xm_id), (xm_id, xm_id), (xm_ab, xm_ab)]
     ok = all(
         lie.lie_compatible(lie.lie_induced_actions(a, b)).ok for a, b in fixtures

@@ -20,7 +20,7 @@ from peiffer.cli import VERBS, build_parser, main
 from peiffer.groups import FiniteGroup, GroupError, Hom
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import (
-    LieAction, LieAlgebra, LieMap, adjoint_action, check_lie_action, check_lie_xmod, identity_lie_map,
+    LieAction, LieAlgebra, LieMap, check_lie_action, check_lie_xmod, identity_lie_map,
 )
 from peiffer.xmod import CrossedModule, check_xmod, identity_xmod
 
@@ -311,7 +311,7 @@ def solvable_files(tmp_path):
     incl = LieMap(I, L, pio.mat([[0], [1]]))
     actI = LieAction(L, I, mats([[[1]], [[0]]]))
     xm_m = CrossedModule(incl, actI)
-    xm_n = CrossedModule(identity_lie_map(L), adjoint_action(L))
+    xm_n = CrossedModule(identity_lie_map(L), L.adjoint)
     return L, I, xm_m, xm_n
 
 
@@ -338,7 +338,7 @@ def test_lie_validate_refuses_large_dim_at_once(tmp_path, capsys):
 
 def test_lie_check_action_refuses_boolean_entries(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
-    data = pio.lie_action_to_dict(adjoint_action(L))
+    data = pio.lie_action_to_dict(L.adjoint)
     data["rho"][0][1][1] = True
     code, report = run(capsys, "lie-check-action", write(tmp_path, "a.json", data))
     assert code == 2 and "not an exact rational" in report["error"]
@@ -350,7 +350,7 @@ def test_lie_loaders_refuse_a_zero_denominator(tmp_path, capsys):
     code, report = run(capsys, "lie-validate", bad)
     assert code == 2 and report == {"error": "not an exact rational: '1/0'"}
     L, _, _, _ = solvable_files(tmp_path)
-    data = pio.lie_action_to_dict(adjoint_action(L))
+    data = pio.lie_action_to_dict(L.adjoint)
     data["rho"][0][1][1] = "1/0"
     code, report = run(capsys, "lie-check-action", write(tmp_path, "a.json", data))
     assert code == 2 and report == {"error": "not an exact rational: '1/0'"}
@@ -361,7 +361,7 @@ def lie_input(tmp_path, verb):
     if verb == "lie-validate":
         return pio.lie_to_dict(L)
     if verb in ("lie-check-action", "lie-semidirect"):
-        return pio.lie_action_to_dict(adjoint_action(L))
+        return pio.lie_action_to_dict(L.adjoint)
     return pio.lie_xmod_to_dict(xm)
 
 
@@ -421,10 +421,10 @@ def test_main_builds_the_parser_once(tmp_path, capsys):
 
 def test_lie_check_action(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
-    good = write(tmp_path, "a.json", pio.lie_action_to_dict(adjoint_action(L)))
+    good = write(tmp_path, "a.json", pio.lie_action_to_dict(L.adjoint))
     code, report = run(capsys, "lie-check-action", good)
     assert code == 0 and report["valid"] is True
-    bad_data = pio.lie_action_to_dict(adjoint_action(L))
+    bad_data = pio.lie_action_to_dict(L.adjoint)
     bad_data["rho"][0] = [["1", "0"], ["0", "1"]]
     bad = write(tmp_path, "b.json", bad_data)
     code, report = run(capsys, "lie-check-action", bad)
@@ -566,7 +566,7 @@ def test_lie_universal_map_checks_each_crossed_module_once(tmp_path, capsys, mon
 def test_lie_universal_map_loads_a_path_named_twice_once(tmp_path, capsys, monkeypatch):
     L, _, _, xm = solvable_files(tmp_path)
     pair = [write(tmp_path, "L.json", pio.lie_to_dict(L))] * 2
-    pair += [write(tmp_path, "ad.json", {"rho": pio.lie_action_to_dict(adjoint_action(L))["rho"]})] * 2
+    pair += [write(tmp_path, "ad.json", {"rho": pio.lie_action_to_dict(L.adjoint)["rho"]})] * 2
     xms = [write(tmp_path, "xm.json", pio.lie_xmod_to_dict(xm))] * 2
     checks = count_calls(monkeypatch, pio, ["validate_lie", "check_lie_action", "check_lie_xmod"])
     code, report = run(capsys, "lie-universal-map", *pair, *xms)
@@ -605,7 +605,7 @@ def test_lie_xmod_loader_refuses_a_boundary_that_is_no_hom(tmp_path, capsys):
     L, _, _, _ = solvable_files(tmp_path)
     doubled = LieMap(L, L, pio.mat([[0, 0], [0, 2]]))
     assert not doubled.check().ok
-    bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(CrossedModule(doubled, adjoint_action(L))))
+    bad = write(tmp_path, "xm.json", pio.lie_xmod_to_dict(CrossedModule(doubled, L.adjoint)))
     code, report = run(capsys, "lie-induce-actions", bad, bad)
     assert code == 2
     assert "Lie crossed module axioms failed: bracket not preserved" in report["error"]
@@ -645,7 +645,7 @@ def golden_inputs(directory) -> dict:
 
     L, I, lie_xm_m, lie_xm_n = solvable_files(None)
     lie_mut = lie_induced_actions(lie_xm_m, lie_xm_n)
-    ad_bad = pio.lie_action_to_dict(adjoint_action(L))
+    ad_bad = pio.lie_action_to_dict(L.adjoint)
     ad_bad["rho"][0] = [["1", "0"], ["0", "1"]]
     lie_xm_bad = CrossedModule(identity_lie_map(L), trivial_lie_action(L, L))
 
@@ -676,7 +676,7 @@ def golden_inputs(directory) -> dict:
         ]},
         "one": {"dim": 1, "brackets": []},
         "id1": {"rho": [[["1"]]]},
-        "ad": pio.lie_action_to_dict(adjoint_action(L)),
+        "ad": pio.lie_action_to_dict(L.adjoint),
         "ad_bad": ad_bad,
         "L_on_I": pio.lie_action_to_dict(LieAction(L, I, mats([[[1]], [[0]]]))),
         "rho_nm": pio.lie_action_to_dict(lie_mut.xi_nm),
@@ -833,12 +833,12 @@ _S3_DEEP_NAME = {**pio.group_to_dict(S3), "name": json.loads("[" * 900 + "]" * 9
                  "bracket entry out of range", id="lie-validate-j-is-dim"),
     pytest.param("lie-validate", [{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1", "0"]}]}], 2,
                  "bracket entry out of range", id="lie-validate-coeffs-too-long"),
-    pytest.param("lie-check-action", [{**pio.lie_action_to_dict(adjoint_action(_L)), "rho": [[["0"]]]}], 1,
+    pytest.param("lie-check-action", [{**pio.lie_action_to_dict(_L.adjoint), "rho": [[["0"]]]}], 1,
                  "action matrices have the wrong shape", id="lie-check-action-rho-shape"),
     pytest.param("lie-xmod-check", [{**pio.lie_xmod_to_dict(_LIE_XM_M), "boundary": [["1"]]}], 1,
                  "matrix shape does not match the algebras", id="lie-xmod-check-boundary-shape"),
     pytest.param("lie-induce-actions", ["lie_xm_m", pio.lie_xmod_to_dict(
-        CrossedModule(identity_lie_map(_ONE), adjoint_action(_ONE)))], 2,
+        CrossedModule(identity_lie_map(_ONE), _ONE.adjoint))], 2,
         "crossed modules have different base algebras", id="lie-induce-actions-different-bases"),
     pytest.param("lie-universal-map", [*LIE_PAIR, "lie_xm_n", "lie_xm_m"], 2,
                  "crossed modules are not over M and N", id="lie-universal-map-wrong-algebras"),
@@ -860,10 +860,10 @@ def test_error_paths_that_inputs_reach(golden_paths, tmp_path, verb, files, code
 
 
 _Z2_ON_Z3 = pio.action_to_dict(trivial_action(Z2, Z3))
-_AD = pio.lie_action_to_dict(adjoint_action(_L))
+_AD = pio.lie_action_to_dict(_L.adjoint)
 _Z2_XM = pio.xmod_to_dict(identity_xmod(Z2))
 _LIE_XM = pio.lie_xmod_to_dict(_LIE_XM_M)
-_DOUBLED = pio.lie_xmod_to_dict(CrossedModule(LieMap(_L, _L, pio.mat([[0, 0], [0, 2]])), adjoint_action(_L)))
+_DOUBLED = pio.lie_xmod_to_dict(CrossedModule(LieMap(_L, _L, pio.mat([[0, 0], [0, 2]])), _L.adjoint))
 
 
 # Each pair of twin check verbs: for the group verb and then its lie-* twin, a

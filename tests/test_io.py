@@ -17,7 +17,6 @@ from peiffer.lie import (
     LieAction,
     LieAlgebra,
     LieError,
-    adjoint_action,
     identity_lie_map,
     validate_lie,
 )
@@ -179,7 +178,7 @@ def test_lie_load_refuses_boolean_coefficients():
 
 def test_lie_action_load_refuses_boolean_entries():
     L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
-    d = pio.lie_action_to_dict(adjoint_action(L))
+    d = pio.lie_action_to_dict(L.adjoint)
     d["rho"][0][1][1] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
         pio.lie_action_from_dict(d)
@@ -187,7 +186,7 @@ def test_lie_action_load_refuses_boolean_entries():
 
 def test_lie_xmod_load_refuses_boolean_boundary():
     L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
-    d = pio.lie_xmod_to_dict(CrossedModule(identity_lie_map(L), adjoint_action(L)))
+    d = pio.lie_xmod_to_dict(CrossedModule(identity_lie_map(L), L.adjoint))
     d["boundary"][0][0] = True  # was "1"
     with pytest.raises(LieError, match="not an exact rational: True"):
         pio.lie_xmod_from_dict(d)
@@ -268,7 +267,7 @@ def test_xmod_load_refuses_non_integer_boundary():
 
 def test_lie_action_round_trip():
     L = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]))
-    act = adjoint_action(L)
+    act = L.adjoint
     back = pio.lie_action_from_dict(pio.lie_action_to_dict(act))
     assert back == act
 

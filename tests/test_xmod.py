@@ -4,7 +4,7 @@ from peiffer.actions import conjugation_action, pullback_action, trivial_action
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.compat import check_compatible
 from peiffer.groups import GroupError, Hom, identity_hom, subgroup_group
-from peiffer.lie import LieAlgebra, LieError, adjoint_action, identity_lie_map, pullback_lie_action
+from peiffer.lie import LieAlgebra, LieError, identity_lie_map, pullback_lie_action
 from peiffer.xmod import (
     CrossedModule,
     check_xmod,
@@ -110,7 +110,7 @@ def test_induced_actions_are_compatible():
 
 @pytest.mark.parametrize("identity, adjoint, pullback, X, A, error", [
     (identity_hom, conjugation_action, pullback_action, S3, cyclic(2), GroupError),
-    (identity_lie_map, adjoint_action, pullback_lie_action, LieAlgebra(3, mats(upper_triangular(2))),
+    (identity_lie_map, lambda A: A.adjoint, pullback_lie_action, LieAlgebra(3, mats(upper_triangular(2))),
      LieAlgebra(1, mats(upper_triangular(1))), LieError),
 ], ids=["groups", "lie"])
 def test_a_boundary_and_an_action_that_do_not_match_raise_the_error_of_their_category(
