@@ -94,15 +94,13 @@ def column(A, j) -> tuple:
 
 
 class _Packed:
-    """Integer matrices of r rows each, packed column-major w bits a signed lane: X packs as
-    the sum of X[i][j] << w (j r + i).  cols[m][k] is column k of matrix m as an r-lane int,
-    whole[m] the matrix, and nonzeros[m] its entries b at (k, j) as (k, j, b), column by column:
-    column j of A B is the sum of b (column k of A) over the nonzeros of B in column j
-    (Kronecker substitution, von zur Gathen and Gerhard, Modern Computer Algebra, 8.4)."""
+    """The integer matrices of forms, r rows each, packed column-major w bits a signed lane: X
+    packs as the sum of X[i][j] << w (j r + i).  cols[m][k] is column k of matrix m as an r-lane
+    int and whole[m] the matrix; nonzeros are the forms' own, shared by its packs of every width."""
 
-    def __init__(self, mats, w: int):
-        self.w, self.r = w, len(mats[0]) if mats else 0
-        self.nonzeros = [tuple((k, j, b) for j, c in enumerate(zip(*m)) for k, b in enumerate(c) if b) for m in mats]
+    def __init__(self, forms: _IntegerForms, w: int):
+        mats = forms.scaled[1]
+        self.w, self.r, self.nonzeros = w, len(mats[0]) if mats else 0, forms.nonzeros
         self.cols = [[0] * len(m[0]) if m else [] for m in mats]
         for cols, nonzeros in zip(self.cols, self.nonzeros):
             for k, j, b in nonzeros:
@@ -110,8 +108,10 @@ class _Packed:
         self.whole = tuple(sum(c << w * self.r * k for k, c in enumerate(cols)) for cols in self.cols)
 
 
-def _mul(p: _Packed, a: int, q: _Packed, b: int) -> int:
-    """A B packed, for A matrix a of p and B matrix b of q; 0 when A has no rows, as it then keeps no columns."""
+def _mul(p: _Packed, a: int, q: _Packed | _IntegerForms, b: int) -> int:
+    """A B packed, for A matrix a of p and B matrix b of q, a pack or its forms (only q.nonzeros is
+    read): column j is the sum of x (column k of A) over the nonzeros x of B at (k, j) (Kronecker
+    substitution, von zur Gathen and Gerhard, 8.4).  0 when A has no rows, as it keeps no columns."""
     cols, s, out, col, at = p.cols[a], p.w * p.r, 0, 0, 0
     for k, j, x in q.nonzeros[b] if cols else ():
         if j != at:
@@ -159,12 +159,18 @@ class _IntegerForms:
     def height(self) -> int:
         return max((abs(x) for m in self.scaled[1] for row in m for x in row), default=0)
 
+    @cached_property
+    def nonzeros(self):
+        """For each scaled matrix, its entries b at (k, j) as (k, j, b), column by column."""
+        return tuple(tuple((k, j, b) for j, c in enumerate(zip(*m)) for k, b in enumerate(c) if b)
+                     for m in self.scaled[1])
+
     def packed(self, bound: int) -> _Packed:
         """scaled packed for an identity with no lane above bound: w = bound.bit_length() + 2
         bits a lane, so 2 bound < 2^(w - 1).  Built once for each w."""
         w = bound.bit_length() + 2
         if w not in self.packs:
-            self.packs[w] = _Packed(self.scaled[1], w)
+            self.packs[w] = _Packed(self, w)
         return self.packs[w]
 
 
@@ -245,13 +251,6 @@ class LieAlgebra:
         act.forms = self._adjoint_forms
         return act
 
-    def bracket(self, u, v) -> tuple:
-        return self.adjoint(u, v)
-
-    def ad(self, u) -> tuple:
-        """The matrix of [u, -] on the basis (columns are images)."""
-        return self.adjoint.of(u)
-
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.brackets == other.brackets
 
@@ -318,10 +317,10 @@ class LieMap:
         (s, (F,)), (a, _), (c, _) = f.scaled, dom.scaled, cod.scaled
         L = lcm(s * a, s * s * c)
         b = max(n * f.height * dom.height * L // (s * a), m * m * f.height ** 2 * cod.height * L // (s * s * c))
-        p, q, ad = f.packed(b), dom.packed(b), cod.packed(b)
+        p, ad = f.packed(b), cod.packed(b)
         ad_F = [_mul(ad, k, p, 0) for k in range(m)]  # ad(e_k) F
         for i in range(n):
-            lhs = _mul(p, 0, q, i) * (L // (s * a))
+            lhs = _mul(p, 0, dom, i) * (L // (s * a))  # F ad(e_i): the right factor is read, not packed
             bad = _witness(lhs, _combination(ad_F, column(F, i)) * (L // (s * s * c)), p, L)
             if bad:
                 return Diagnosis(False, "bracket not preserved", (i,) + bad)
@@ -577,24 +576,25 @@ def lie_peiffer_ideal(mut: MutualActions):
     """M x| N on the coordinates of M + N, and its Peiffer ideal's rref basis, pivots and _disagreement.
 
     The generators are r(m, n) = (n.m, m.n) over basis pairs, for n.m = rho_NM(n) m
-    and m.n = rho_MN(m) n.  As the actions are by derivations, r(m, n) acts as
-    zero on M exactly when (C1) of lie_compatible holds at (m, n), and on N when
-    (C2) does.  As [(a, b), (c, d)] = ([a, c] + b.c - d.a, [b, d]) in M x| N,
-    [m', r(m, n)] is minus (r(m, n) acting on m', 0), and, as rho_NM is a hom,
-    [n', r(m, n)] - r(m, [n', n]) - r(n'.m, n) is minus (0, r(m, n') acting on n).
-    So when every generator row acts as zero, as for a compatible pair, their
-    span is the ideal.  Otherwise the rows are closed under brackets with the
-    basis until their span stops growing; the rref of a span is unique.
+    and m.n = rho_MN(m) n.  As the actions are by derivations, r(m, n) acts as zero on
+    M exactly when (C1) of lie_compatible holds at (m, n), and on N when (C2) does:
+    the (C1) residual at (i, j) is, column by column, the action of r(e_i, e_j) on M,
+    rho_NM(m.n) m' + [n.m, m'] once n.[m, m'] is expanded.  In M x| N, where
+    [(a, b), (c, d)] = ([a, c] + b.c - d.a, [b, d]), [m', r(m, n)] is minus
+    (r(m, n) acting on m', 0), and, as rho_NM is a hom, [n', r(m, n)] is
+    r(m, [n', n]) + r(n'.m, n) - (0, r(m, n') acting on n).  So for a compatible
+    pair, whose generators all act as zero, their span is the ideal.  Otherwise the
+    rows are closed under brackets with the basis until their span stops growing.
     """
     dm, dn = mut.M.dim, mut.N.dim
     S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm))
     gens = [column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j) for i in range(dm) for j in range(dn)]
     rows, pivots = rref(gens)
-    if _disagreement(mut, rows) is None:
+    if lie_compatible(mut).ok:
         return S, rows, pivots, None
     while True:
         grown, grown_pivots = rref(rows + tuple(mat_vec(ad_b, v) for v in rows for ad_b in S.adjoint.rho))
-        if len(grown) == len(rows):
+        if len(grown) == len(rows):  # the same span, and the rref of a span is unique
             return S, rows, pivots, _disagreement(mut, rows)
         rows, pivots = grown, grown_pivots
 

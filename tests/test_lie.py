@@ -131,8 +131,8 @@ def test_bracket_bilinearity():
     u = vec([1, 2, 3])
     v = vec(["1/2", -1, 0])
     w = vec([0, "2/3", 5])
-    lhs = L.bracket(vadd(u, vscale(Fraction(3), v)), w)
-    rhs = vadd(L.bracket(u, w), vscale(Fraction(3), L.bracket(v, w)))
+    lhs = L.adjoint(vadd(u, vscale(Fraction(3), v)), w)
+    rhs = vadd(L.adjoint(u, w), vscale(Fraction(3), L.adjoint(v, w)))
     assert lhs == rhs
 
 
@@ -142,7 +142,11 @@ rat = st.integers(-3, 3).map(Fraction)
 @given(st.tuples(rat, rat, rat), st.tuples(rat, rat, rat))
 def test_ad_matrix_matches_bracket(u, v):
     L = sl2()
-    assert mat_vec(L.ad(u), v) == L.bracket(u, v)
+    want = zero_vec(3)
+    for i in range(3):
+        for j in range(3):
+            want = vadd(want, vscale(u[i] * v[j], L.brackets[i][j]))
+    assert mat_vec(L.adjoint.of(u), v) == want
 
 
 def test_check_lie_action_adjoint():
@@ -208,8 +212,8 @@ def test_lie_semidirect_zero_action_is_direct_sum():
     sd = lie_semidirect(trivial_lie_action(N, M))
     S = sd.algebra
     assert S.dim == 3
-    assert S.bracket(basis_vec(3, 0), basis_vec(3, 2)) == (0, 0, 0)
-    assert S.bracket(basis_vec(3, 0), basis_vec(3, 1)) == (0, 1, 0)
+    assert S.adjoint(basis_vec(3, 0), basis_vec(3, 2)) == (0, 0, 0)
+    assert S.adjoint(basis_vec(3, 0), basis_vec(3, 1)) == (0, 1, 0)
 
 
 def test_lie_semidirect_adjoint_on_ideal():
@@ -223,7 +227,7 @@ def test_lie_semidirect_adjoint_on_ideal():
     m = basis_vec(1, 0)
     for j in range(2):
         n = basis_vec(2, j)
-        got = sd.algebra.bracket(sd.j_m(m), sd.j_n(n))
+        got = sd.algebra.adjoint(sd.j_m(m), sd.j_n(n))
         want = tuple(vscale(Fraction(-1), rho(n, m))) + (Fraction(0),) * 2
         assert got == want
 
@@ -257,7 +261,7 @@ def test_second_equation_witness():
     # N acts trivially, so C1 holds; M acts on N by ad(e1), and C2 fails
     L = solvable2()
     mut = MutualActions(
-        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (L.ad(basis_vec(2, 1)),))
+        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (L.adjoint.of(basis_vec(2, 1)),))
     )
     d = lie_compatible(mut)
     assert not d.ok and d.reason == "second equation fails"
@@ -345,7 +349,7 @@ def pullback_m(L, M):
     rho = []
     for a in range(L.dim):
         if a < dm:
-            rho.append(M.ad(basis_vec(dm, a)))
+            rho.append(M.adjoint.of(basis_vec(dm, a)))
         else:
             rho.append(tuple((Fraction(0),) * dm for _ in range(dm)))
     return LieAction(L, M, tuple(rho))
@@ -357,7 +361,7 @@ def pullback_n(L, N):
     rho = []
     for a in range(L.dim):
         if a >= dm:
-            rho.append(N.ad(basis_vec(dn, a - dm)))
+            rho.append(N.adjoint.of(basis_vec(dn, a - dm)))
         else:
             rho.append(tuple((Fraction(0),) * dn for _ in range(dn)))
     return LieAction(L, N, tuple(rho))
@@ -465,8 +469,8 @@ def ref_lie_peiffer(mut, xms=None):
         row = []
         for j in range(dim):
             m2, n2 = halves(j)
-            mpart = vadd(M.bracket(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
-            row.append(mpart + N.bracket(n1, n2))
+            mpart = vadd(M.adjoint(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
+            row.append(mpart + N.adjoint(n1, n2))
         brackets.append(tuple(row))
     S = LieAlgebra(dim, tuple(brackets))
     j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
@@ -481,7 +485,7 @@ def ref_lie_peiffer(mut, xms=None):
     while work:
         v = work.pop()
         for b in range(dim):
-            w = reduce_mod(rows, pivots, S.bracket(basis_vec(dim, b), v))
+            w = reduce_mod(rows, pivots, S.adjoint(basis_vec(dim, b), v))
             if any(w):
                 rows, pivots = rref(list(rows) + [w])
                 work.append(w)
@@ -493,7 +497,7 @@ def ref_lie_peiffer(mut, xms=None):
 
     P = LieAlgebra(
         len(free),
-        tuple(tuple(project(S.bracket(basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
+        tuple(tuple(project(S.adjoint(basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
     )
     proj = from_columns(S, P, [project(basis_vec(dim, c)) for c in range(dim)])
     lift = from_columns(P, S, [basis_vec(dim, c) for c in free])
@@ -508,10 +512,10 @@ def ref_lie_peiffer(mut, xms=None):
     }
 
     def act_on_m(v):
-        return mat_add(M.ad(v[:dm]), mut.xi_nm.of(v[dm:]))
+        return mat_add(M.adjoint.of(v[:dm]), mut.xi_nm.of(v[dm:]))
 
     def act_on_n(v):
-        return mat_add(N.ad(v[dm:]), mut.xi_mn.of(v[:dm]))
+        return mat_add(N.adjoint.of(v[dm:]), mut.xi_mn.of(v[:dm]))
 
     for row in rows:
         for side, act in enumerate((act_on_m, act_on_n)):
@@ -565,6 +569,12 @@ def zero_base_xmods():
     return xm, xm
 
 
+def second_equation_pair():
+    """abelian(2) acts on abelian(1) by (0, 1) and back by e_0 -> [[0, 1], [0, 0]]: (C1) holds, (C2) fails."""
+    M, N = abelian(1), abelian(2)
+    return MutualActions(LieAction(N, M, mats([[[0]], [[1]]])), LieAction(M, N, mats([[[0, 1], [0, 0]]])))
+
+
 def identity_case(L):
     xms = (identity_xmod(L),) * 2
     return lie_induced_actions(*xms), xms
@@ -581,8 +591,10 @@ ORACLE_CASES = {
         None,
     ),
     "scalar-incompatible": lambda: (scalar_pair(), None),
+    "second-equation-fails": lambda: (second_equation_pair(), None),
     "zero-base": lambda: (lie_induced_actions(*zero_base_xmods()), zero_base_xmods()),
 }
+INCOMPATIBLE_CASES = {"scalar-incompatible", "second-equation-fails"}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -593,8 +605,8 @@ def test_coordinate_path_matches_semidirect_oracle(case):
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
-    # the scalar pair fails in both paths, with the same message
-    assert ("error" in got) == (case == "scalar-incompatible")
+    # the incompatible pairs fail in both paths, with the same message
+    assert ("error" in got) == (case in INCOMPATIBLE_CASES)
     if case == "zero-base":
         assert got["universal"] == () and len(got["brackets"]) == 4
 
@@ -723,7 +735,7 @@ def test_sparse_kernels_match_dense_oracle(r, k, c, data):
         (vadd(u, v), dense_vadd(u, v)),
         (vsub(u, v), dense_vsub(u, v)),
         (vscale(s, u), dense_vscale(s, u)),
-        (L.bracket(u, v), dense_bracket(L, u, v)),
+        (L.adjoint(u, v), dense_bracket(L, u, v)),
         (act.of(w), dense_of(act, w)),
     ]
     for got, want in pairs:
@@ -769,10 +781,10 @@ def full_validate_lie(L):
             for k in range(n):
                 resid = vadd(
                     vadd(
-                        L.bracket(basis_vec(n, i), L.brackets[j][k]),
-                        L.bracket(basis_vec(n, j), L.brackets[k][i]),
+                        L.adjoint(basis_vec(n, i), L.brackets[j][k]),
+                        L.adjoint(basis_vec(n, j), L.brackets[k][i]),
                     ),
-                    L.bracket(basis_vec(n, k), L.brackets[i][j]),
+                    L.adjoint(basis_vec(n, k), L.brackets[i][j]),
                 )
                 if any(x != 0 for x in resid):
                     return Diagnosis(False, "Jacobi fails", (i, j, k, resid))
@@ -941,7 +953,8 @@ def test_peiffer_witness_in_the_first_column():
     # solvable2 -> abelian(1) by e0 -> 1, e1 -> 0, acted on through ad(e0): a
     # crossed module but for rho(d e1) = 0, whose column 0 misses [e1, e0] = -e1
     L = solvable2()
-    xm = CrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (L.ad(basis_vec(2, 0)),)))
+    ad_e0 = L.adjoint.of(basis_vec(2, 0))
+    xm = CrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (ad_e0,)))
     want = Diagnosis(False, "Peiffer identity fails", (1, 0, fracs(0, 1)))
     assert check_lie_xmod(xm) == want == ref_check_lie_xmod(xm)
 
@@ -1101,6 +1114,12 @@ def test_an_adjoint_is_packed_once_for_the_checks_of_an_adjoint_pair():
     # matrices, with X and A of different dims: one pack serves both
     xm = ideal_fixture()[0]
     assert check_lie_xmod(xm).ok and len(xm.action.forms.packs) == 1
+    # a map check reads its domain's adjoint as a right factor only, unpacked
+    xm = ideal_fixture()[0]
+    assert xm.boundary.check().ok and len(xm.X.adjoint.forms.packs) == 0
+    # the nonzeros do not depend on the lane width: packs of every width share them
+    wide, narrow = act.forms.packed(1 << 40), act.forms.packed(1)
+    assert wide.w != narrow.w and wide.nonzeros is narrow.nonzeros
 
 
 def closure_adds(mut):
@@ -1118,7 +1137,7 @@ def closure_adds(mut):
     while work:
         v = work.pop()
         for b in range(S.dim):
-            w = reduce_mod(rows, pivots, S.bracket(basis_vec(S.dim, b), v))
+            w = reduce_mod(rows, pivots, S.adjoint(basis_vec(S.dim, b), v))
             if any(w):
                 rows, pivots = rref(list(rows) + [w])
                 work.append(w)
@@ -1137,14 +1156,14 @@ FIXTURE_PAIRS = {f"{name}-{seed}": (name, seed) for name in ("sparse_b3", "dense
 @pytest.mark.parametrize("case", sorted(FIXTURE_PAIRS) + sorted(ORACLE_CASES))
 def test_the_closure_adds_no_row_for_a_compatible_pair(case):
     # the fixtures of lie_data (the benchmark's adjoint pairs) and the oracle
-    # cases here; the one incompatible case needs the closure
+    # cases here; the incompatible cases need the closure
     if case in FIXTURE_PAIRS:
         name, seed = FIXTURE_PAIRS[case]
         mut = adjoint_pair(getattr(lie_data, name)(seed))
     else:
         mut = ORACLE_CASES[case]()[0]
     compatible = lie_compatible(mut).ok
-    assert compatible == (case != "scalar-incompatible")
+    assert compatible == (case not in INCOMPATIBLE_CASES)
     assert bool(closure_adds(mut)) != compatible
     assert (lie_peiffer(mut).disagreement is None) == compatible
 
