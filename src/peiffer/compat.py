@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action, conjugation_action
-from .groups import FiniteGroup, _first_difference
+from .actions import conjugation_action
+from .groups import _first_difference
 
 M_SIDE = 0
 N_SIDE = 1
@@ -22,13 +22,6 @@ class MutualActions:
             raise self.M.error(f"mutual actions: {self.M.noun}s do not match up")
         self.xi_nm = xi_nm
         self.xi_mn = xi_mn
-
-    def group(self, side: int) -> FiniteGroup:
-        return self.M if side == M_SIDE else self.N
-
-    def action_on(self, side: int) -> Action:
-        """The action whose target is the group at `side`."""
-        return self.xi_nm if side == M_SIDE else self.xi_mn
 
     def swapped(self) -> "MutualActions":
         return MutualActions(self.xi_mn, self.xi_nm)
@@ -53,8 +46,7 @@ def coproduct_eval(mut: MutualActions, letters, side: int, x: int) -> int:
     Letters apply right to left: a same-side letter conjugates, a cross-side
     letter acts through its mutual-action table.
     """
-    G = mut.group(side)
-    cross = mut.action_on(side)
+    G, cross = (mut.M, mut.xi_nm) if side == M_SIDE else (mut.N, mut.xi_mn)
     for s, g in reversed(tuple(letters)):
         if s == side:
             x = G.conj(g, x)

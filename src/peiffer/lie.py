@@ -203,14 +203,6 @@ def rref(rows):
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def reduce_mod(basis_rows, pivots, v):
-    """Reduce v against an rref basis; zero result means v is in the span."""
-    for row, c in zip(basis_rows, pivots):
-        if v[c] != 0:
-            v = vsub(v, vscale(v[c], row))
-    return v
-
-
 class LieAlgebra:
     """Structure constants on a chosen basis: brackets[i][j] = [e_i, e_j].
 
@@ -521,10 +513,6 @@ def lie_semidirect(rho: LieAction) -> LieSemidirect:
     return LieSemidirect(S, j_m, j_n, pi)
 
 
-def _lie_map_from_columns(dom, cod, columns) -> LieMap:
-    return LieMap(dom, cod, tuple(column(columns, i) for i in range(cod.dim)))
-
-
 class LiePeifferProduct:
     """The quotient of M x| N by the Peiffer ideal, on the coordinates of M + N.
 
@@ -532,11 +520,11 @@ class LiePeifferProduct:
     product.PeifferProduct; the witness is (side, row), the first ideal row
     that does not act as zero on that side.  The coordinates are M's basis
     then N's.  reps are the coordinates off the ideal's pivots, whose basis
-    vectors represent P's basis; columns[c] is the image in P of basis
-    vector c, so lM and lN are its first M.dim and last N.dim columns.
+    vectors represent P's basis; proj_matrix is the projection's matrix,
+    M + N -> P, so lM and lN are its first M.dim and last N.dim columns.
     """
 
-    def __init__(self, product, lM, lN, source, actions, disagreement, reps, columns, ideal_rows, ideal_pivots):
+    def __init__(self, product, lM, lN, source, actions, disagreement, reps, proj_matrix, ideal_rows, ideal_pivots):
         self.product = product
         self.lM = lM
         self.lN = lN
@@ -544,7 +532,7 @@ class LiePeifferProduct:
         self.actions = actions
         self.disagreement = disagreement
         self.reps = reps
-        self.columns = columns
+        self.proj_matrix = proj_matrix
         self.ideal_rows = ideal_rows
         self.ideal_pivots = ideal_pivots
 
@@ -555,7 +543,7 @@ class LiePeifferProduct:
 
     @cached_property
     def proj(self) -> LieMap:
-        return _lie_map_from_columns(self.semidirect.algebra, self.product, self.columns)
+        return LieMap(self.semidirect.algebra, self.product, self.proj_matrix)
 
     def __repr__(self):
         return f"LiePeifferProduct(dim={self.product.dim})"
@@ -602,23 +590,21 @@ def lie_peiffer_ideal(mut: MutualActions):
 def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
     S, rows, pivots, disagreement = lie_peiffer_ideal(mut)
     reps = tuple(c for c in range(S.dim) if c not in pivots)
-
-    def project(v):
-        red = reduce_mod(rows, pivots, v)
-        return tuple(red[c] for c in reps)
-
+    # an rref row is its pivot's basis vector plus entries at reps only, so
+    # modulo the ideal that basis vector is minus the rest of its row (a zero is ZERO, not a new Fraction)
+    row_of = dict(zip(pivots, rows))
+    C = tuple(tuple((-row_of[c][r] or ZERO) if c in row_of else ONE if c == r else ZERO for c in range(S.dim))
+              for r in reps)
     # lie_peiffer_ideal returns an ideal, so P is a quotient algebra
-    brackets = tuple(tuple(project(S.brackets[a][b]) for b in reps) for a in reps)
-    P = LieAlgebra(len(reps), brackets)
-    columns = tuple(project(basis_vec(S.dim, c)) for c in range(S.dim))
+    P = LieAlgebra(len(reps), tuple(tuple(mat_vec(C, S.brackets[a][b]) for b in reps) for a in reps))
     dm = mut.M.dim
-    lM = _lie_map_from_columns(mut.M, P, columns[:dm])
-    lN = _lie_map_from_columns(mut.N, P, columns[dm:])
+    lM = LieMap(mut.M, P, tuple(row[:dm] for row in C))
+    lN = LieMap(mut.N, P, tuple(row[dm:] for row in C))
     # once every ideal row acts as zero, checked exactly, both actions are
     # well defined and by derivations
     actions = None if disagreement else tuple(
         LieAction(P, X, tuple(mats[k] for k in reps)) for mats, X in _sides(mut))
-    return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, columns, rows, pivots)
+    return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, C, rows, pivots)
 
 
 def lie_universal_map(pp: LiePeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) -> LieMap:

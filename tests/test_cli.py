@@ -850,6 +850,8 @@ _S3_DEEP_NAME = {**pio.group_to_dict(S3), "name": json.loads("[" * 900 + "]" * 9
                  "name must be a string or null", id="lie-validate-deep-name"),
     pytest.param("lie-peiffer", [_EMPTY, _EMPTY, {"rho": []}, {"rho": []}], 0,
                  {"algebra": _EMPTY, "l_m": [], "l_n": []}, id="lie-peiffer-dim-0"),
+    pytest.param("lie-peiffer", [_EMPTY, {"dim": 1, "brackets": []}, {"rho": [[]]}, {"rho": []}], 0,
+                 {"algebra": {"brackets": [], "dim": 1}, "l_m": [[]], "l_n": [["1"]]}, id="lie-peiffer-empty-m"),
 ])
 def test_error_paths_that_inputs_reach(golden_paths, tmp_path, verb, files, code, expected):
     argv = [verb] + [f if isinstance(f, str) else write(tmp_path, f"{k}.json", f) for k, f in enumerate(files)]

@@ -30,7 +30,6 @@ from peiffer.lie import (
     lie_semidirect,
     lie_universal_map,
     mat_vec,
-    reduce_mod,
     rref,
     trivial_lie_action,
     validate_lie,
@@ -112,6 +111,14 @@ def test_validate_rejects_jacobi():
     d = validate_lie(bad)
     assert not d.ok and d.reason == "Jacobi fails"
     assert d.witness == (0, 1, 2, fracs(0, 0, 1))
+
+
+def reduce_mod(basis_rows, pivots, v):
+    """Reduce v against an rref basis, one row at a time; zero result means v is in the span."""
+    for row, c in zip(basis_rows, pivots):
+        if v[c] != 0:
+            v = vsub(v, vscale(v[c], row))
+    return v
 
 
 def in_span(basis_rows, pivots, v) -> bool:

@@ -179,7 +179,7 @@ def ref_strong_relation_check(pp, bound=2):
                 q = P.mul(q, ells[s](g))
             for side in (M_SIDE, N_SIDE):
                 ell = ells[side]
-                for x in mut.group(side).elements():
+                for x in (M, N)[side].elements():
                     lhs = ell(coproduct_eval(mut, word, side, x))
                     rhs = P.conj(q, ell(x))
                     if lhs != rhs:
