@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 from math import prod
-from operator import eq
 
 
 class GroupError(ValueError):
@@ -253,14 +252,14 @@ def identity_hom(G: FiniteGroup) -> Hom:
 
 
 def subgroup_closure(G: FiniteGroup, gens) -> frozenset:
-    """The subgroup generated by gens."""
-    step = set(gens) | {G.inv(g) for g in gens}
+    """The subgroup generated by gens, reached by right multiplication alone:
+    in a finite group every inverse is a positive power."""
     seen = {G.identity}
     frontier = [G.identity]
     while frontier:
         x = frontier.pop()
         row = G.table[x]
-        for g in step:
+        for g in gens:
             y = row[g]
             if y not in seen:
                 seen.add(y)
@@ -378,39 +377,25 @@ def _greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _bfs_tree(G: FiniteGroup, gens):
-    """Discovery order and tree edges (parent, generator index) per element."""
-    parent: dict[int, tuple[int, int] | None] = {G.identity: None}
-    order = [G.identity]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        row = G.table[x]
-        for t, g in enumerate(gens):
-            y = row[g]
-            if y not in parent:
-                parent[y] = (x, t)
-                order.append(y)
-    if len(order) != G.order:
-        raise GroupError("generators do not generate the group")
-    return order, parent
+def _map_from_images(G, H, gens, images):
+    """The homomorphism G -> H sending gens to images, or None if there is none.
 
-
-def _map_from_images(G, H, gens, order, parent, images):
-    """Build the map determined by generator images; None if inconsistent."""
+    One pass from the identity over every edge x -> xg, g in gens: the first
+    edge to reach an element fixes its image and every later edge must agree,
+    which, as gens generate G, is multiplicativity.
+    """
     phi = [-1] * G.order
     phi[G.identity] = H.identity
-    for y in order[1:]:
-        x, t = parent[y]
-        phi[y] = H.table[phi[x]][images[t]]
-    # consistency on every (element, generator) edge implies multiplicativity
-    for x in range(G.order):
-        px = phi[x]
+    reached = [G.identity]
+    for x in reached:  # grows as the pass goes, in discovery order
         row = G.table[x]
-        hrow = H.table[px]
-        for t, g in enumerate(gens):
-            if phi[row[g]] != hrow[images[t]]:
+        hrow = H.table[phi[x]]
+        for g, h in zip(gens, images):
+            y, v = row[g], hrow[h]
+            if phi[y] < 0:
+                phi[y] = v
+                reached.append(y)
+            elif phi[y] != v:
                 return None
     return tuple(phi)
 
@@ -418,31 +403,33 @@ def _map_from_images(G, H, gens, order, parent, images):
 SEARCH_BUDGET = 10**6  # image tuples per search; Aut(Z2^4) takes 50,625
 
 
-def _hom_search(G: FiniteGroup, H: FiniteGroup, fits, bijective: bool):
+def _hom_search(G: FiniteGroup, H: FiniteGroup, bijective: bool):
     """Maps G -> H fixed by images of greedy generators of G, in search order.
 
-    fits(og, oh) says whether an element of order oh may be the image of a
-    generator of order og.  The number of image tuples is bounded before the
-    search starts.
+    A generator's image has the same order in a bijective search and an
+    order dividing it otherwise.  The number of image tuples is bounded
+    before the search starts.
     """
     gens = _greedy_generators(G)
-    order, parent = _bfs_tree(G, gens)
     candidates = []
     for g in gens:
         og = G.element_order(g)
-        candidates.append([h for h in range(H.order) if fits(og, H.element_order(h))])
+        if bijective:
+            candidates.append([h for h in range(H.order) if H.element_order(h) == og])
+        else:
+            candidates.append([h for h in range(H.order) if og % H.element_order(h) == 0])
     size = prod(len(c) for c in candidates)
     if size > SEARCH_BUDGET:
         raise GroupError(f"search budget exceeded: {size} image tuples > {SEARCH_BUDGET}")
     for images in iproduct(*candidates):
-        phi = _map_from_images(G, H, gens, order, parent, images)
+        phi = _map_from_images(G, H, gens, images)
         if phi is not None and (not bijective or len(set(phi)) == G.order):
             yield phi
 
 
 def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
     """Every homomorphism G -> H, by generator-image search."""
-    search = _hom_search(G, H, lambda og, oh: og % oh == 0, bijective=False)
+    search = _hom_search(G, H, bijective=False)
     return [Hom(G, H, phi) for phi in search]
 
 
@@ -453,7 +440,7 @@ def automorphisms(G: FiniteGroup) -> list[Hom]:
     """All automorphisms of G, sorted by their map for a stable indexing."""
     if G.order > DEFAULT_SEARCH_CAP:
         raise GroupError(f"cap exceeded: order {G.order} > {DEFAULT_SEARCH_CAP}")
-    found = sorted(_hom_search(G, G, eq, bijective=True))
+    found = sorted(_hom_search(G, G, bijective=True))
     return [Hom(G, G, phi) for phi in found]
 
 
@@ -478,5 +465,5 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP)
         return identity_hom(G)
     if G.order_multiset() != H.order_multiset():
         return None
-    phi = next(_hom_search(G, H, eq, bijective=True), None)
+    phi = next(_hom_search(G, H, bijective=True), None)
     return None if phi is None else Hom(G, H, phi)

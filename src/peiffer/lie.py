@@ -489,7 +489,7 @@ def _semidirect_brackets(rho: LieAction) -> tuple:
     acts = [[column(R, j) for j in range(dm)] for R in rho.rho]
     rows = [
         tuple(M.brackets[i][j] + zn for j in range(dm))
-        + tuple(tuple(-x for x in acts[b][i]) + zn for b in range(dn))
+        + tuple(vscale(-ONE, acts[b][i]) + zn for b in range(dn))
         for i in range(dm)
     ]
     rows += [
@@ -595,8 +595,15 @@ def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
     row_of = dict(zip(pivots, rows))
     C = tuple(tuple((-row_of[c][r] or ZERO) if c in row_of else ONE if c == r else ZERO for c in range(S.dim))
               for r in reps)
+    # S's table is alternating, so only [a, b] for a < b is projected
+    dp = len(reps)
+    table = [[zero_vec(dp)] * dp for _ in range(dp)]
+    for a in range(dp):
+        for b in range(a + 1, dp):
+            table[a][b] = mat_vec(C, S.brackets[reps[a]][reps[b]])
+            table[b][a] = vscale(-ONE, table[a][b])
     # lie_peiffer_ideal returns an ideal, so P is a quotient algebra
-    P = LieAlgebra(len(reps), tuple(tuple(mat_vec(C, S.brackets[a][b]) for b in reps) for a in reps))
+    P = LieAlgebra(dp, tuple(map(tuple, table)))
     dm = mut.M.dim
     lM = LieMap(mut.M, P, tuple(row[:dm] for row in C))
     lN = LieMap(mut.N, P, tuple(row[dm:] for row in C))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -225,6 +226,19 @@ def test_enumerate_deterministic(capsys):
     _, r1 = run(capsys, "enumerate", "--max-order", "6")
     _, r2 = run(capsys, "enumerate", "--max-order", "6")
     assert r1 == r2
+
+
+def test_enumerate_census_stdout_is_pinned(capsys):
+    # every pushout_symmetric cell runs the isomorphism search, so this pins
+    # the hom search's maps and their order over all 610 pairs of the catalog
+    assert main(["enumerate", "--max-order", "36"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 610 and sum(r["compatible"] for r in rows) == 179
+    assert all(r["pushout_symmetric"] for r in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f8e1c17c92b348c4a762e3fa4cb896a7694f6673af87981b9f35156f035b131b"
+    )
 
 
 def test_out_flag_writes_file(tmp_path, trivial_pair, capsys):

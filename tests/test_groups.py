@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from peiffer.groups import (
     FiniteGroup,
     GroupError,
     Hom,
+    all_homs,
     automorphisms,
     aut_group,
     direct_product,
@@ -23,10 +24,11 @@ from peiffer.groups import (
     validate_table,
     _shown,
 )
-from peiffer.catalog import cyclic, klein_four, symmetric_3
+from peiffer.catalog import catalog, cyclic, klein_four, symmetric_3
 from peiffer.io import group_from_dict
 
 from lie_data import reported
+from test_row_kernels import relabel_group
 
 
 def test_validate_accepts_cyclic():
@@ -215,6 +217,23 @@ def _brute_force_auts(G):
 @pytest.mark.parametrize("G", [cyclic(2), cyclic(3), cyclic(4), klein_four(), symmetric_3()])
 def test_automorphisms_against_brute_force(G):
     assert [a.mapping for a in automorphisms(G)] == _brute_force_auts(G)
+
+
+def test_all_homs_against_brute_force():
+    groups = catalog() + [relabel_group(G) for G in catalog()]
+    pairs = 0
+    for G in groups:
+        for H in groups:
+            if H.order ** G.order > 1300:
+                continue
+            pairs += 1
+            brute = [
+                phi for phi in iproduct(range(H.order), repeat=G.order)
+                if all(phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
+                       for a in range(G.order) for b in range(G.order))
+            ]
+            assert sorted(h.mapping for h in all_homs(G, H)) == brute, (G, H)
+    assert pairs == 112
 
 
 def test_aut_group_is_a_group():
