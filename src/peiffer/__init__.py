@@ -15,17 +15,15 @@ from .groups import (
 )
 from .actions import (
     Action,
-    Point,
     check_action_table,
     conjugation_action,
     enumerate_actions,
-    point_to_action,
     pullback_action,
     semidirect,
     trivial_action,
 )
 from .compat import CompatVerdict, MutualActions, check_compatible, coproduct_eval
-from .xmod import CrossedModule, check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
+from .xmod import CrossedModule, check_xmod, induced_mutual_actions
 from .product import (
     PeifferProduct,
     induced_actions,

@@ -1,8 +1,7 @@
-"""Group actions as full tables, the canonical constructions, and both
-directions of the point <-> action correspondence."""
+"""Group actions as full tables, the canonical constructions, semidirect
+products and the enumeration of actions."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -19,7 +18,6 @@ from .groups import (
     _per_group,
     all_homs,
     aut_group,
-    subgroup_group,
 )
 
 DEFAULT_SEMIDIRECT_CAP = 4096
@@ -123,21 +121,6 @@ def pullback_action(f: Hom, psi: Action) -> Action:
     return Action(f.dom, psi.target, table)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A split epimorphism p with a chosen splitting s."""
-
-    p: Hom
-    s: Hom
-
-    def __post_init__(self):
-        if self.p.dom != self.s.cod or self.p.cod != self.s.dom:
-            raise GroupError("point: p and s do not match up")
-        for b in range(self.p.cod.order):
-            if self.p(self.s(b)) != b:
-                raise GroupError("point: p o s is not the identity")
-
-
 class SemidirectData:
     """The semidirect product X x| A with its kernel, section and projection."""
 
@@ -217,22 +200,6 @@ def semidirect(psi: Action, cap: int = DEFAULT_SEMIDIRECT_CAP) -> SemidirectData
     jA = Hom(A, G, tuple(X.identity * na + a for a in range(na)))
     pi = Hom(G, A, tuple(s % na for s in range(n)))
     return SemidirectData(G, jX, jA, pi)
-
-
-def _conjugation_rows(incl: Hom, elements) -> tuple:
-    """Conjugation by each of elements on the subgroup incl(K) of G, in K's indices."""
-    G, back = incl.cod, {v: i for i, v in enumerate(incl.mapping)}
-    try:
-        return tuple(tuple([back[G.conj(g, v)] for v in incl.mapping]) for g in elements)
-    except KeyError:
-        raise GroupError("conjugate leaves the subgroup") from None
-
-
-def point_to_action(pt: Point) -> tuple[Action, Hom]:
-    """The action of the base on the kernel, plus the kernel inclusion."""
-    p, s = pt.p, pt.s
-    K, incl = subgroup_group(p.dom, p.kernel())
-    return Action(p.cod, K, _conjugation_rows(incl, s.mapping)), incl
 
 
 def enumerate_actions(acting: FiniteGroup, target: FiniteGroup) -> list[Action]:

@@ -202,36 +202,6 @@ class Hom:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def compose(self, other: "Hom") -> "Hom":
-        """self o other."""
-        if other.cod != self.dom:
-            raise GroupError("composition mismatch")
-        return Hom(other.dom, self.cod, tuple(self.mapping[v] for v in other.mapping))
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping)
-
-    def kernel(self) -> frozenset:
-        e = self.cod.identity
-        return frozenset(x for x in range(self.dom.order) if self.mapping[x] == e)
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == self.dom.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.cod.order
-
-    def is_bijective(self) -> bool:
-        return self.dom.order == self.cod.order and self.is_injective()
-
-    def inverse(self) -> "Hom":
-        if not self.is_bijective():
-            raise GroupError("not bijective")
-        inv = [0] * self.cod.order
-        for x, y in enumerate(self.mapping):
-            inv[y] = x
-        return Hom(self.cod, self.dom, inv)
-
     def __eq__(self, other):
         return (
             isinstance(other, Hom)
@@ -314,19 +284,6 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, Hom]:
     name = f"{G.name}/N" if G.name else None
     Q = _built_group(table, proj[G.identity], inverses, name=name)
     return Q, Hom(G, Q, proj)
-
-
-def subgroup_group(G: FiniteGroup, S) -> tuple[FiniteGroup, Hom]:
-    """A subgroup as a group in its own right, with the inclusion."""
-    S = frozenset(S)
-    if not is_subgroup(G, S):
-        raise GroupError("not a subgroup")
-    elems = sorted(S)
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[G.table[a][b]] for b in elems] for a in elems]
-    H = FiniteGroup(table)
-    incl = Hom(H, G, tuple(elems))
-    return H, incl
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:

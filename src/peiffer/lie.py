@@ -56,10 +56,6 @@ def vscale(c, u):
     return tuple(c * a if a else a for a in u)
 
 
-def zero_mat(rows: int, cols: int) -> tuple:
-    return tuple(zero_vec(cols) for _ in range(rows))
-
-
 def identity_mat(n: int) -> tuple:
     return tuple(basis_vec(n, i) for i in range(n))
 
@@ -322,10 +318,6 @@ class LieMap:
         return f"LieMap({self.dom.dim} -> {self.cod.dim})"
 
 
-def identity_lie_map(L: LieAlgebra) -> LieMap:
-    return LieMap(L, L, identity_mat(L.dim))
-
-
 class LieAction:
     """An action by derivations: rho[a] is the matrix of basis element a."""
 
@@ -389,10 +381,6 @@ def check_lie_action(act: LieAction) -> Diagnosis:
             if bad:
                 return Diagnosis(False, "rho(a) is not a derivation", (a, i, bad[0]))
     return VALID
-
-
-def trivial_lie_action(acting: LieAlgebra, target: LieAlgebra) -> LieAction:
-    return LieAction(acting, target, (zero_mat(target.dim, target.dim),) * acting.dim)
 
 
 def pullback_lie_action(f: LieMap, act: LieAction) -> LieAction:
@@ -535,15 +523,6 @@ class LiePeifferProduct:
         self.proj_matrix = proj_matrix
         self.ideal_rows = ideal_rows
         self.ideal_pivots = ideal_pivots
-
-    @cached_property
-    def semidirect(self) -> LieSemidirect:
-        """M x| N itself, built only when asked for."""
-        return lie_semidirect(self.source.xi_nm)
-
-    @cached_property
-    def proj(self) -> LieMap:
-        return LieMap(self.semidirect.algebra, self.product, self.proj_matrix)
 
     def __repr__(self):
         return f"LiePeifferProduct(dim={self.product.dim})"

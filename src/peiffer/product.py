@@ -59,10 +59,6 @@ class PeifferProduct:
         """M x| N itself, built only when asked for."""
         return semidirect(self.source.xi_nm, cap=len(self.proj))
 
-    @cached_property
-    def from_semidirect(self) -> Hom:
-        return Hom(self.semidirect.group, self.product, self.proj)
-
     @property
     def compatible(self) -> bool:
         return self.actions is not None

@@ -1,9 +1,9 @@
 """Crossed modules of finite groups and the actions they induce."""
 from __future__ import annotations
 
-from .actions import Action, _conjugation_rows, conjugation_action, pullback_action
+from .actions import conjugation_action, pullback_action
 from .compat import MutualActions
-from .groups import Diagnosis, FiniteGroup, GroupError, Hom, VALID, _first_difference, identity_hom, is_normal
+from .groups import Diagnosis, GroupError, VALID, _first_difference
 
 
 class CrossedModule:
@@ -35,19 +35,6 @@ def check_xmod(xm: CrossedModule) -> Diagnosis:
         if row != cx:
             return Diagnosis(False, "Peiffer identity fails", (x, _first_difference(row, cx)))
     return VALID
-
-
-def inclusion_xmod(G: FiniteGroup, incl: Hom) -> CrossedModule:
-    """A normal subgroup included into G, with G acting by conjugation."""
-    if incl.cod != G or not incl.is_injective():
-        raise GroupError("expected an injective map into G")
-    if not is_normal(G, incl.image()):
-        raise GroupError("image is not a normal subgroup")
-    return CrossedModule(incl, Action(G, incl.dom, _conjugation_rows(incl, range(G.order))))
-
-
-def identity_xmod(G: FiniteGroup) -> CrossedModule:
-    return CrossedModule(identity_hom(G), conjugation_action(G))
 
 
 def induced_mutual_actions(xm_m: CrossedModule, xm_n: CrossedModule) -> MutualActions:

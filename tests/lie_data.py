@@ -1,7 +1,9 @@
 """Lie test data as the constructors keep it: tuples of Fractions at every level.
 
 A helper module, not collected by pytest.  The constructors convert nothing
-and only peiffer.io parses rationals, so fixtures go through io.mat.
+and only peiffer.io parses rationals, so fixtures go through io.mat.  The
+zero matrix, the identity map, the trivial action, and M x| N of a Peiffer
+product with its projection live here too: no verb or pipeline stage needs them.
 
 It also writes b_n, the upper-triangular n x n matrices, on other bases: a
 signed permutation of the standard one (sparse, integer constants), and a
@@ -15,6 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from peiffer.io import mat
+from peiffer.lie import LieAction, LieMap, identity_mat, lie_semidirect, zero_vec
 
 # the change of basis the lie_dense workload draws from random.Random("lie_dense:basis")
 DENSE_BASIS = (
@@ -35,6 +38,24 @@ def reported(witness) -> str:
 def mats(values):
     """A list of matrices of rationals as a tuple of tuples of tuples of Fractions."""
     return tuple(map(mat, values))
+
+
+def zero_mat(rows: int, cols: int) -> tuple:
+    return tuple(zero_vec(cols) for _ in range(rows))
+
+
+def identity_lie_map(L) -> LieMap:
+    return LieMap(L, L, identity_mat(L.dim))
+
+
+def trivial_lie_action(acting, target) -> LieAction:
+    return LieAction(acting, target, (zero_mat(target.dim, target.dim),) * acting.dim)
+
+
+def semidirect_and_proj(pp):
+    """M x| N of a Lie Peiffer product, and the projection onto P as the LieMap of pp.proj_matrix."""
+    sd = lie_semidirect(pp.source.xi_nm)
+    return sd, LieMap(sd.algebra, pp.product, pp.proj_matrix)
 
 
 def upper_triangular(n):

@@ -1,22 +1,14 @@
 """Acceptance suite: ten exact, exhaustively quantified properties over the
-catalog {Z2, Z3, Z4, Z2xZ2, Z6, S3} and all mutual-action pairs with
-|M||N| <= 36.  One pass/fail line is printed per criterion."""
-
-from fractions import Fraction
+catalog {Z2, Z3, Z4, Z2xZ2, Z6, S3}, all mutual-action pairs with
+|M||N| <= 36, and every pair of crossed modules over a common catalog base
+(criteria 1, 2 and 7).  One pass/fail line is printed per criterion."""
 
 import pytest
 
-from peiffer.actions import (
-    Action,
-    Point,
-    enumerate_actions,
-    point_to_action,
-    semidirect,
-    trivial_action,
-)
-from peiffer.catalog import catalog, cyclic, klein_four, symmetric_3
-from peiffer.compat import M_SIDE, N_SIDE, MutualActions, check_compatible
-from peiffer.groups import GroupError, direct_product, is_isomorphic, subgroup_closure, subgroup_group, all_homs
+from peiffer.actions import Action, semidirect, trivial_action
+from peiffer.catalog import catalog, cyclic, symmetric_3
+from peiffer.compat import MutualActions, check_compatible
+from peiffer.groups import GroupError, direct_product, is_isomorphic, subgroup_closure, all_homs
 from peiffer.product import (
     induced_actions,
     peiffer_product,
@@ -24,12 +16,13 @@ from peiffer.product import (
     strong_relation_check,
     universal_map,
 )
-from peiffer.xmod import CrossedModule, check_xmod, identity_xmod, inclusion_xmod, induced_mutual_actions
+from peiffer.xmod import CrossedModule, check_xmod, induced_mutual_actions
 from peiffer import lie
 from peiffer.io import mat
 
+from constructions import Point, catalog_xmods, identity_xmod, inclusion_xmod, point_to_action, subgroup_group
 from free_words import eval_flat_action
-from lie_data import mats
+from lie_data import identity_lie_map, mats, trivial_lie_action
 
 
 def report(num, name, ok):
@@ -44,6 +37,23 @@ def a3_into_s3():
     return inclusion_xmod(S3, incl), identity_xmod(S3)
 
 
+@pytest.fixture(scope="module")
+def xmod_pairs():
+    """Every ordered pair (X -> L, Y -> L) of catalog crossed modules over a
+    common base, with the mutual actions it induces and their Peiffer product:
+    6,184 pairs of 166 crossed modules."""
+    by_base = {}
+    for xm in catalog_xmods():
+        by_base.setdefault(xm.A, []).append(xm)
+    pairs = []
+    for xms in by_base.values():
+        for xm_m in xms:
+            for xm_n in xms:
+                mut = induced_mutual_actions(xm_m, xm_n)
+                pairs.append((xm_m, xm_n, mut, peiffer_product(mut)))
+    return pairs
+
+
 def s3_z2_incompatible():
     S3, Z2 = symmetric_3(), cyclic(2)
     t = next(x for x in S3.elements() if S3.element_order(x) == 2)
@@ -51,22 +61,21 @@ def s3_z2_incompatible():
     return MutualActions(xi_nm, trivial_action(S3, Z2))
 
 
-def test_criterion_1_forward_round_trip(family):
+def test_criterion_1_forward_round_trip(family, xmod_pairs):
     ok = True
-    for rec in family:
-        if not rec.verdict.compatible:
-            continue
-        xm_m, xm_n = peiffer_xmods(rec.pp)
+    compatible = [(rec.mut, rec.pp) for rec in family if rec.verdict.compatible]
+    for mut, pp in compatible + [(mut, pp) for _, _, mut, pp in xmod_pairs]:
+        xm_m, xm_n = peiffer_xmods(pp)
         if not (check_xmod(xm_m).ok and check_xmod(xm_n).ok):
             ok = False
             break
-        if induced_mutual_actions(xm_m, xm_n) != rec.mut:
+        if induced_mutual_actions(xm_m, xm_n) != mut:
             ok = False
             break
     report(1, "forward round trip through the Peiffer crossed modules", ok)
 
 
-def test_criterion_2_backward_direction():
+def test_criterion_2_backward_direction(xmod_pairs):
     fixtures = [(identity_xmod(G), identity_xmod(G)) for G in catalog()]
     fixtures.append(a3_into_s3())
     Z6 = cyclic(6)
@@ -76,6 +85,7 @@ def test_criterion_2_backward_direction():
         check_compatible(induced_mutual_actions(xm_m, xm_n)).compatible
         for xm_m, xm_n in fixtures
     )
+    ok = ok and all(check_compatible(mut).compatible for _, _, mut, _ in xmod_pairs)
     report(2, "coterminal crossed modules induce compatible actions", ok)
 
 
@@ -122,7 +132,24 @@ def test_criterion_6_trivial_action_law():
     report(6, "trivial actions give the direct product", ok)
 
 
-def test_criterion_7_universal_property():
+def universal_map_is_unique_morphism(pp, xm_m, xm_n) -> bool:
+    """h = universal_map(pp, xm_m, xm_n) is a hom and commutes with both
+    boundaries; it is a morphism of both crossed modules, as P acts on M and
+    on N as L does through h; and it is unique, as lM and lN generate P."""
+    h = universal_map(pp, xm_m, xm_n)
+    P = pp.product
+    on_m, on_n = induced_actions(pp)
+    return (
+        h.check().ok
+        and [h(v) for v in pp.lM.mapping] == list(xm_m.boundary.mapping)
+        and [h(v) for v in pp.lN.mapping] == list(xm_n.boundary.mapping)
+        and all(on_m.table[p] == xm_m.action.table[h(p)] for p in P.elements())
+        and all(on_n.table[p] == xm_n.action.table[h(p)] for p in P.elements())
+        and len(subgroup_closure(P, set(pp.lM.mapping) | set(pp.lN.mapping))) == P.order
+    )
+
+
+def test_criterion_7_universal_property(xmod_pairs):
     xm_m, xm_n = a3_into_s3()
     mut = induced_mutual_actions(xm_m, xm_n)
     pp = peiffer_product(mut)
@@ -141,6 +168,7 @@ def test_criterion_7_universal_property():
         and all(g(pp.lN(n)) == xm_n.boundary(n) for n in range(mut.N.order))
     ]
     ok = ok and agreeing == [h]
+    ok = ok and all(universal_map_is_unique_morphism(pp, xm_m, xm_n) for xm_m, xm_n, _, pp in xmod_pairs)
     report(7, "the universal map exists, commutes and is unique", ok)
 
 
@@ -158,7 +186,7 @@ def test_criterion_8_negative_control():
         ok = ok and w is not None and str(err) == f"induced action disagrees across a coset, witness={w}"
         # the witness really exhibits two preimages of one coset disagreeing
         p, rep, other, side, x, val1, val2 = w
-        ok = ok and pp.from_semidirect(rep) == p == pp.from_semidirect(other)
+        ok = ok and pp.proj[rep] == p == pp.proj[other]
         ok = ok and val1 != val2
     report(8, "incompatible fixture rejected with reproducible witnesses", ok)
 
@@ -209,9 +237,9 @@ def test_criterion_10_lie_suite():
     xm_ideal = CrossedModule(
         lie.LieMap(I, L, mat([[0], [1]])), lie.LieAction(L, I, mats([[[1]], [[0]]]))
     )
-    xm_id = CrossedModule(lie.identity_lie_map(L), L.adjoint)
+    xm_id = CrossedModule(identity_lie_map(L), L.adjoint)
     A2 = lie.LieAlgebra(2, mats([[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
-    xm_ab = CrossedModule(lie.identity_lie_map(A2), A2.adjoint)
+    xm_ab = CrossedModule(identity_lie_map(A2), A2.adjoint)
     fixtures = [(xm_ideal, xm_id), (xm_id, xm_id), (xm_ab, xm_ab)]
     ok = all(
         lie.lie_compatible(lie.lie_induced_actions(a, b)).ok for a, b in fixtures
@@ -224,9 +252,7 @@ def test_criterion_10_lie_suite():
 
     # (b) zero actions give the direct sum
     if ok:
-        zero = MutualActions(
-            lie.trivial_lie_action(L, I), lie.trivial_lie_action(I, L)
-        )
+        zero = MutualActions(trivial_lie_action(L, I), trivial_lie_action(I, L))
         pp0 = lie.lie_peiffer(zero)
         ok = pp0.product.dim == I.dim + L.dim and pp0.ideal_rows == ()
 

@@ -3,17 +3,17 @@ import pytest
 from peiffer import actions
 from peiffer.actions import (
     Action,
-    Point,
     check_action_table,
     conjugation_action,
     enumerate_actions,
-    point_to_action,
     pullback_action,
     semidirect,
     trivial_action,
 )
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.groups import GroupError, Hom, direct_product, is_isomorphic
+
+from constructions import Point, compose, point_to_action, subgroup_group
 
 S3 = symmetric_3()
 Z2 = cyclic(2)
@@ -100,12 +100,10 @@ def test_trivial_and_pullback():
 def test_pullback_functorial():
     psi = conjugation_action(S3)
     A3 = [x for x in S3.elements() if S3.element_order(x) in (1, 3)]
-    from peiffer.groups import subgroup_group
-
     H, incl = subgroup_group(S3, A3)
     ident = Hom(S3, S3, range(6))
     via_both = pullback_action(incl, pullback_action(ident, psi))
-    direct = pullback_action(ident.compose(incl), psi)
+    direct = pullback_action(compose(ident, incl), psi)
     assert via_both == direct
 
 

@@ -18,14 +18,15 @@ from peiffer.actions import (
 )
 from peiffer.catalog import cyclic, symmetric_3
 from peiffer.cli import VERBS, build_parser, main
-from peiffer.groups import FiniteGroup, GroupError, Hom
+from peiffer.groups import Hom
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import (
-    LieAction, LieAlgebra, LieMap, check_lie_action, check_lie_xmod, identity_lie_map,
+    LieAction, LieAlgebra, LieMap, check_lie_action, check_lie_xmod,
 )
-from peiffer.xmod import CrossedModule, check_xmod, identity_xmod
+from peiffer.xmod import CrossedModule, check_xmod
 
-from lie_data import mats
+from constructions import identity_xmod, inclusion_xmod, subgroup_group
+from lie_data import identity_lie_map, mats, trivial_lie_action
 
 S3 = symmetric_3()
 Z2 = cyclic(2)
@@ -194,9 +195,6 @@ def test_xmod_check_refuses_a_disagreeing_inline_acting_group(tmp_path, capsys):
 
 
 def test_induce_actions_and_universal_map(tmp_path, capsys):
-    from peiffer.groups import subgroup_group
-    from peiffer.xmod import inclusion_xmod
-
     A3 = [x for x in S3.elements() if S3.element_order(x) in (1, 3)]
     _, incl = subgroup_group(S3, A3)
     xm_m = inclusion_xmod(S3, incl)
@@ -641,9 +639,8 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 def golden_inputs(directory) -> dict:
     """Write every input of the transcript; returns file name -> path."""
-    from peiffer.groups import subgroup_group
-    from peiffer.lie import lie_induced_actions, trivial_lie_action
-    from peiffer.xmod import inclusion_xmod, induced_mutual_actions
+    from peiffer.lie import lie_induced_actions
+    from peiffer.xmod import induced_mutual_actions
 
     t = next(x for x in S3.elements() if S3.element_order(x) == 2)
     reflect = Action(Z2, S3, (tuple(range(6)), tuple(S3.conj(t, x) for x in range(6))))

@@ -10,9 +10,9 @@ from peiffer.compat import (
     coproduct_eval,
 )
 from peiffer.groups import GroupError
-from peiffer.lie import LieAlgebra, LieError, trivial_lie_action
+from peiffer.lie import LieAlgebra, LieError
 
-from lie_data import mats, upper_triangular
+from lie_data import mats, trivial_lie_action, upper_triangular
 
 S3 = symmetric_3()
 Z2 = cyclic(2)

@@ -12,17 +12,11 @@ from peiffer.catalog import cyclic, symmetric_3
 from peiffer.compat import CompatWitness
 from peiffer.groups import GroupError
 from peiffer.io import MAX_LIE_DIM
-from peiffer.lie import (
-    ZERO,
-    LieAction,
-    LieAlgebra,
-    LieError,
-    identity_lie_map,
-    validate_lie,
-)
-from peiffer.xmod import CrossedModule, identity_xmod
+from peiffer.lie import ZERO, LieAlgebra, LieError, validate_lie
+from peiffer.xmod import CrossedModule
 
-from lie_data import mats, reported
+from constructions import identity_xmod
+from lie_data import identity_lie_map, mats, reported
 
 
 def test_group_round_trip():

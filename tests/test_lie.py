@@ -22,7 +22,6 @@ from peiffer.lie import (
     check_lie_action,
     check_lie_xmod,
     combination,
-    identity_lie_map,
     identity_mat,
     lie_compatible,
     lie_induced_actions,
@@ -31,12 +30,10 @@ from peiffer.lie import (
     lie_universal_map,
     mat_vec,
     rref,
-    trivial_lie_action,
     validate_lie,
     vadd,
     vscale,
     vsub,
-    zero_mat,
     zero_vec,
 )
 from peiffer.io import lie_action_from_dict, lie_from_dict, mat, vec
@@ -46,7 +43,7 @@ from peiffer.xmod import CrossedModule
 import int_kernels
 from int_kernels import disagreement, mat_add, mat_commutator, mat_mul, mat_sub
 import lie_data
-from lie_data import mats
+from lie_data import identity_lie_map, mats, semidirect_and_proj, trivial_lie_action, zero_mat
 
 
 def fracs(*values):
@@ -429,9 +426,9 @@ def test_constructions_pass_the_exhaustive_checks():
         pp = lie_peiffer(mut)
         if mut.M == B3:
             assert pp.product.dim == 9
-        sd = pp.semidirect
+        sd, proj = semidirect_and_proj(pp)
         assert validate_lie(sd.algebra).ok and validate_lie(pp.product).ok
-        for f in (sd.j_m, sd.j_n, sd.pi, pp.proj):
+        for f in (sd.j_m, sd.j_n, sd.pi, proj):
             assert f.check().ok
         for act in induced_actions(pp):
             assert check_lie_action(act).ok
@@ -551,11 +548,11 @@ def coordinate_fields(mut, xms=None):
     """The same fields from lie_peiffer and the functions that take its product."""
     pp = lie_peiffer(mut)
     fields = {
-        "semidirect": pp.semidirect.algebra.brackets,
+        "semidirect": lie_semidirect(mut.xi_nm).algebra.brackets,
         "brackets": pp.product.brackets,
         "l_m": pp.lM.matrix,
         "l_n": pp.lN.matrix,
-        "proj": pp.proj.matrix,
+        "proj": pp.proj_matrix,
         "ideal_rows": pp.ideal_rows,
         "ideal_pivots": pp.ideal_pivots,
     }
@@ -628,10 +625,9 @@ def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
     peiffer_xmods(pp)
     lie_universal_map(pp, xm_m, xm_n)
     monkeypatch.undo()
-    # M x| N and the projection are still there when asked for
-    sd = pp.semidirect
-    assert sd is pp.semidirect and pp.proj.dom is sd.algebra
-    assert validate_lie(sd.algebra).ok and pp.proj.check().ok
+    # M x| N and the projection can still be built from the product
+    sd, proj = semidirect_and_proj(pp)
+    assert validate_lie(sd.algebra).ok and proj.check().ok
 
 
 def test_lie_checks_raise_lie_error():

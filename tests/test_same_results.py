@@ -40,6 +40,7 @@ import pytest
 from lie_data import dense_b3, sparse_b3, upper_triangular
 from peiffer.cli import main
 from peiffer.compat import check_compatible
+from peiffer.groups import Hom
 from peiffer.product import peiffer_product, peiffer_xmods, strong_relation_check, universal_map
 
 PINNED = {
@@ -72,7 +73,7 @@ def family_digests(family) -> dict:
             parts["compat"].append(check_compatible(mut))
             parts["product"].append((
                 P.table, P.identity, P.inverses,
-                pp.lM.mapping, pp.lN.mapping, pp.from_semidirect.mapping,
+                pp.lM.mapping, pp.lN.mapping, Hom(S, P, pp.proj).mapping,
             ))
             parts["semidirect"].append((S.table, S.identity, S.inverses))
             parts["disagreement"].append(pp.disagreement)

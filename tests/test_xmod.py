@@ -3,17 +3,12 @@ import pytest
 from peiffer.actions import conjugation_action, pullback_action, trivial_action
 from peiffer.catalog import cyclic, klein_four, symmetric_3
 from peiffer.compat import check_compatible
-from peiffer.groups import GroupError, Hom, identity_hom, subgroup_group
-from peiffer.lie import LieAlgebra, LieError, identity_lie_map, pullback_lie_action
-from peiffer.xmod import (
-    CrossedModule,
-    check_xmod,
-    identity_xmod,
-    inclusion_xmod,
-    induced_mutual_actions,
-)
+from peiffer.groups import GroupError, Hom, identity_hom
+from peiffer.lie import LieAlgebra, LieError, pullback_lie_action
+from peiffer.xmod import CrossedModule, check_xmod, induced_mutual_actions
 
-from lie_data import mats, upper_triangular
+from constructions import identity_xmod, inclusion_xmod, subgroup_group
+from lie_data import identity_lie_map, mats, upper_triangular
 
 S3 = symmetric_3()
 
