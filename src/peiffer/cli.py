@@ -113,8 +113,8 @@ def _induce_actions(args):
 
 
 def _lie_semidirect(args):
-    sd = lie_semidirect(pio.lie_action_from_dict(pio.load_json(args.action)))
-    return {"algebra": pio.lie_to_dict(sd.algebra)}, 0
+    S = lie_semidirect(pio.lie_action_from_dict(pio.load_json(args.action)))
+    return {"algebra": pio.lie_to_dict(S)}, 0
 
 
 def _lie_peiffer(args):

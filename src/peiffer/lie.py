@@ -56,10 +56,6 @@ def vscale(c, u):
     return tuple(c * a if a else a for a in u)
 
 
-def identity_mat(n: int) -> tuple:
-    return tuple(basis_vec(n, i) for i in range(n))
-
-
 def mat_vec(A, v) -> tuple:
     terms = [(k, x) for k, x in enumerate(v) if x]
     out = [ZERO] * len(A)
@@ -168,10 +164,6 @@ class _IntegerForms:
         if w not in self.packs:
             self.packs[w] = _Packed(self, w)
         return self.packs[w]
-
-
-def basis_vec(n: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def rref(rows):
@@ -455,21 +447,11 @@ def lie_induced_actions(xm_m: CrossedModule, xm_n: CrossedModule) -> MutualActio
     return MutualActions(xi_nm, xi_mn)
 
 
-class LieSemidirect:
-    """M + N with bracket twisted by the action of N on M; basis is M's then N's."""
+def lie_semidirect(rho: LieAction) -> LieAlgebra:
+    """M x| N on M's basis then N's: [(m,n),(m',n')] = ([m,m'] + rho(n) m' - rho(n') m, [n,n']).
 
-    def __init__(self, algebra, j_m, j_n, pi):
-        self.algebra = algebra
-        self.j_m = j_m
-        self.j_n = j_n
-        self.pi = pi
-
-
-def _semidirect_brackets(rho: LieAction) -> tuple:
-    """The structure constants of M x| N on M's basis then N's, block by block.
-
-    [m_i, m_j] = [m_i, m_j]_M, [n_a, m_j] = rho(n_a) m_j = -[m_j, n_a] and
-    [n_a, n_b] = [n_a, n_b]_N; rho(n_a) m_j is column j of rho.rho[a].
+    Block by block, [m_i, m_j] = [m_i, m_j]_M, [n_a, m_j] = rho(n_a) m_j = -[m_j, n_a]
+    and [n_a, n_b] = [n_a, n_b]_N; rho(n_a) m_j is column j of rho.rho[a].
     """
     M, N = rho.target, rho.acting
     dm, dn = M.dim, N.dim
@@ -485,20 +467,8 @@ def _semidirect_brackets(rho: LieAction) -> tuple:
         + tuple(zm + N.brackets[a][b] for b in range(dn))
         for a in range(dn)
     ]
-    return tuple(rows)
-
-
-def lie_semidirect(rho: LieAction) -> LieSemidirect:
-    """[(m,n),(m',n')] = ([m,m'] + rho(n) m' - rho(n') m, [n,n'])."""
-    M, N = rho.target, rho.acting
-    dm = M.dim
     # Jacobi holds because M and N do and rho is a Lie hom into Der(M)
-    S = LieAlgebra(dm + N.dim, _semidirect_brackets(rho))
-    ident = identity_mat(S.dim)
-    j_m = LieMap(M, S, tuple(row[:dm] for row in ident))
-    j_n = LieMap(N, S, tuple(row[dm:] for row in ident))
-    pi = LieMap(S, N, ident[dm:])
-    return LieSemidirect(S, j_m, j_n, pi)
+    return LieAlgebra(dm + dn, tuple(rows))
 
 
 class LiePeifferProduct:
@@ -512,7 +482,7 @@ class LiePeifferProduct:
     M + N -> P, so lM and lN are its first M.dim and last N.dim columns.
     """
 
-    def __init__(self, product, lM, lN, source, actions, disagreement, reps, proj_matrix, ideal_rows, ideal_pivots):
+    def __init__(self, product, lM, lN, source, actions, disagreement, reps, proj_matrix):
         self.product = product
         self.lM = lM
         self.lN = lN
@@ -521,8 +491,6 @@ class LiePeifferProduct:
         self.disagreement = disagreement
         self.reps = reps
         self.proj_matrix = proj_matrix
-        self.ideal_rows = ideal_rows
-        self.ideal_pivots = ideal_pivots
 
     def __repr__(self):
         return f"LiePeifferProduct(dim={self.product.dim})"
@@ -554,7 +522,7 @@ def lie_peiffer_ideal(mut: MutualActions):
     rows are closed under brackets with the basis until their span stops growing.
     """
     dm, dn = mut.M.dim, mut.N.dim
-    S = LieAlgebra(dm + dn, _semidirect_brackets(mut.xi_nm))
+    S = lie_semidirect(mut.xi_nm)
     gens = [column(mut.xi_nm.rho[j], i) + column(mut.xi_mn.rho[i], j) for i in range(dm) for j in range(dn)]
     rows, pivots = rref(gens)
     if lie_compatible(mut).ok:
@@ -590,7 +558,7 @@ def lie_peiffer(mut: MutualActions) -> LiePeifferProduct:
     # well defined and by derivations
     actions = None if disagreement else tuple(
         LieAction(P, X, tuple(mats[k] for k in reps)) for mats, X in _sides(mut))
-    return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, C, rows, pivots)
+    return LiePeifferProduct(P, lM, lN, mut, actions, disagreement, reps, C)
 
 
 def lie_universal_map(pp: LiePeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) -> LieMap:

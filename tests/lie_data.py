@@ -1,9 +1,13 @@
 """Lie test data as the constructors keep it: tuples of Fractions at every level.
 
 A helper module, not collected by pytest.  The constructors convert nothing
-and only peiffer.io parses rationals, so fixtures go through io.mat.  The
-zero matrix, the identity map, the trivial action, and M x| N of a Peiffer
-product with its projection live here too: no verb or pipeline stage needs them.
+and only peiffer.io parses rationals, so fixtures go through io.mat.  Basis
+vectors, the zero and identity matrices, the identity map, the trivial action,
+the inclusions and projection of M x| N, and the projection of a Peiffer
+product as a LieMap live here too: no verb or pipeline stage needs them.
+
+small_lie_family() is the finite Lie family of the acceptance suite: a1, a2
+and r2, with every action among them whose matrix entries lie in {-1, 0, 1}.
 
 It also writes b_n, the upper-triangular n x n matrices, on other bases: a
 signed permutation of the standard one (sparse, integer constants), and a
@@ -15,9 +19,10 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from peiffer.io import mat
-from peiffer.lie import LieAction, LieMap, identity_mat, lie_semidirect, zero_vec
+from peiffer.lie import ONE, ZERO, LieAction, LieAlgebra, LieMap, check_lie_action, lie_semidirect, zero_vec
 
 # the change of basis the lie_dense workload draws from random.Random("lie_dense:basis")
 DENSE_BASIS = (
@@ -40,6 +45,14 @@ def mats(values):
     return tuple(map(mat, values))
 
 
+def basis_vec(n: int, i: int) -> tuple:
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def identity_mat(n: int) -> tuple:
+    return tuple(basis_vec(n, i) for i in range(n))
+
+
 def zero_mat(rows: int, cols: int) -> tuple:
     return tuple(zero_vec(cols) for _ in range(rows))
 
@@ -52,10 +65,42 @@ def trivial_lie_action(acting, target) -> LieAction:
     return LieAction(acting, target, (zero_mat(target.dim, target.dim),) * acting.dim)
 
 
+def semidirect_maps(rho):
+    """M x| N of rho, the inclusions of M and of N, and the projection onto N."""
+    S, dm = lie_semidirect(rho), rho.target.dim
+    ident = identity_mat(S.dim)
+    j_m = LieMap(rho.target, S, tuple(row[:dm] for row in ident))
+    j_n = LieMap(rho.acting, S, tuple(row[dm:] for row in ident))
+    return S, j_m, j_n, LieMap(S, rho.acting, ident[dm:])
+
+
 def semidirect_and_proj(pp):
     """M x| N of a Lie Peiffer product, and the projection onto P as the LieMap of pp.proj_matrix."""
-    sd = lie_semidirect(pp.source.xi_nm)
-    return sd, LieMap(sd.algebra, pp.product, pp.proj_matrix)
+    S = lie_semidirect(pp.source.xi_nm)
+    return S, LieMap(S, pp.product, pp.proj_matrix)
+
+
+@cache
+def small_lie_family():
+    """The algebras a1, a2 and r2 ([e0, e1] = e1), and for each ordered pair (A, X) of their names
+    every action of A on X with matrix entries in {-1, 0, 1} that passes check_lie_action.
+
+    Each matrix of an action is a derivation of X, the condition on a1 acting by that
+    matrix, so the actions are drawn from the derivations alone: 1,091 actions.
+    """
+    a1, a2 = LieAlgebra(1, mats([[[0]]]), "a1"), LieAlgebra(2, mats([[[0, 0], [0, 0]]] * 2), "a2")
+    r2 = LieAlgebra(2, mats([[[0, 0], [0, 1]], [[0, -1], [0, 0]]]), "r2")
+    algebras = (a1, a2, r2)
+    entries = tuple(map(Fraction, (-1, 0, 1)))
+    actions = {}
+    for X in algebras:
+        n = X.dim
+        square = [tuple(e[i:i + n] for i in range(0, n * n, n)) for e in product(entries, repeat=n * n)]
+        derivations = [D for D in square if check_lie_action(LieAction(a1, X, (D,))).ok]
+        for A in algebras:
+            candidates = (LieAction(A, X, rho) for rho in product(derivations, repeat=A.dim))
+            actions[A.name, X.name] = tuple(act for act in candidates if check_lie_action(act).ok)
+    return algebras, actions
 
 
 def upper_triangular(n):

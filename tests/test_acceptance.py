@@ -1,7 +1,11 @@
 """Acceptance suite: ten exact, exhaustively quantified properties over the
 catalog {Z2, Z3, Z4, Z2xZ2, Z6, S3}, all mutual-action pairs with
 |M||N| <= 36, and every pair of crossed modules over a common catalog base
-(criteria 1, 2 and 7).  One pass/fail line is printed per criterion."""
+(criteria 1, 2 and 7).  Criteria 1 and 3 also run on a seeded sample of the
+finite Lie family of lie_data.small_lie_family().  One pass/fail line is
+printed per criterion."""
+
+import random
 
 import pytest
 
@@ -22,7 +26,7 @@ from peiffer.io import mat
 
 from constructions import Point, catalog_xmods, identity_xmod, inclusion_xmod, point_to_action, subgroup_group
 from free_words import eval_flat_action
-from lie_data import identity_lie_map, mats, trivial_lie_action
+from lie_data import identity_lie_map, mats, small_lie_family, trivial_lie_action
 
 
 def report(num, name, ok):
@@ -52,6 +56,21 @@ def xmod_pairs():
                 mut = induced_mutual_actions(xm_m, xm_n)
                 pairs.append((xm_m, xm_n, mut, peiffer_product(mut)))
     return pairs
+
+
+@pytest.fixture(scope="module")
+def lie_family_sample():
+    """A seeded sample of the mutual pairs of small_lie_family(), up to 1,000 for each
+    ordered pair of algebras, with each pair's compatibility and Peiffer product."""
+    algebras, actions = small_lie_family()
+    rng, sample = random.Random(0), []
+    for M in algebras:
+        for N in algebras:
+            nm, mn = actions[N.name, M.name], actions[M.name, N.name]
+            for k in rng.sample(range(len(nm) * len(mn)), min(1000, len(nm) * len(mn))):
+                mut = MutualActions(nm[k // len(mn)], mn[k % len(mn)])
+                sample.append((mut, lie.lie_compatible(mut).ok, lie.lie_peiffer(mut)))
+    return sample
 
 
 def s3_z2_incompatible():
@@ -92,6 +111,29 @@ def test_criterion_2_backward_direction(xmod_pairs):
 def test_criterion_3_definition_equivalence(family):
     ok = all(rec.verdict.compatible == (rec.pp.actions is not None) for rec in family)
     report(3, "compatibility iff induced actions well defined", ok)
+
+
+def test_lie_family_counts(lie_family_sample):
+    algebras, actions = small_lie_family()
+    pairs = sum(len(actions[N.name, M.name]) * len(actions[M.name, N.name]) for M in algebras for N in algebras)
+    assert pairs == 677221
+    compatible = sum(ok for _, ok, _ in lie_family_sample)
+    assert (len(lie_family_sample), compatible) == (4746, 288)
+
+
+def test_lie_criterion_1_forward_round_trip(lie_family_sample):
+    def round_trip(mut, pp):
+        xm_m, xm_n = peiffer_xmods(pp)
+        xmods_ok = lie.check_lie_xmod(xm_m).ok and lie.check_lie_xmod(xm_n).ok
+        return xmods_ok and lie.lie_induced_actions(xm_m, xm_n) == mut
+
+    ok = all(round_trip(mut, pp) for mut, compatible, pp in lie_family_sample if compatible)
+    report(1, "Lie family: forward round trip through the Peiffer crossed modules", ok)
+
+
+def test_lie_criterion_3_definition_equivalence(lie_family_sample):
+    ok = all(compatible == (pp.actions is not None) for _, compatible, pp in lie_family_sample)
+    report(3, "Lie family: compatibility iff induced actions well defined", ok)
 
 
 def test_criterion_4_pushout_symmetry(family):
@@ -254,7 +296,7 @@ def test_criterion_10_lie_suite():
     if ok:
         zero = MutualActions(trivial_lie_action(L, I), trivial_lie_action(I, L))
         pp0 = lie.lie_peiffer(zero)
-        ok = pp0.product.dim == I.dim + L.dim and pp0.ideal_rows == ()
+        ok = pp0.product.dim == I.dim + L.dim and lie.lie_peiffer_ideal(zero)[1] == ()
 
     # (c) compatible fixtures carry crossed modules and the universal map
     if ok:

@@ -7,6 +7,7 @@ import peiffer
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 PACKAGE = Path(peiffer.__file__).parent
 
 
@@ -68,3 +69,43 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}) + sorted(TESTS.glob("*.py"))
     unused = {path.name: names for path in modules if (names := unused_imports(path))}
     assert unused == {}
+
+
+def wrapped_names() -> set[str]:
+    """The package names perfbench/tracing.py wraps, read from its SPANS and COUNTED lists
+    without importing it: "Class.method" names its class."""
+    tree = ast.parse(TRACING.read_text())
+    lists = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets)]
+    attrs = []
+    for node in (n for value in lists for n in ast.walk(value)):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3 and isinstance(node.elts[2], ast.Constant):
+            attrs.append(node.elts[2].value)  # (span, module, attribute)
+        elif isinstance(node, ast.comprehension):
+            attrs += [e.value for e in node.iter.elts]  # [(span, module, f) for f in (...)]
+    return {attr.split(".")[0] for attr in attrs}
+
+
+def names_read(node) -> set[str]:
+    """The names and attribute names node reads anywhere in it."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_definition_in_the_package_has_a_use():
+    # a top-level function or class is read somewhere in src outside its own
+    # definition, exported by peiffer, or wrapped by the benchmark's tracer
+    wrapped = wrapped_names()
+    assert {"lie_semidirect", "rref", "LieMap", "load_json"} <= wrapped
+    statements = [node for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+                  for node in ast.parse(path.read_text()).body]
+    read_by = [(node, names_read(node)) for node in statements]
+    unused = [
+        node.name
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in vars(peiffer)
+        and node.name not in wrapped
+        and not any(node.name in names for other, names in read_by if other is not node)
+    ]
+    assert unused == []

@@ -18,14 +18,13 @@ from peiffer.lie import (
     LieAlgebra,
     LieError,
     LieMap,
-    basis_vec,
     check_lie_action,
     check_lie_xmod,
     combination,
-    identity_mat,
     lie_compatible,
     lie_induced_actions,
     lie_peiffer,
+    lie_peiffer_ideal,
     lie_semidirect,
     lie_universal_map,
     mat_vec,
@@ -43,7 +42,16 @@ from peiffer.xmod import CrossedModule
 import int_kernels
 from int_kernels import disagreement, mat_add, mat_commutator, mat_mul, mat_sub
 import lie_data
-from lie_data import identity_lie_map, mats, semidirect_and_proj, trivial_lie_action, zero_mat
+from lie_data import (
+    basis_vec,
+    identity_lie_map,
+    identity_mat,
+    mats,
+    semidirect_and_proj,
+    semidirect_maps,
+    trivial_lie_action,
+    zero_mat,
+)
 
 
 def fracs(*values):
@@ -213,8 +221,7 @@ def test_boundary_not_equivariant_witness():
 
 def test_lie_semidirect_zero_action_is_direct_sum():
     M, N = solvable2(), abelian(1)
-    sd = lie_semidirect(trivial_lie_action(N, M))
-    S = sd.algebra
+    S = lie_semidirect(trivial_lie_action(N, M))
     assert S.dim == 3
     assert S.adjoint(basis_vec(3, 0), basis_vec(3, 2)) == (0, 0, 0)
     assert S.adjoint(basis_vec(3, 0), basis_vec(3, 1)) == (0, 1, 0)
@@ -224,14 +231,14 @@ def test_lie_semidirect_adjoint_on_ideal():
     L = solvable2()
     I = abelian(1)
     rho = LieAction(L, I, mats([[[1]], [[0]]]))
-    sd = lie_semidirect(rho)
-    assert sd.algebra.dim == 3
-    assert validate_lie(sd.algebra).ok
+    S, j_m, j_n, _ = semidirect_maps(rho)
+    assert S.dim == 3
+    assert validate_lie(S).ok
     # [(m,0),(0,n)] = (-rho(n) m, 0)
     m = basis_vec(1, 0)
     for j in range(2):
         n = basis_vec(2, j)
-        got = sd.algebra.adjoint(sd.j_m(m), sd.j_n(n))
+        got = S.adjoint(j_m(m), j_n(n))
         want = tuple(vscale(Fraction(-1), rho(n, m))) + (Fraction(0),) * 2
         assert got == want
 
@@ -293,9 +300,8 @@ def test_lie_induced_actions_zero_base():
 def test_lie_peiffer_zero_actions_direct_sum():
     M, N = solvable2(), sl2()
     mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
-    pp = lie_peiffer(mut)
-    assert pp.product.dim == 5
-    assert pp.ideal_rows == ()
+    assert lie_peiffer(mut).product.dim == 5
+    assert lie_peiffer_ideal(mut)[1] == ()
 
 
 def test_lie_peiffer_scalar_pair_quotient():
@@ -336,10 +342,9 @@ def test_lie_universal_map_zero_actions_identity():
     M, N = solvable2(), abelian(1)
     mut = MutualActions(trivial_lie_action(N, M), trivial_lie_action(M, N))
     pp = lie_peiffer(mut)
-    sd = lie_semidirect(trivial_lie_action(N, M))
-    L = sd.algebra
-    xm_m = CrossedModule(sd.j_m, pullback_m(L, M))
-    xm_n = CrossedModule(sd.j_n, pullback_n(L, N))
+    L, j_m, j_n, _ = semidirect_maps(trivial_lie_action(N, M))
+    xm_m = CrossedModule(j_m, pullback_m(L, M))
+    xm_n = CrossedModule(j_n, pullback_n(L, N))
     h = lie_universal_map(pp, xm_m, xm_n)
     # h is a bijection of 3-dim algebras
     rows, pivots = rref(h.matrix)
@@ -426,9 +431,9 @@ def test_constructions_pass_the_exhaustive_checks():
         pp = lie_peiffer(mut)
         if mut.M == B3:
             assert pp.product.dim == 9
-        sd, proj = semidirect_and_proj(pp)
-        assert validate_lie(sd.algebra).ok and validate_lie(pp.product).ok
-        for f in (sd.j_m, sd.j_n, sd.pi, proj):
+        S, proj = semidirect_and_proj(pp)
+        assert validate_lie(S).ok and validate_lie(pp.product).ok
+        for f in semidirect_maps(mut.xi_nm)[1:] + (proj,):
             assert f.check().ok
         for act in induced_actions(pp):
             assert check_lie_action(act).ok
@@ -442,7 +447,7 @@ def test_constructions_pass_the_exhaustive_checks():
             assert h(pp.lM(basis_vec(dm, j))) == xm_m.boundary(basis_vec(dm, j))
         for j in range(dn):
             assert h(pp.lN(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
-        for row in pp.ideal_rows:
+        for row in lie_peiffer_ideal(mut)[1]:
             assert not any(vadd(xm_m.boundary(row[:dm]), xm_n.boundary(row[dm:])))
 
 
@@ -547,14 +552,15 @@ def ref_lie_peiffer(mut, xms=None):
 def coordinate_fields(mut, xms=None):
     """The same fields from lie_peiffer and the functions that take its product."""
     pp = lie_peiffer(mut)
+    _, rows, pivots, _ = lie_peiffer_ideal(mut)
     fields = {
-        "semidirect": lie_semidirect(mut.xi_nm).algebra.brackets,
+        "semidirect": lie_semidirect(mut.xi_nm).brackets,
         "brackets": pp.product.brackets,
         "l_m": pp.lM.matrix,
         "l_n": pp.lN.matrix,
         "proj": pp.proj_matrix,
-        "ideal_rows": pp.ideal_rows,
-        "ideal_pivots": pp.ideal_pivots,
+        "ideal_rows": rows,
+        "ideal_pivots": pivots,
     }
     try:
         on_m, on_n = induced_actions(pp)
@@ -615,19 +621,24 @@ def test_coordinate_path_matches_semidirect_oracle(case):
         assert got["universal"] == () and len(got["brackets"]) == 4
 
 
-def test_lie_peiffer_builds_no_semidirect_sum(monkeypatch):
-    def refuse(rho):
-        raise AssertionError("lie_semidirect was called")
+def test_lie_peiffer_builds_the_semidirect_sum_once(monkeypatch):
+    # the pipeline and the lie-semidirect verb share one construction of M x| N
+    built = []
 
-    monkeypatch.setattr(peiffer.lie, "lie_semidirect", refuse)
+    def counted(rho):
+        built.append(rho)
+        return lie_semidirect(rho)
+
+    monkeypatch.setattr(peiffer.lie, "lie_semidirect", counted)
     xm_m, xm_n = ideal_fixture()
-    pp = lie_peiffer(lie_induced_actions(xm_m, xm_n))
+    mut = lie_induced_actions(xm_m, xm_n)
+    pp = lie_peiffer(mut)
     peiffer_xmods(pp)
     lie_universal_map(pp, xm_m, xm_n)
+    assert built == [mut.xi_nm]
     monkeypatch.undo()
-    # M x| N and the projection can still be built from the product
-    sd, proj = semidirect_and_proj(pp)
-    assert validate_lie(sd.algebra).ok and proj.check().ok
+    S, proj = semidirect_and_proj(pp)
+    assert validate_lie(S).ok and proj.check().ok
 
 
 def test_lie_checks_raise_lie_error():
@@ -1132,7 +1143,7 @@ def closure_adds(mut):
     basis vector of M x| N, and add what the span does not reach.
     """
     dm, dn = mut.M.dim, mut.N.dim
-    S = lie_semidirect(mut.xi_nm).algebra
+    S = lie_semidirect(mut.xi_nm)
     gens = [mut.xi_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.xi_mn(basis_vec(dm, i), basis_vec(dn, j))
             for i in range(dm) for j in range(dn)]
     rows, pivots = rref(gens)
