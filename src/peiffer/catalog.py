@@ -6,7 +6,7 @@ from itertools import permutations
 
 from .actions import DEFAULT_SEMIDIRECT_CAP, enumerate_actions
 from .compat import CompatVerdict, MutualActions, check_compatible
-from .groups import FiniteGroup, direct_product, is_isomorphic
+from .groups import FiniteGroup, GroupError, direct_product, is_isomorphic
 from .product import PeifferProduct, peiffer_product
 
 
@@ -88,6 +88,8 @@ def enumerate_family(
 
 def census(max_pair_order: int, cap: int) -> list[dict]:
     """Plain rows summarising the enumerated family, for serialization."""
+    if max_pair_order < 0:  # it would enumerate nothing and report an empty census
+        raise GroupError(f"max order must be non-negative, got {max_pair_order}")
     rows = []
     for rec in enumerate_family(max_pair_order=max_pair_order, cap=cap):
         rows.append(

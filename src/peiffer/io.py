@@ -14,8 +14,11 @@ import contextlib
 import json
 import re
 import reprlib
+import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
@@ -30,10 +33,14 @@ MAX_LIE_DIM = 16  # bound on a loaded dim; b5 has dim 15, the benchmark's b3 dim
 _RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
-def _frac(v) -> Fraction:
+# A string _short_rational memoises is at most this long, so neither part
+# has more digits than the lowest limit sys.set_int_max_str_digits accepts:
+# no setting of that limit changes what a memoised string parses to.
+_MEMO_CHARS = sys.int_info.str_digits_check_threshold
+
+
+def _rational(v) -> Fraction:
     """v as a Fraction, built from the digits the grammar has matched; every zero is ZERO."""
-    if isinstance(v, Fraction):
-        return v
     p = q = 0
     if isinstance(v, int) and not isinstance(v, bool):
         p, q = v, 1
@@ -45,8 +52,19 @@ def _frac(v) -> Fraction:
     return Fraction(p, q) if p else ZERO
 
 
+# a file repeats a few strings, such as "0" and "1", many times; lru_cache
+# keeps no exception, so a refused string is refused each time it is read
+_short_rational = lru_cache(maxsize=4096)(_rational)
+
+
+def _frac(v) -> Fraction:
+    if type(v) is str and len(v) <= _MEMO_CHARS:  # only strings: True == 1 would share 1's key
+        return _short_rational(v)
+    return v if isinstance(v, Fraction) else _rational(v)
+
+
 def vec(values) -> tuple:
-    return tuple(_frac(v) for v in values)
+    return tuple(map(_frac, values))
 
 
 def mat(rows) -> tuple:
@@ -324,8 +342,55 @@ def _encode(v):
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+def _write(v, out: list, indent: str) -> None:
+    """Append json.dumps(v, indent=2, sort_keys=True, default=_encode) to out, in pieces.
+
+    indent is that of v's own line.  A plain int, string or Fraction goes
+    through the C-backed call json makes for it, and a list of one of these
+    kinds through one join of those calls; json.dumps with indent=2 would
+    send every value through json's Python encoder.  A dict key that is not
+    a string raises TypeError.
+    """
+    leaf = _LEAF.get(type(v))
+    if leaf is not None:
+        out.append(leaf(v))
+    elif isinstance(v, (list, tuple, dict)) and not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif isinstance(v, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, x in sorted(v.items()):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(x, out, inner)
+            sep = ",\n" + inner
+        out += ("\n", indent, "}")
+    elif isinstance(v, (list, tuple)):
+        inner = indent + "  "
+        kinds = set(map(type, v))
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is not None:
+            out += ("[\n", inner, (",\n" + inner).join(map(leaf, v)), "\n", indent, "]")
+            return
+        sep = "[\n" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = ",\n" + inner
+        out += ("\n", indent, "]")
+    elif isinstance(v, (str, int, float)) or v is None:
+        out.append(json.dumps(v))
+    else:
+        _write(_encode(v), out, indent)
+
+
+# bool is not int here: type(True) is bool
+_LEAF = {int: int.__repr__, str: encode_basestring_ascii, Fraction: lambda q: encode_basestring_ascii(_encode(q))}
+
+
 def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True, default=_encode)
+    out = []
+    _write(data, out, "")
+    text = "".join(out)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

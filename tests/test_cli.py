@@ -220,6 +220,13 @@ def test_enumerate_small(capsys):
     assert rows[0]["compatible"] and rows[0]["product_order"] == 4
 
 
+def test_enumerate_negative_max_order_is_input_error(capsys):
+    # no pair has a negative order, so the census would be empty and exit 0
+    code, report = run(capsys, "enumerate", "--max-order", "-3")
+    assert code == 2
+    assert report == {"error": "max order must be non-negative, got -3"}
+
+
 def test_enumerate_deterministic(capsys):
     _, r1 = run(capsys, "enumerate", "--max-order", "6")
     _, r2 = run(capsys, "enumerate", "--max-order", "6")

@@ -4,13 +4,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peiffer import io as pio
 from peiffer.actions import conjugation_action
 from peiffer.catalog import cyclic, symmetric_3
 from peiffer.compat import CompatWitness
-from peiffer.groups import GroupError
+from peiffer.groups import Diagnosis, GroupError
 from peiffer.io import MAX_LIE_DIM
 from peiffer.lie import ZERO, LieAlgebra, LieError, validate_lie
 from peiffer.xmod import CrossedModule
@@ -196,8 +196,27 @@ def test_lie_load_reads_p_and_p_over_q(text, value):
 
 def test_lie_load_reads_every_zero_as_one_shared_fraction():
     d = {"dim": 6, "brackets": [{"i": 0, "j": 1, "coeffs": [0, "0", "-0", "+0/7", "000/1", "1/2"]}]}
-    brackets = pio.lie_from_dict(d).brackets
-    assert all(c is ZERO for c in brackets[0][1][:5]) and brackets[0][1][5] == Fraction(1, 2)
+    for _ in range(2):  # the second load reads each string from the memo
+        brackets = pio.lie_from_dict(d).brackets
+        assert all(c is ZERO for c in brackets[0][1][:5]) and brackets[0][1][5] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "1e5"])
+def test_a_refused_string_is_refused_at_every_appearance(text):
+    assert pio.vec(["1/2", "0"]) == (Fraction(1, 2), ZERO)
+    d = lie_data((0, 1, [text, text]), (1, 0, [text, "0"]))
+    for _ in range(3):
+        with pytest.raises(LieError, match=f"^not an exact rational: '{re.escape(text)}'$"):
+            pio.lie_from_dict(d)
+        with pytest.raises(LieError, match="not an exact rational"):
+            pio.vec(["0", text])
+
+
+def test_a_json_true_is_refused_after_one_has_been_read():
+    # True == 1 and hash(True) == hash(1): a memo keyed on values alone would hand back 1
+    assert pio.vec([1, "1", 1]) == (Fraction(1),) * 3
+    with pytest.raises(LieError, match="^not an exact rational: True$"):
+        pio.lie_from_dict(json.loads('{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1, true]}]}'))
 
 
 @pytest.mark.parametrize("text", [
@@ -217,11 +236,30 @@ def test_lie_load_refuses_a_long_digit_string_as_a_lie_error(text):
 
 
 def test_lie_load_bounds_digits_with_the_int_limit_lifted():
+    d = lie_data((0, 1, ["0", "1" * 4301]))
+    with pytest.raises(LieError, match="not an exact rational"):  # first read under the default limit
+        pio.lie_from_dict(d)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         with pytest.raises(LieError, match="not an exact rational"):
-            pio.lie_from_dict(lie_data((0, 1, ["0", "1" * 4301])))
+            pio.lie_from_dict(d)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_lie_load_reparses_a_long_string_under_a_lowered_int_limit():
+    # 640 digits: memoised, and parsed under any limit; 641: read once, then
+    # refused once the limit is lowered to 640, its lowest
+    short, long = "1" * 640, "1" * 641
+    d = lie_data((0, 1, [short, long]))
+    assert pio.lie_from_dict(d).brackets[0][1] == (Fraction(int(short)), Fraction(int(long)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(LieError, match="not an exact rational"):
+            pio.lie_from_dict(d)
+        assert pio.vec([short]) == (Fraction(int(short)),)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -271,8 +309,45 @@ def test_dump_json_writes_rationals_and_witnesses_and_refuses_the_rest():
     text = pio.dump_json({"q": Fraction(-3, 4), "w": witness})
     assert json.loads(text) == {"q": "-3/4", "w": {
         "equation": 1, "m": 2, "n": 3, "other": 4, "lhs": 5, "rhs": 6}}
-    with pytest.raises(TypeError, match="set"):
-        pio.dump_json({"s": {1}})
+    for v in ({"s": {1}}, [0, 1, {2}], {"a": [[0], [frozenset()]]}):
+        with pytest.raises(TypeError, match="set"):
+            pio.dump_json(v)
+
+
+def _oracle(v) -> str:
+    return json.dumps(v, indent=2, sort_keys=True, default=pio._encode)
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2082", "\U0001f600", 'a"b\\c'])
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT | st.fractions()
+    | st.builds(CompatWitness, *[st.integers()] * 6)
+    | st.builds(Diagnosis, st.booleans(), st.none() | _TEXT,
+                st.none() | st.tuples(st.integers(), st.fractions(), _TEXT))
+)
+_JSON = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner)
+    | st.lists(st.integers()) | st.lists(_TEXT) | st.lists(st.fractions())
+), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example([1, True, "a", None])
+@example({"b": [[0, 1], [1, 0]], "a": [["0", "1/2"]], "": [], "c": {}, "d": ()})
+def test_dump_json_writes_what_json_dumps_writes(v):
+    assert pio.dump_json(v) == _oracle(v)
+
+
+@pytest.mark.parametrize("v", [{1: 2}, {True: 0}, {None: [1]}, {1.5: "x"}, {1: 0, "a": 1}, {(0, 1): 2}])
+def test_dump_json_writes_a_non_string_key_as_json_dumps_does_or_refuses_it(v):
+    # no report has one
+    try:
+        text = pio.dump_json(v)
+    except TypeError:
+        return
+    assert text == _oracle(v)
 
 
 def test_dump_json_deterministic(tmp_path):
