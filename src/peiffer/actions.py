@@ -167,26 +167,29 @@ def semidirect_quotient(psi: Action, K) -> tuple[FiniteGroup, tuple]:
                 proj[tx[pa[k1]] * na + ta[k2]] = len(reps)
             reps.append(s)
     proj = tuple(proj)
-    # Row (x, a) of X x| A is |X| blocks of |A| columns: the block of
-    # x psi(a, y) for each y in order, its columns b reordered by b -> a b.
-    # The quotient's row is the projection of that row at the representatives.
-    blocks = [proj[c * na:(c + 1) * na] for c in range(X.order)]
-    # with K trivial every index is a representative: nothing to pick
-    cols = _pick(reps) if len(reps) < len(proj) else tuple
-    shifted = {}
-    table = []
-    for s in reps:
-        x, a = divmod(s, na)
-        if a not in shifted:
-            on_block = _pick(TA[a])
-            shifted[a] = [on_block(block) for block in blocks]
-        sh, tx = shifted[a], TX[x]
-        table.append(cols(list(chain.from_iterable([sh[tx[v]] for v in on_x[a]]))))
+    pairs = [divmod(s, na) for s in reps]
+    if len(reps) < len(proj):
+        # entry (i, j) is the coset of rep_i rep_j = (x psi(a, y), a b)
+        table = []
+        for x, a in pairs:
+            tx, pa, ta = TX[x], on_x[a], TA[a]
+            table.append(tuple([proj[tx[pa[y]] * na + ta[b]] for y, b in pairs]))
+    else:
+        # K is trivial and every index its own coset.  Row (x, a) of X x| A is
+        # |X| blocks of |A| columns: the block of x psi(a, y) for each y in
+        # order, its columns b reordered by b -> a b.
+        blocks = [proj[c * na:(c + 1) * na] for c in range(X.order)]
+        shifted = {}
+        table = []
+        for x, a in pairs:
+            if a not in shifted:
+                on_block = _pick(TA[a])
+                shifted[a] = [on_block(block) for block in blocks]
+            sh, tx = shifted[a], TX[x]
+            table.append(tuple(chain.from_iterable([sh[tx[v]] for v in on_x[a]])))
     # (x, a)^-1 = (psi(a^-1, x^-1), a^-1)
     ix, ia = X.inverses, A.inverses
-    inverses = tuple(
-        proj[on_x[ia[a]][ix[x]] * na + ia[a]] for x, a in (divmod(s, na) for s in reps)
-    )
+    inverses = tuple(proj[on_x[ia[a]][ix[x]] * na + ia[a]] for x, a in pairs)
     return _built_group(tuple(table), proj[X.identity * na + A.identity], inverses), proj
 
 

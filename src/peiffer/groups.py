@@ -6,6 +6,7 @@ any index; imported tables are used as-is, without re-indexing.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -151,7 +152,7 @@ class FiniteGroup:
         return k
 
     def order_multiset(self) -> tuple:
-        return tuple(sorted(self.element_order(x) for x in range(self.order)))
+        return tuple(sorted(_element_orders(self)))
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -322,16 +323,37 @@ def _per_group(derive):
 
 
 @_per_group
-def _greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
+def _element_orders(G: FiniteGroup) -> tuple[int, ...]:
+    return tuple(map(G.element_order, range(G.order)))
+
+
+def _closure_generators(G: FiniteGroup, ranked) -> tuple[int, ...]:
+    """Each element of ranked, in order, that the ones before it do not generate."""
     gens: list[int] = []
     closure = frozenset({G.identity})
-    for x in range(G.order):
+    for x in ranked:
         if x not in closure:
             gens.append(x)
             closure = subgroup_closure(G, gens)
             if len(closure) == G.order:
                 break
     return tuple(gens)
+
+
+@_per_group
+def _greedy_generators(G: FiniteGroup) -> tuple[int, ...]:
+    return _closure_generators(G, range(G.order))
+
+
+@_per_group
+def _iso_generators(G: FiniteGroup) -> tuple[int, ...]:
+    """Generators drawn first from the orders that fewest elements have, then
+    from the highest orders: each has few candidate images in a group with
+    G's order statistics."""
+    orders = _element_orders(G)
+    count = Counter(orders)
+    ranked = sorted(range(G.order), key=lambda x: (count[orders[x]], -orders[x], x))
+    return _closure_generators(G, ranked)
 
 
 def _map_from_images(G, H, gens, images):
@@ -360,34 +382,70 @@ def _map_from_images(G, H, gens, images):
 SEARCH_BUDGET = 10**6  # image tuples per search; Aut(Z2^4) takes 50,625
 
 
-def _hom_search(G: FiniteGroup, H: FiniteGroup, bijective: bool):
-    """Maps G -> H fixed by images of greedy generators of G, in search order.
-
-    A generator's image has the same order in a bijective search and an
-    order dividing it otherwise.  The number of image tuples is bounded
-    before the search starts.
-    """
-    gens = _greedy_generators(G)
-    candidates = []
-    for g in gens:
-        og = G.element_order(g)
-        if bijective:
-            candidates.append([h for h in range(H.order) if H.element_order(h) == og])
-        else:
-            candidates.append([h for h in range(H.order) if og % H.element_order(h) == 0])
-    size = prod(len(c) for c in candidates)
+def _budgeted(candidates) -> None:
+    """Refuse a search over more image tuples than SEARCH_BUDGET, before it starts."""
+    size = prod(map(len, candidates))
     if size > SEARCH_BUDGET:
         raise GroupError(f"search budget exceeded: {size} image tuples > {SEARCH_BUDGET}")
+
+
+def _hom_search(G: FiniteGroup, H: FiniteGroup):
+    """Maps G -> H fixed by images of greedy generators of G, in search order.
+
+    A generator's image has an order dividing the generator's.  The number
+    of image tuples is bounded before the search starts.
+    """
+    gens = _greedy_generators(G)
+    og, oh = _element_orders(G), _element_orders(H)
+    candidates = [[h for h in range(H.order) if og[g] % oh[h] == 0] for g in gens]
+    _budgeted(candidates)
     for images in iproduct(*candidates):
         phi = _map_from_images(G, H, gens, images)
-        if phi is not None and (not bijective or len(set(phi)) == G.order):
+        if phi is not None:
+            yield phi
+
+
+def _image_tuples(H: FiniteGroup, candidates, wanted, images: list):
+    """Each completion of images, depth first, yielded as the one list it grows.
+
+    The next image comes from its candidates, is not an image already taken,
+    and for each earlier image h_j, h_j h has the order given in wanted.
+    """
+    j = len(images)
+    if j == len(candidates):
+        yield images
+        return
+    oh, TH = _element_orders(H), H.table
+    for h in candidates[j]:
+        if h not in images and all(oh[TH[hi][h]] == o for hi, o in zip(images, wanted[j])):
+            images.append(h)
+            yield from _image_tuples(H, candidates, wanted, images)
+            images.pop()
+
+
+def _iso_search(G: FiniteGroup, H: FiniteGroup):
+    """The isomorphisms G -> H, for groups of equal order statistics.
+
+    Depth first over images of _iso_generators(G): the image of a generator
+    g has g's order, and for each earlier generator g_j with image h_j,
+    g_j g and h_j h have the same order.  Each complete tuple is extended to
+    a map and kept if it is a bijection.  The number of image tuples before
+    pruning is bounded before the search starts.
+    """
+    gens = _iso_generators(G)
+    og, oh = _element_orders(G), _element_orders(H)
+    candidates = [[h for h in range(H.order) if oh[h] == og[g]] for g in gens]
+    _budgeted(candidates)
+    wanted = [[og[G.table[gi][g]] for gi in gens[:j]] for j, g in enumerate(gens)]
+    for images in _image_tuples(H, candidates, wanted, []):
+        phi = _map_from_images(G, H, gens, images)
+        if phi is not None and len(set(phi)) == G.order:
             yield phi
 
 
 def all_homs(G: FiniteGroup, H: FiniteGroup) -> list[Hom]:
     """Every homomorphism G -> H, by generator-image search."""
-    search = _hom_search(G, H, bijective=False)
-    return [Hom(G, H, phi) for phi in search]
+    return [Hom(G, H, phi) for phi in _hom_search(G, H)]
 
 
 DEFAULT_SEARCH_CAP = 64
@@ -397,13 +455,13 @@ def automorphisms(G: FiniteGroup) -> list[Hom]:
     """All automorphisms of G, sorted by their map for a stable indexing."""
     if G.order > DEFAULT_SEARCH_CAP:
         raise GroupError(f"cap exceeded: order {G.order} > {DEFAULT_SEARCH_CAP}")
-    found = sorted(_hom_search(G, G, bijective=True))
-    return [Hom(G, G, phi) for phi in found]
+    return [Hom(G, G, phi) for phi in sorted(_iso_search(G, G))]
 
 
-def aut_group(G: FiniteGroup):
-    """Aut(G) as a FiniteGroup over the sorted automorphism list."""
-    auts = automorphisms(G)
+@_per_group
+def aut_group(G: FiniteGroup) -> tuple[FiniteGroup, tuple[Hom, ...]]:
+    """Aut(G) as a FiniteGroup over the sorted automorphisms, built once per group."""
+    auts = tuple(automorphisms(G))
     index = {a.mapping: i for i, a in enumerate(auts)}
     table = [
         [index[tuple(a.mapping[v] for v in b.mapping)] for b in auts] for a in auts
@@ -422,5 +480,5 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_SEARCH_CAP)
         return identity_hom(G)
     if G.order_multiset() != H.order_multiset():
         return None
-    phi = next(_hom_search(G, H, bijective=True), None)
+    phi = next(_iso_search(G, H), None)
     return None if phi is None else Hom(G, H, phi)

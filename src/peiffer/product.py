@@ -15,6 +15,7 @@ from .actions import (
     Action,
     DEFAULT_SEMIDIRECT_CAP,
     SemidirectData,
+    _pick,
     conjugation_action,
     semidirect,
     semidirect_order,
@@ -136,25 +137,27 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     lM = Hom(M, P, proj[N.identity::nn])
     lN = Hom(N, P, proj[M.identity * nn:(M.identity + 1) * nn])
 
-    conj_m, conj_n = conjugation_action(M).table, conjugation_action(N).table
-    xi_nm, xi_mn = mut.xi_nm.table, mut.xi_mn.table
+    conj_m, xi_mn = conjugation_action(M).table, mut.xi_mn.table
     # induced actions on M and on N, one row per side from each (m, n) of S:
     # conj(m) o xi_nm[n] and xi_mn[m] o conj(n).  Every representative of a
     # coset must give the rows of the first one.
+    per_n = [(_pick(a), _pick(b)) for a, b in zip(mut.xi_nm.table, conjugation_action(N).table)]
     reps, rows = [None] * P.order, [None] * P.order
 
     def first_disagreement():
-        for s, p in enumerate(proj):
-            m, n = divmod(s, nn)
-            cm, xm = conj_m[m], xi_mn[m]
-            got = ([cm[v] for v in xi_nm[n]], [xm[v] for v in conj_n[n]])
-            if rows[p] is None:
-                reps[p], rows[p] = s, got
-            elif rows[p] != got:
-                side = M_SIDE if rows[p][M_SIDE] != got[M_SIDE] else N_SIDE
-                want = rows[p][side]
-                x = _first_difference(want, got[side])
-                return (p, reps[p], s, side, x, want[x], got[side][x])
+        s = 0
+        for cm, xm in zip(conj_m, xi_mn):
+            for xi_n, conj_n in per_n:
+                p = proj[s]
+                got = (xi_n(cm), conj_n(xm))
+                if rows[p] is None:
+                    reps[p], rows[p] = s, got
+                elif rows[p] != got:
+                    side = M_SIDE if rows[p][M_SIDE] != got[M_SIDE] else N_SIDE
+                    want = rows[p][side]
+                    x = _first_difference(want, got[side])
+                    return (p, reps[p], s, side, x, want[x], got[side][x])
+                s += 1
         return None
 
     # With no disagreement both tables are actions of P.  The M-side rows are

@@ -1,18 +1,29 @@
 """Group constructions that only the tests use, as fixtures and oracles.
 
 A test helper, not collected by pytest: homomorphism algebra (composition,
-kernel, inverse), subgroups as groups in their own right, points (split
-epimorphisms) and the action each one gives, the identity and inclusion
-crossed modules, and every crossed module over the catalog.  No verb or
-pipeline stage needs them.
+kernel, inverse), the plain isomorphism search, subgroups as groups in their
+own right, points (split epimorphisms) and the action each one gives, the
+identity and inclusion crossed modules, and every crossed module over the
+catalog.  No verb or pipeline stage needs them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from peiffer.actions import Action, conjugation_action, enumerate_actions
 from peiffer.catalog import catalog
-from peiffer.groups import FiniteGroup, GroupError, Hom, all_homs, identity_hom, is_normal, is_subgroup
+from peiffer.groups import (
+    FiniteGroup,
+    GroupError,
+    Hom,
+    _greedy_generators,
+    _map_from_images,
+    all_homs,
+    identity_hom,
+    is_normal,
+    is_subgroup,
+)
 from peiffer.xmod import CrossedModule, check_xmod
 
 
@@ -35,6 +46,23 @@ def inverse(f: Hom) -> Hom:
     for x, y in enumerate(f.mapping):
         inv[y] = x
     return Hom(f.cod, f.dom, inv)
+
+
+def greedy_isomorphism(G: FiniteGroup, H: FiniteGroup):
+    """The first isomorphism G -> H as a map, or None, with no pruning and no budget.
+
+    Every tuple of images of the greedy generators of G, each image of its
+    generator's order, is extended to a map and kept if it is a bijection.
+    """
+    if G.order != H.order:
+        return None
+    gens = _greedy_generators(G)
+    candidates = [[h for h in H.elements() if H.element_order(h) == G.element_order(g)] for g in gens]
+    for images in iproduct(*candidates):
+        phi = _map_from_images(G, H, gens, images)
+        if phi is not None and len(set(phi)) == G.order:
+            return phi
+    return None
 
 
 def subgroup_group(G: FiniteGroup, S) -> tuple[FiniteGroup, Hom]:

@@ -23,10 +23,12 @@ from peiffer.groups import (
     validate_table,
     _shown,
 )
+from peiffer.actions import Action, semidirect
 from peiffer.catalog import catalog, cyclic, klein_four, symmetric_3
 from peiffer.io import group_from_dict
+from peiffer.product import peiffer_product
 
-from constructions import compose, inverse, kernel, subgroup_group
+from constructions import compose, greedy_isomorphism, inverse, kernel, subgroup_group
 from lie_data import reported
 from test_row_kernels import relabel_group
 
@@ -214,7 +216,10 @@ def _brute_force_auts(G):
     return sorted(out)
 
 
-@pytest.mark.parametrize("G", [cyclic(2), cyclic(3), cyclic(4), klein_four(), symmetric_3()])
+SMALL_GROUPS = [cyclic(2), cyclic(3), cyclic(4), klein_four(), symmetric_3()]
+
+
+@pytest.mark.parametrize("G", SMALL_GROUPS + [relabel_group(G) for G in SMALL_GROUPS])
 def test_automorphisms_against_brute_force(G):
     assert [a.mapping for a in automorphisms(G)] == _brute_force_auts(G)
 
@@ -247,6 +252,15 @@ def test_aut_group_is_a_group():
                 assert auts[A.table[i][j]].mapping == comp
 
 
+def test_aut_group_is_built_once_per_group():
+    G = relabel_group(symmetric_3())
+    A, auts = aut_group(G)
+    again = aut_group(G)
+    assert again[0] is A and again[1] is auts
+    # a tuple, so that no caller can change the list every later call returns
+    assert isinstance(auts, tuple)
+
+
 def test_aut_s3_is_s3():
     A, _ = aut_group(symmetric_3())
     assert is_isomorphic(A, symmetric_3()) is not None
@@ -270,6 +284,44 @@ def test_is_isomorphic_symmetric():
     g = is_isomorphic(P, Z6)
     assert f is not None and g is not None
     assert f.check().ok and g.check().ok
+
+
+def assert_search_agrees_with_the_greedy_oracle(G, H):
+    """is_isomorphic finds a map exactly when the plain search does, and the
+    map it finds is a bijective homomorphism."""
+    phi = is_isomorphic(G, H)
+    assert (phi is None) == (greedy_isomorphism(G, H) is None), (G, H)
+    if phi is not None:
+        assert phi.check().ok
+        assert sorted(phi.mapping) == list(range(H.order))
+    return phi
+
+
+def test_isomorphism_search_agrees_with_the_oracle_on_the_family(family):
+    for rec in family:
+        swapped = peiffer_product(rec.mut.swapped())
+        assert assert_search_agrees_with_the_greedy_oracle(rec.pp.product, swapped.product) is not None
+
+
+def test_isomorphism_search_agrees_with_the_oracle_on_relabelled_groups():
+    groups = catalog() + [relabel_group(G) for G in catalog()]
+    found = 0
+    for G in groups:
+        for H in groups:
+            if G.order == H.order:
+                found += assert_search_agrees_with_the_greedy_oracle(G, H) is not None
+    # each group with itself and its copy, both ways
+    assert found == 4 * len(catalog())
+    assert assert_search_agrees_with_the_greedy_oracle(symmetric_3(), cyclic(6)) is None
+
+
+def test_isomorphism_search_tells_apart_groups_with_the_same_order_statistics():
+    Z4 = cyclic(4)
+    inversion = Action(Z4, Z4, [[(x * (-1) ** a) % 4 for x in range(4)] for a in range(4)])
+    G, H = direct_product(Z4, Z4), semidirect(inversion).group
+    assert G.order_multiset() == H.order_multiset()
+    for pair in ((G, H), (H, G), (relabel_group(G), H)):
+        assert assert_search_agrees_with_the_greedy_oracle(*pair) is None
 
 
 def test_is_isomorphic_cap():
@@ -310,6 +362,16 @@ def test_hom_search_refuses_past_budget():
     start = time.perf_counter()
     with pytest.raises(GroupError, match="search budget exceeded"):
         automorphisms(G)
+    assert time.perf_counter() - start < 1
+
+
+def test_isomorphism_search_refuses_past_budget():
+    G = cyclic(2)
+    for _ in range(5):
+        G = direct_product(G, cyclic(2))
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="search budget exceeded"):
+        is_isomorphic(G, relabel_group(G))
     assert time.perf_counter() - start < 1
 
 

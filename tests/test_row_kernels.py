@@ -336,6 +336,26 @@ def test_trivial_actions_of_s4_and_z20_match_the_materialised_quotient():
         assert assert_product_matches_reference(pair).product.order == 480
 
 
+def swap_pair(k):
+    """Z2 swapping the two Z2 factors of M = Z2 x Z2 x Z_k, and M acting trivially on Z2.
+
+    The relators m swap(m)^-1 = (a + b, a + b, 0) make K of order 2.
+    """
+    Z2 = cyclic(2)
+    M = direct_product(direct_product(Z2, Z2), cyclic(k))
+    # (a, b, c) is the index (2a + b) k + c
+    swap = [(2 * (i % 2) + i // 2) * k + c for i in range(4) for c in range(k)]
+    return MutualActions(Action(Z2, M, [range(M.order), swap]), trivial_action(M, Z2))
+
+
+def test_products_with_a_kernel_of_order_two_match_the_materialised_quotient():
+    # a proper quotient whose table is read at half the indices of M x| N
+    mut = swap_pair(15)
+    for pair in (mut, mut.swapped()):
+        assert len(peiffer.product._relator_subgroup(pair)) == 2
+        assert assert_product_matches_reference(pair).product.order == 60
+
+
 def test_peiffer_product_builds_no_semidirect_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Peiffer product built M x| N or partitioned it")
