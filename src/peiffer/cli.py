@@ -119,18 +119,19 @@ def _lie_semidirect(args):
 
 def _lie_peiffer(args):
     pp = lie_peiffer(_lie_pair(args))
-    return {"algebra": pio.lie_to_dict(pp.product), "l_m": pp.lM.matrix, "l_n": pp.lN.matrix}, 0
+    l_m, l_n = (pio.rationals(f.D, f.matrix) for f in (pp.lM, pp.lN))
+    return {"algebra": pio.lie_to_dict(pp.product), "l_m": l_m, "l_n": l_n}, 0
 
 
 def _lie_induce_actions(args):
     mut = lie_induced_actions(*_xmod_pair(args, pio.lie_xmod_from_dict))
-    return {"rho_nm": {"rho": mut.xi_nm.rho}, "rho_mn": {"rho": mut.xi_mn.rho}}, 0
+    return {key: {"rho": pio.rationals(a.D, a.rho)} for key, a in (("rho_nm", mut.xi_nm), ("rho_mn", mut.xi_mn))}, 0
 
 
 def _lie_universal_map(args):
     pp = lie_peiffer(_lie_pair(args))
     h = lie_universal_map(pp, *_xmod_pair(args, pio.lie_xmod_from_dict))
-    return {"matrix": h.matrix}, 0
+    return {"matrix": pio.rationals(h.D, h.matrix)}, 0
 
 
 GROUP_PAIR = ("m", "n", "xi_nm", "xi_mn")

@@ -145,10 +145,13 @@ class FiniteGroup:
         return range(self.order)
 
     def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != self.identity:
+        y = x
+        for k in range(1, self.order + 1):
+            if y == self.identity:
+                break
             y = self.table[y][x]
-            k += 1
+        else:  # a group's elements have orders up to |G|; a table that is not one can cycle forever
+            raise GroupError(f"element {x} has no order within {self.order} steps: the table is not a group")
         return k
 
     def order_multiset(self) -> tuple:

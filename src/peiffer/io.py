@@ -6,7 +6,7 @@ of either) has one parse step, parse_*, that refuses a malformed shape, loads
 the parts and returns the object with the Diagnosis of its axioms: the
 loader raises a failed one, the check verb reports it.  Rationals travel as
 "p/q" strings so nothing is lost to floating point; this module alone reads
-and writes them.
+and writes them, a Lie object's from its integers over D.
 """
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .actions import Action, check_action_table
 from .groups import VALID, Diagnosis, FiniteGroup, GroupError, Hom, _axioms, _built_group
-from .lie import ZERO, LieAction, LieAlgebra, LieError, LieMap, check_lie_action, check_lie_xmod, validate_lie
+from .lie import LieAction, LieAlgebra, LieError, LieMap, check_lie_action, check_lie_xmod, validate_lie
 from .product import PeifferProduct
 from .xmod import CrossedModule, check_xmod
 
@@ -37,6 +38,7 @@ _RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 # has more digits than the lowest limit sys.set_int_max_str_digits accepts:
 # no setting of that limit changes what a memoised string parses to.
 _MEMO_CHARS = sys.int_info.str_digits_check_threshold
+ZERO = Fraction(0)
 
 
 def _rational(v) -> Fraction:
@@ -229,13 +231,19 @@ def peiffer_to_dict(pp: PeifferProduct) -> dict:
     return d
 
 
+def rationals(D: int, data) -> list:
+    """Integers over D, in nested tuples, as lists of the "p/q" (or "p") str writes for their Fractions."""
+    return [rationals(D, x) if isinstance(x, tuple) else str(x // g) if (g := gcd(x, D)) == D else f"{x // g}/{D // g}"
+            for x in data]
+
+
 def lie_to_dict(L: LieAlgebra) -> dict:
     entries = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             coeffs = L.brackets[i][j]
             if any(coeffs):
-                entries.append({"i": i, "j": j, "coeffs": [str(c) for c in coeffs]})
+                entries.append({"i": i, "j": j, "coeffs": rationals(L.D, coeffs)})
     d = {"dim": L.dim, "brackets": entries}
     if L.name:
         d["name"] = L.name
@@ -281,7 +289,7 @@ def lie_action_to_dict(a: LieAction) -> dict:
     return {
         "acting": lie_to_dict(a.acting),
         "target": lie_to_dict(a.target),
-        "rho": [[[str(x) for x in row] for row in m] for m in a.rho],
+        "rho": rationals(a.D, a.rho),
     }
 
 
@@ -303,8 +311,8 @@ def lie_action_from_dict(d, acting: LieAlgebra | None = None,
 
 def lie_xmod_to_dict(xm: CrossedModule) -> dict:
     return {
-        "boundary": [[str(x) for x in row] for row in xm.boundary.matrix],
-        "action": {"rho": [[[str(x) for x in row] for row in m] for m in xm.action.rho]},
+        "boundary": rationals(xm.boundary.D, xm.boundary.matrix),
+        "action": {"rho": rationals(xm.action.D, xm.action.rho)},
         "dom": lie_to_dict(xm.X),
         "cod": lie_to_dict(xm.A),
     }

@@ -9,8 +9,14 @@ test_lie, as they take their zero from their operands.
 """
 from fractions import Fraction
 
+from fraction_kernels import ZERO, combination, vadd, vsub
 from peiffer.groups import VALID, Diagnosis
-from peiffer.lie import ZERO, column, combination, vadd, vsub
+from peiffer.lie import column
+
+
+def forms(x) -> tuple:
+    """(D, the integer matrices over D) that the checks read from x.forms."""
+    return x.forms.D, x.forms.mats
 
 
 def mat_mul(A, B) -> tuple:
@@ -56,7 +62,7 @@ def disagreement(A, B, first, a, b):
 
 
 def validate_lie(L) -> Diagnosis:
-    n, (D, ad) = L.dim, L.adjoint.forms.scaled
+    n, (D, ad) = L.dim, forms(L.adjoint)
     for i in range(n):
         for j in range(n):
             resid = vadd(column(ad[i], j), column(ad[j], i))
@@ -74,7 +80,7 @@ def validate_lie(L) -> Diagnosis:
 def map_check(f) -> Diagnosis:
     if len(f.matrix) != f.cod.dim or any(len(r) != f.dom.dim for r in f.matrix):
         return Diagnosis(False, "matrix shape does not match the algebras", ())
-    (s, (F,)), (a, ad), (c, cod_ad) = f.forms.scaled, f.dom.adjoint.forms.scaled, f.cod.adjoint.forms.scaled
+    (s, (F,)), (a, ad), (c, cod_ad) = forms(f), forms(f.dom.adjoint), forms(f.cod.adjoint)
     for i, ad_i in enumerate(ad):
         rhs = mat_mul(combination(cod_ad, column(F, i), f.cod.dim), F)
         bad = disagreement(mat_mul(F, ad_i), rhs, i + 1, s * a, s * s * c)
@@ -87,7 +93,7 @@ def check_lie_action(act) -> Diagnosis:
     A, n = act.acting, act.target.dim
     if len(act.rho) != A.dim or any(len(m) != n or any(len(r) != n for r in m) for m in act.rho):
         return Diagnosis(False, "action matrices have the wrong shape", ())
-    (r, rho), (s, acting_ad), (x, ad) = act.forms.scaled, A.adjoint.forms.scaled, act.target.adjoint.forms.scaled
+    (r, rho), (s, acting_ad), (x, ad) = forms(act), forms(A.adjoint), forms(act.target.adjoint)
     for a in range(A.dim):
         for b in range(a + 1, A.dim):
             lhs = combination(rho, column(acting_ad[a], b), n)
@@ -104,7 +110,7 @@ def check_lie_action(act) -> Diagnosis:
 
 def lie_compatible(mut) -> Diagnosis:
     for reason, pair in (("first equation fails", mut), ("second equation fails", mut.swapped())):
-        (p, nm), (q, mn), (a, ad) = pair.xi_nm.forms.scaled, pair.xi_mn.forms.scaled, pair.M.adjoint.forms.scaled
+        (p, nm), (q, mn), (a, ad) = forms(pair.xi_nm), forms(pair.xi_mn), forms(pair.M.adjoint)
         for i, ad_i in enumerate(ad):
             for j, R in enumerate(nm):
                 lhs = combination(nm, column(mn[i], j), pair.M.dim)
@@ -118,8 +124,8 @@ def check_lie_xmod(xm) -> Diagnosis:
     diag = map_check(xm.boundary)
     if not diag.ok:
         return diag
-    (e, (d,)), (r, rho) = xm.boundary.forms.scaled, xm.action.forms.scaled
-    (a, A_ad), (x, X_ad) = xm.A.adjoint.forms.scaled, xm.X.adjoint.forms.scaled
+    (e, (d,)), (r, rho) = forms(xm.boundary), forms(xm.action)
+    (a, A_ad), (x, X_ad) = forms(xm.A.adjoint), forms(xm.X.adjoint)
     for k, ad_k in enumerate(A_ad):
         bad = disagreement(mat_mul(d, rho[k]), mat_mul(ad_k, d), 0, e * r, a * e)
         if bad:

@@ -1,7 +1,8 @@
-"""Lie test data as the constructors keep it: tuples of Fractions at every level.
+"""Lie test data as the constructors take it: tuples of Fractions at every level.
 
-A helper module, not collected by pytest.  The constructors convert nothing
-and only peiffer.io parses rationals, so fixtures go through io.mat.  Basis
+A helper module, not collected by pytest.  Only peiffer.io parses rationals,
+so fixtures go through io.mat; the constructors keep them as integers over
+their least common denominator (fraction_kernels reads them back).  Basis
 vectors, the zero and identity matrices, the identity map, the trivial action,
 the inclusions and projection of M x| N, and the projection of a Peiffer
 product as a LieMap live here too: no verb or pipeline stage needs them.
@@ -13,7 +14,8 @@ It also writes b_n, the upper-triangular n x n matrices, on other bases: a
 signed permutation of the standard one (sparse, integer constants), and a
 dense integer change of basis followed by one (constants with denominators
 up to 69).  These are the inputs of the lie_b3 and lie_dense benchmark
-workloads, drawn the same way from the same seeds.
+workloads, drawn the same way from the same seeds.  dense_b5 is b5 on the
+dense change of basis alone, the pair whose reports tier-1 pins.
 """
 import random
 import re
@@ -21,8 +23,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from fraction_kernels import ONE, ZERO, over, zero_vec
 from peiffer.io import mat
-from peiffer.lie import ONE, ZERO, LieAction, LieAlgebra, LieMap, check_lie_action, lie_semidirect, zero_vec
+from peiffer.lie import LieAction, LieAlgebra, LieMap, check_lie_action, lie_semidirect
 
 # the change of basis the lie_dense workload draws from random.Random("lie_dense:basis")
 DENSE_BASIS = (
@@ -75,9 +78,9 @@ def semidirect_maps(rho):
 
 
 def semidirect_and_proj(pp):
-    """M x| N of a Lie Peiffer product, and the projection onto P as the LieMap of pp.proj_matrix."""
-    S = lie_semidirect(pp.source.xi_nm)
-    return S, LieMap(S, pp.product, pp.proj_matrix)
+    """M x| N of a Lie Peiffer product, and the projection onto P, whose columns are those of lM then lN."""
+    S, (lM, lN) = lie_semidirect(pp.source.xi_nm), (over(f.D, f.matrix) for f in (pp.lM, pp.lN))
+    return S, LieMap(S, pp.product, tuple(m + n for m, n in zip(lM, lN)))
 
 
 @cache
@@ -118,11 +121,13 @@ def upper_triangular(n):
 
 
 def inverse(P):
-    """The inverse of an invertible square matrix, by Gauss-Jordan over Fractions."""
+    """The inverse of a square matrix, by Gauss-Jordan over Fractions, or None when it is singular."""
     n = len(P)
     rows = [[Fraction(x) for x in P[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for c in range(n):
-        p = next(r for r in range(c, n) if rows[r][c])
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
         rows[c], rows[p] = rows[p], rows[c]
         rows[c] = [x / rows[c][c] for x in rows[c]]
         for r in range(n):
@@ -163,3 +168,16 @@ def _dense_base():
 def dense_b3(seed):
     """b3 on the dense rational basis of the lie_dense workload at seed."""
     return transport(_dense_base(), signed_permutation(6, random.Random(f"lie_dense:{seed}")))
+
+
+def dense_change_of_basis(n, rng):
+    """The first invertible n x n matrix of entries in [-2, 2] that rng draws, row by row."""
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if inverse(P) is not None:
+            return P
+
+
+def dense_b5():
+    """b5 (dim 15) on the change of basis drawn from random.Random("lie_dense:basis")."""
+    return transport(upper_triangular(5), dense_change_of_basis(15, random.Random("lie_dense:basis")))

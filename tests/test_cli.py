@@ -560,8 +560,9 @@ def test_constructors_run_no_check(monkeypatch):
     not_derivations = LieAction(L, L, rho)
     CrossedModule(doubled, not_derivations)
     assert [set(calls.values()) for calls in counts] == [{0}] * len(counts)
-    # the Lie constructors keep the very data they are given
-    assert not_lie.brackets is not_antisymmetric and doubled.matrix is matrix and not_derivations.rho is rho
+    # the Lie constructors keep the rationals they are given, as integers over their least denominator
+    assert (not_lie.D, doubled.D, not_derivations.D) == (1, 1, 1)
+    assert not_lie.brackets == not_antisymmetric and doubled.matrix == matrix and not_derivations.rho == rho
     # the data is invalid: each check, run by hand, refuses it
     assert not not_a_hom.check().ok and not check_action_table(Z2, Z3, not_an_action.table).ok
     assert not lie.validate_lie(not_lie).ok

@@ -21,6 +21,7 @@ from peiffer.groups import (
     quotient,
     subgroup_closure,
     validate_table,
+    _built_group,
     _shown,
 )
 from peiffer.actions import Action, semidirect
@@ -84,6 +85,15 @@ def test_identity_not_forced_to_zero():
 def test_element_orders_s3():
     S3 = symmetric_3()
     assert S3.order_multiset() == (1, 2, 2, 2, 3, 3)
+
+
+def test_element_order_fails_fast_on_a_table_that_is_not_a_group():
+    # 1 * 1 = 1 and 0 is the identity: the powers of 1 never reach it.  The trusting
+    # constructor takes the table unchecked, as a faulty construction would build it
+    G = _built_group(((0, 1, 2), (1, 1, 1), (2, 1, 0)), 0, (0, 1, 2))
+    assert G.element_order(0) == 1 and G.element_order(2) == 2
+    with pytest.raises(GroupError, match="^element 1 has no order within 3 steps: the table is not a group$"):
+        G.element_order(1)
 
 
 def test_hom_checks_multiplicativity():

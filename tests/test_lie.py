@@ -9,9 +9,10 @@ import peiffer.lie
 from peiffer.compat import MutualActions
 from peiffer.groups import VALID, Diagnosis
 from peiffer.lie import (
-    ZERO,
     _bracket,
     _combination,
+    _lin,
+    _mat_vec,
     _mul,
     _witness,
     LieAction,
@@ -20,26 +21,22 @@ from peiffer.lie import (
     LieMap,
     check_lie_action,
     check_lie_xmod,
-    combination,
     lie_compatible,
     lie_induced_actions,
     lie_peiffer,
     lie_peiffer_ideal,
     lie_semidirect,
     lie_universal_map,
-    mat_vec,
-    rref,
     validate_lie,
-    vadd,
-    vscale,
-    vsub,
-    zero_vec,
 )
-from peiffer.io import lie_action_from_dict, lie_from_dict, mat, vec
+from peiffer import io as pio
+from peiffer.io import lie_action_from_dict, lie_from_dict, lie_xmod_from_dict, mat, vec
 from peiffer.product import induced_actions, peiffer_xmods
 from peiffer.xmod import CrossedModule
 
+import fraction_kernels as fk
 import int_kernels
+from fraction_kernels import ZERO, combination, mat_vec, rref, vadd, vscale, vsub, zero_vec
 from int_kernels import disagreement, mat_add, mat_commutator, mat_mul, mat_sub
 import lie_data
 from lie_data import (
@@ -131,11 +128,14 @@ def in_span(basis_rows, pivots, v) -> bool:
 
 
 def test_rref_and_span():
-    rows, pivots = rref(mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
-    assert len(rows) == 2 and pivots == (0, 1)
-    assert all_fractions(rows)
+    rows, pivots, D = peiffer.lie.rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert len(rows) == 2 and pivots == (0, 1) and D == 1
+    assert all(type(x) is int for row in rows for x in row)
+    rows = fk.over(D, rows)
     assert in_span(rows, pivots, vec([1, 3, 4]))
     assert not in_span(rows, pivots, vec([0, 0, 1]))
+    # a pivot of 2 puts the rows over 2: (1, 0, 0) and (0, 1, 3/2)
+    assert peiffer.lie.rref([[1, 2, 3], [0, 2, 3]]) == (((2, 0, 0), (0, 2, 3)), (0, 1), 2)
 
 
 def test_bracket_bilinearity():
@@ -143,8 +143,8 @@ def test_bracket_bilinearity():
     u = vec([1, 2, 3])
     v = vec(["1/2", -1, 0])
     w = vec([0, "2/3", 5])
-    lhs = L.adjoint(vadd(u, vscale(Fraction(3), v)), w)
-    rhs = vadd(L.adjoint(u, w), vscale(Fraction(3), L.adjoint(v, w)))
+    lhs = fk.bracket(L, vadd(u, vscale(Fraction(3), v)), w)
+    rhs = vadd(fk.bracket(L, u, w), vscale(Fraction(3), fk.bracket(L, v, w)))
     assert lhs == rhs
 
 
@@ -157,8 +157,8 @@ def test_ad_matrix_matches_bracket(u, v):
     want = zero_vec(3)
     for i in range(3):
         for j in range(3):
-            want = vadd(want, vscale(u[i] * v[j], L.brackets[i][j]))
-    assert mat_vec(L.adjoint.of(u), v) == want
+            want = vadd(want, vscale(u[i] * v[j], fk.brackets(L)[i][j]))
+    assert mat_vec(fk.of(L.adjoint, u), v) == want
 
 
 def test_check_lie_action_adjoint():
@@ -178,8 +178,8 @@ def test_check_lie_action_rejects_non_derivation():
 def test_check_lie_action_rejects_non_hom():
     L = sl2()
     # send h to rho(e)-like matrix so the rep property breaks
-    rho = (L.adjoint.rho[1], L.adjoint.rho[1], L.adjoint.rho[2])
-    act = LieAction(L, L, rho)
+    ad = fk.rho(L.adjoint)
+    act = LieAction(L, L, (ad[1], ad[1], ad[2]))
     d = check_lie_action(act)
     assert not d.ok and d.reason == "rho is not a Lie homomorphism"
     assert d.witness == (0, 1)
@@ -223,8 +223,8 @@ def test_lie_semidirect_zero_action_is_direct_sum():
     M, N = solvable2(), abelian(1)
     S = lie_semidirect(trivial_lie_action(N, M))
     assert S.dim == 3
-    assert S.adjoint(basis_vec(3, 0), basis_vec(3, 2)) == (0, 0, 0)
-    assert S.adjoint(basis_vec(3, 0), basis_vec(3, 1)) == (0, 1, 0)
+    assert fk.bracket(S, basis_vec(3, 0), basis_vec(3, 2)) == (0, 0, 0)
+    assert fk.bracket(S, basis_vec(3, 0), basis_vec(3, 1)) == (0, 1, 0)
 
 
 def test_lie_semidirect_adjoint_on_ideal():
@@ -238,8 +238,8 @@ def test_lie_semidirect_adjoint_on_ideal():
     m = basis_vec(1, 0)
     for j in range(2):
         n = basis_vec(2, j)
-        got = S.adjoint(j_m(m), j_n(n))
-        want = tuple(vscale(Fraction(-1), rho(n, m))) + (Fraction(0),) * 2
+        got = fk.bracket(S, fk.apply(j_m, m), fk.apply(j_n, n))
+        want = tuple(vscale(Fraction(-1), fk.act_on(rho, n, m))) + (Fraction(0),) * 2
         assert got == want
 
 
@@ -272,7 +272,7 @@ def test_second_equation_witness():
     # N acts trivially, so C1 holds; M acts on N by ad(e1), and C2 fails
     L = solvable2()
     mut = MutualActions(
-        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (L.adjoint.of(basis_vec(2, 1)),))
+        trivial_lie_action(L, abelian(1)), LieAction(abelian(1), L, (fk.of(L.adjoint, basis_vec(2, 1)),))
     )
     d = lie_compatible(mut)
     assert not d.ok and d.reason == "second equation fails"
@@ -321,9 +321,11 @@ def test_lie_peiffer_compatible_fixture():
     assert h.check().ok
     # triangles
     for j in range(mut.M.dim):
-        assert h(pp.lM(basis_vec(mut.M.dim, j))) == xm_m.boundary(basis_vec(mut.M.dim, j))
+        e = basis_vec(mut.M.dim, j)
+        assert fk.apply(h, fk.apply(pp.lM, e)) == fk.apply(xm_m.boundary, e)
     for j in range(mut.N.dim):
-        assert h(pp.lN(basis_vec(mut.N.dim, j))) == xm_n.boundary(basis_vec(mut.N.dim, j))
+        e = basis_vec(mut.N.dim, j)
+        assert fk.apply(h, fk.apply(pp.lN, e)) == fk.apply(xm_n.boundary, e)
 
 
 def test_lie_peiffer_actions_reject_ill_defined():
@@ -347,7 +349,7 @@ def test_lie_universal_map_zero_actions_identity():
     xm_n = CrossedModule(j_n, pullback_n(L, N))
     h = lie_universal_map(pp, xm_m, xm_n)
     # h is a bijection of 3-dim algebras
-    rows, pivots = rref(h.matrix)
+    rows, pivots, _ = peiffer.lie.rref(h.matrix)
     assert len(rows) == 3
 
 
@@ -358,7 +360,7 @@ def pullback_m(L, M):
     rho = []
     for a in range(L.dim):
         if a < dm:
-            rho.append(M.adjoint.of(basis_vec(dm, a)))
+            rho.append(fk.of(M.adjoint, basis_vec(dm, a)))
         else:
             rho.append(tuple((Fraction(0),) * dm for _ in range(dm)))
     return LieAction(L, M, tuple(rho))
@@ -370,7 +372,7 @@ def pullback_n(L, N):
     rho = []
     for a in range(L.dim):
         if a >= dm:
-            rho.append(N.adjoint.of(basis_vec(dn, a - dm)))
+            rho.append(fk.of(N.adjoint, basis_vec(dn, a - dm)))
         else:
             rho.append(tuple((Fraction(0),) * dn for _ in range(dn)))
     return LieAction(L, N, tuple(rho))
@@ -444,26 +446,21 @@ def test_constructions_pass_the_exhaustive_checks():
         assert h.check().ok
         dm, dn = mut.M.dim, mut.N.dim
         for j in range(dm):
-            assert h(pp.lM(basis_vec(dm, j))) == xm_m.boundary(basis_vec(dm, j))
+            e = basis_vec(dm, j)
+            assert fk.apply(h, fk.apply(pp.lM, e)) == fk.apply(xm_m.boundary, e)
         for j in range(dn):
-            assert h(pp.lN(basis_vec(dn, j))) == xm_n.boundary(basis_vec(dn, j))
-        for row in lie_peiffer_ideal(mut)[1]:
-            assert not any(vadd(xm_m.boundary(row[:dm]), xm_n.boundary(row[dm:])))
+            e = basis_vec(dn, j)
+            assert fk.apply(h, fk.apply(pp.lN, e)) == fk.apply(xm_n.boundary, e)
+        for row in lie_peiffer_ideal(mut)[1]:  # integers over the ideal's D: zero at every scale
+            assert not any(vadd(fk.apply(xm_m.boundary, row[:dm]), fk.apply(xm_n.boundary, row[dm:])))
 
 
 def from_columns(dom, cod, columns):
     return LieMap(dom, cod, tuple(tuple(columns[j][i] for j in range(dom.dim)) for i in range(cod.dim)))
 
 
-def ref_lie_peiffer(mut, xms=None):
-    """The Peiffer product the long way, the oracle for the coordinate path.
-
-    Builds M x| N from brackets of basis vectors with its inclusions, a lift
-    P -> S, l_m and l_n as proj composed with the inclusions, the actions at
-    lifted basis vectors and the universal map through h_S on S.  Returns
-    the fields the coordinate path must match; a LieError from the actions
-    is returned as its message.
-    """
+def ref_semidirect(mut):
+    """M x| N from brackets of basis vectors, on Fractions."""
     M, N, rho = mut.M, mut.N, mut.xi_nm
     dm, dn = M.dim, N.dim
     dim = dm + dn
@@ -478,26 +475,50 @@ def ref_lie_peiffer(mut, xms=None):
         row = []
         for j in range(dim):
             m2, n2 = halves(j)
-            mpart = vadd(M.adjoint(m1, m2), vsub(rho(n1, m2), rho(n2, m1)))
-            row.append(mpart + N.adjoint(n1, n2))
+            mpart = vadd(fk.bracket(M, m1, m2), vsub(fk.act_on(rho, n1, m2), fk.act_on(rho, n2, m1)))
+            row.append(mpart + fk.bracket(N, n1, n2))
         brackets.append(tuple(row))
-    S = LieAlgebra(dim, tuple(brackets))
-    j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
-    j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
-    gens = [
-        mut.xi_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.xi_mn(basis_vec(dm, i), basis_vec(dn, j))
-        for i in range(dm)
-        for j in range(dn)
-    ]
+    return LieAlgebra(dim, tuple(brackets))
+
+
+def ref_ideal(mut, S):
+    """The Peiffer ideal's rref rows and pivots, on Fractions, and the rows its closure added.
+
+    The closure as it ran on every pair: bracket each ideal row with every
+    basis vector of M x| N, and add what the span does not reach.
+    """
+    dm, dn = mut.M.dim, mut.N.dim
+    gens = [fk.act_on(mut.xi_nm, basis_vec(dn, j), basis_vec(dm, i))
+            + fk.act_on(mut.xi_mn, basis_vec(dm, i), basis_vec(dn, j)) for i in range(dm) for j in range(dn)]
     rows, pivots = rref(gens)
-    work = list(rows)
+    added, work = [], list(rows)
     while work:
         v = work.pop()
-        for b in range(dim):
-            w = reduce_mod(rows, pivots, S.adjoint(basis_vec(dim, b), v))
+        for b in range(S.dim):
+            w = reduce_mod(rows, pivots, fk.bracket(S, basis_vec(S.dim, b), v))
             if any(w):
                 rows, pivots = rref(list(rows) + [w])
                 work.append(w)
+                added.append(w)
+    return rows, pivots, added
+
+
+def ref_lie_peiffer(mut, xms=None):
+    """The Peiffer product the long way, on Fractions: the oracle for the coordinate path.
+
+    Builds M x| N from brackets of basis vectors with its inclusions, a lift
+    P -> S, l_m and l_n as proj composed with the inclusions, the actions at
+    lifted basis vectors and the universal map through h_S on S.  Returns
+    the fields the coordinate path must match; a LieError from the actions
+    is returned as its message.
+    """
+    M, N = mut.M, mut.N
+    dm, dn = M.dim, N.dim
+    dim = dm + dn
+    S = ref_semidirect(mut)
+    j_m = from_columns(M, S, [basis_vec(dim, i) for i in range(dm)])
+    j_n = from_columns(N, S, [basis_vec(dim, dm + j) for j in range(dn)])
+    rows, pivots, _ = ref_ideal(mut, S)
     free = [c for c in range(dim) if c not in pivots]
 
     def project(v):
@@ -506,25 +527,25 @@ def ref_lie_peiffer(mut, xms=None):
 
     P = LieAlgebra(
         len(free),
-        tuple(tuple(project(S.adjoint(basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
+        tuple(tuple(project(fk.bracket(S, basis_vec(dim, a), basis_vec(dim, b))) for b in free) for a in free),
     )
     proj = from_columns(S, P, [project(basis_vec(dim, c)) for c in range(dim)])
     lift = from_columns(P, S, [basis_vec(dim, c) for c in free])
     fields = {
-        "semidirect": S.brackets,
-        "brackets": P.brackets,
-        "l_m": mat_mul(proj.matrix, j_m.matrix),
-        "l_n": mat_mul(proj.matrix, j_n.matrix),
-        "proj": proj.matrix,
+        "semidirect": fk.brackets(S),
+        "brackets": fk.brackets(P),
+        "l_m": mat_mul(fk.matrix(proj), fk.matrix(j_m)),
+        "l_n": mat_mul(fk.matrix(proj), fk.matrix(j_n)),
+        "proj": fk.matrix(proj),
         "ideal_rows": rows,
         "ideal_pivots": pivots,
     }
 
     def act_on_m(v):
-        return mat_add(M.adjoint.of(v[:dm]), mut.xi_nm.of(v[dm:]))
+        return mat_add(fk.of(M.adjoint, v[:dm]), fk.of(mut.xi_nm, v[dm:]))
 
     def act_on_n(v):
-        return mat_add(N.adjoint.of(v[dm:]), mut.xi_mn.of(v[:dm]))
+        return mat_add(fk.of(N.adjoint, v[dm:]), fk.of(mut.xi_mn, v[:dm]))
 
     for row in rows:
         for side, act in enumerate((act_on_m, act_on_n)):
@@ -533,7 +554,7 @@ def ref_lie_peiffer(mut, xms=None):
                 shown = ", ".join(map(str, row)) + ("," if len(row) == 1 else "")
                 fields["error"] = f"induced action disagrees across a coset, witness=({side}, ({shown}))"
                 return fields
-    lifted = [lift(basis_vec(P.dim, c)) for c in range(P.dim)]
+    lifted = [fk.apply(lift, basis_vec(P.dim, c)) for c in range(P.dim)]
     fields["rho_on_m"] = tuple(act_on_m(v) for v in lifted)
     fields["rho_on_n"] = tuple(act_on_n(v) for v in lifted)
     if xms is None:
@@ -543,23 +564,23 @@ def ref_lie_peiffer(mut, xms=None):
         )
     mu, nu = (xm.boundary for xm in xms)
     L = mu.cod
-    h_cols = [mu(basis_vec(dm, j)) for j in range(dm)] + [nu(basis_vec(dn, j)) for j in range(dn)]
+    h_cols = [fk.apply(mu, basis_vec(dm, j)) for j in range(dm)] + [fk.apply(nu, basis_vec(dn, j)) for j in range(dn)]
     h_s = from_columns(S, L, h_cols)
-    fields["universal"] = from_columns(P, L, [h_s(v) for v in lifted]).matrix
+    fields["universal"] = fk.matrix(from_columns(P, L, [fk.apply(h_s, v) for v in lifted]))
     return fields
 
 
 def coordinate_fields(mut, xms=None):
-    """The same fields from lie_peiffer and the functions that take its product."""
+    """The same fields from lie_peiffer and the functions that take its product, read as Fractions."""
     pp = lie_peiffer(mut)
-    _, rows, pivots, _ = lie_peiffer_ideal(mut)
+    _, rows, pivots, D, _ = lie_peiffer_ideal(mut)
     fields = {
-        "semidirect": lie_semidirect(mut.xi_nm).brackets,
-        "brackets": pp.product.brackets,
-        "l_m": pp.lM.matrix,
-        "l_n": pp.lN.matrix,
-        "proj": pp.proj_matrix,
-        "ideal_rows": rows,
+        "semidirect": fk.brackets(lie_semidirect(mut.xi_nm)),
+        "brackets": fk.brackets(pp.product),
+        "l_m": fk.matrix(pp.lM),
+        "l_n": fk.matrix(pp.lN),
+        "proj": fk.matrix(semidirect_and_proj(pp)[1]),
+        "ideal_rows": fk.over(D, rows),
         "ideal_pivots": pivots,
     }
     try:
@@ -567,8 +588,8 @@ def coordinate_fields(mut, xms=None):
     except LieError as exc:
         fields["error"] = str(exc)
         return fields
-    fields["rho_on_m"], fields["rho_on_n"] = on_m.rho, on_n.rho
-    fields["universal"] = lie_universal_map(pp, *(xms or peiffer_xmods(pp))).matrix
+    fields["rho_on_m"], fields["rho_on_n"] = fk.rho(on_m), fk.rho(on_n)
+    fields["universal"] = fk.matrix(lie_universal_map(pp, *(xms or peiffer_xmods(pp))))
     return fields
 
 
@@ -694,7 +715,7 @@ def dense_bracket(L, u, v):
         for j, b in enumerate(v):
             if b == 0:
                 continue
-            out = dense_vadd(out, dense_vscale(a * b, L.brackets[i][j]))
+            out = dense_vadd(out, dense_vscale(a * b, fk.brackets(L)[i][j]))
     return out
 
 
@@ -704,7 +725,7 @@ def dense_of(act, u):
     for a, c in enumerate(u):
         if c != 0:
             out = tuple(
-                dense_vadd(r, s) for r, s in zip(out, (dense_vscale(c, row) for row in act.rho[a]))
+                dense_vadd(r, s) for r, s in zip(out, (dense_vscale(c, row) for row in fk.rho(act)[a]))
             )
     return out
 
@@ -749,12 +770,18 @@ def test_sparse_kernels_match_dense_oracle(r, k, c, data):
         (vadd(u, v), dense_vadd(u, v)),
         (vsub(u, v), dense_vsub(u, v)),
         (vscale(s, u), dense_vscale(s, u)),
-        (L.adjoint(u, v), dense_bracket(L, u, v)),
-        (act.of(w), dense_of(act, w)),
+        (fk.bracket(L, u, v), dense_bracket(L, u, v)),
+        (fk.of(act, w), dense_of(act, w)),
     ]
     for got, want in pairs:
         assert got == want
         assert all_fractions(got)
+    # the package's integer kernels over the denominators of their operands
+    A_map, u_map, w_map = map_of(A, r, k), map_of((u,), 1, k), map_of((w,), 1, r)
+    got = _mat_vec(A_map.matrix, u_map.matrix[0])
+    assert fk.over(A_map.D * u_map.D, got) == dense_mat_vec(A, u)
+    got = _lin(act.rho, w_map.matrix[0], k)
+    assert fk.over(act.D * w_map.D, got) == dense_of(act, w)
 
 
 @given(size, size, size, st.data())
@@ -765,12 +792,13 @@ def test_kernels_on_integer_numerators_match_the_fraction_kernels(r, k, c, data)
     u = data.draw(fraction_rows(1, r))[0]
     rho = tuple(data.draw(fraction_rows(k, k)) for _ in range(r))
     act = LieAction(abelian(r), abelian(k), rho)
-    a, (A_int,) = LieMap(abelian(k), abelian(r), A).forms.scaled
-    b, (B_int,) = LieMap(abelian(c), abelian(k), B).forms.scaled
-    (s, rho_int), (t, ((u_int,),)) = act.forms.scaled, LieMap(abelian(r), abelian(1), (u,)).forms.scaled
-    cases = [(mat_mul(A_int, B_int), a * b, mat_mul(A, B))]
+    a, A_int = map_of(A, r, k).D, map_of(A, r, k).matrix
+    b, B_int = map_of(B, k, c).D, map_of(B, k, c).matrix
+    (s, rho_int), u_map = (act.D, act.rho), map_of((u,), 1, r)
+    t, u_int = u_map.D, u_map.matrix[0]
+    cases = [(mat_mul(A_int, B_int), a * b, mat_mul(A, B)), (_lin(rho_int, u_int, k), s * t, fk.of(act, u))]
     if r:  # with no terms a combination has no operand to take its zero from
-        cases.append((combination(rho_int, u_int, k), s * t, act.of(u)))
+        cases.append((combination(rho_int, u_int, k), s * t, fk.of(act, u)))
     for got, scale, want in cases:
         assert all(type(x) is int for row in got for x in row)
         assert tuple(tuple(Fraction(x, scale) for x in row) for row in got) == want
@@ -779,15 +807,15 @@ def test_kernels_on_integer_numerators_match_the_fraction_kernels(r, k, c, data)
 def test_action_of_basis_vector_is_the_stored_matrix():
     act = sl2().adjoint
     for a in range(3):
-        assert act.of(basis_vec(3, a)) is act.rho[a]
+        assert _lin(act.rho, [int(b == a) for b in range(3)], 3) is act.rho[a]
 
 
 def full_validate_lie(L):
     """validate_lie with Jacobi over every ordered triple, the oracle for the sorted loop."""
-    n = L.dim
+    n, B = L.dim, fk.brackets(L)
     for i in range(n):
         for j in range(n):
-            resid = vadd(L.brackets[i][j], L.brackets[j][i])
+            resid = vadd(B[i][j], B[j][i])
             if any(x != 0 for x in resid):
                 return Diagnosis(False, "antisymmetry fails", (i, j, resid))
     for i in range(n):
@@ -795,10 +823,10 @@ def full_validate_lie(L):
             for k in range(n):
                 resid = vadd(
                     vadd(
-                        L.adjoint(basis_vec(n, i), L.brackets[j][k]),
-                        L.adjoint(basis_vec(n, j), L.brackets[k][i]),
+                        fk.bracket(L, basis_vec(n, i), B[j][k]),
+                        fk.bracket(L, basis_vec(n, j), B[k][i]),
                     ),
-                    L.adjoint(basis_vec(n, k), L.brackets[i][j]),
+                    fk.bracket(L, basis_vec(n, k), B[i][j]),
                 )
                 if any(x != 0 for x in resid):
                     return Diagnosis(False, "Jacobi fails", (i, j, k, resid))
@@ -826,9 +854,9 @@ def ref_map_check(f):
     """LieMap.check over every basis pair (i, j)."""
     n = f.dom.dim
     for i in range(n):
-        fi = f(basis_vec(n, i))
+        fi = fk.apply(f, basis_vec(n, i))
         for j in range(n):
-            resid = vsub(f(f.dom.brackets[i][j]), dense_bracket(f.cod, fi, f(basis_vec(n, j))))
+            resid = vsub(fk.apply(f, fk.brackets(f.dom)[i][j]), dense_bracket(f.cod, fi, fk.apply(f, basis_vec(n, j))))
             if any(x != 0 for x in resid):
                 return Diagnosis(False, "bracket not preserved", (i, j, resid))
     return VALID
@@ -836,21 +864,21 @@ def ref_map_check(f):
 
 def ref_check_lie_action(act):
     """check_lie_action over every pair (a, b) and every triple (a, i, j)."""
-    A, X = act.acting, act.target
+    A, X, rho = act.acting, act.target, fk.rho(act)
     for a in range(A.dim):
         for b in range(A.dim):
-            commutator = mat_sub(mat_mul(act.rho[a], act.rho[b]), mat_mul(act.rho[b], act.rho[a]))
-            resid = mat_sub(act.of(A.brackets[a][b]), commutator)
+            commutator = mat_sub(mat_mul(rho[a], rho[b]), mat_mul(rho[b], rho[a]))
+            resid = mat_sub(fk.of(act, fk.brackets(A)[a][b]), commutator)
             if any(x != 0 for row in resid for x in row):
                 return Diagnosis(False, "rho is not a Lie homomorphism", (a, b))
     for a in range(A.dim):
-        R = act.rho[a]
+        R = rho[a]
         for i in range(X.dim):
             ei = basis_vec(X.dim, i)
             for j in range(X.dim):
                 ej = basis_vec(X.dim, j)
                 resid = vsub(
-                    mat_vec(R, X.brackets[i][j]),
+                    mat_vec(R, fk.brackets(X)[i][j]),
                     vadd(dense_bracket(X, mat_vec(R, ei), ej), dense_bracket(X, ei, mat_vec(R, ej))),
                 )
                 if any(x != 0 for x in resid):
@@ -867,14 +895,14 @@ def ref_check_lie_xmod(xm):
         return diag
     for a in range(A.dim):
         for i in range(X.dim):
-            di = d(basis_vec(X.dim, i))
-            resid = vsub(d(mat_vec(rho.rho[a], basis_vec(X.dim, i))), dense_bracket(A, basis_vec(A.dim, a), di))
+            di = fk.apply(d, basis_vec(X.dim, i))
+            resid = vsub(fk.apply(d, mat_vec(fk.rho(rho)[a], basis_vec(X.dim, i))), dense_bracket(A, basis_vec(A.dim, a), di))
             if any(x != 0 for x in resid):
                 return Diagnosis(False, "boundary is not equivariant", (a, i, resid))
     for i in range(X.dim):
-        R = rho.of(d(basis_vec(X.dim, i)))
+        R = fk.of(rho, fk.apply(d, basis_vec(X.dim, i)))
         for j in range(X.dim):
-            resid = vsub(mat_vec(R, basis_vec(X.dim, j)), X.brackets[i][j])
+            resid = vsub(mat_vec(R, basis_vec(X.dim, j)), fk.brackets(X)[i][j])
             if any(x != 0 for x in resid):
                 return Diagnosis(False, "Peiffer identity fails", (i, j, resid))
     return VALID
@@ -889,10 +917,10 @@ def ref_lie_compatible(mut):
             m = basis_vec(M.dim, i)
             for j in range(N.dim):
                 n = basis_vec(N.dim, j)
-                act = nm.of(mn(m, n))
+                act = fk.of(nm, fk.act_on(mn, m, n))
                 for k in range(M.dim):
                     m2 = basis_vec(M.dim, k)
-                    rhs = vsub(dense_bracket(M, m, nm(n, m2)), nm(n, dense_bracket(M, m, m2)))
+                    rhs = vsub(dense_bracket(M, m, fk.act_on(nm, n, m2)), fk.act_on(nm, n, dense_bracket(M, m, m2)))
                     resid = vsub(mat_vec(act, m2), rhs)
                     if any(x != 0 for x in resid):
                         return Diagnosis(False, reason, (i, j, k, resid))
@@ -943,7 +971,7 @@ def test_map_check_matches_loop_oracle(dom, cod, data):
 @oracle_settings
 @given(algebras, algebras, st.data())
 def test_action_check_matches_loop_oracle(A, X, data):
-    base = A.adjoint.rho if A == X else zero_action(A, X)
+    base = fk.rho(A.adjoint) if A == X else zero_action(A, X)
     act = LieAction(A, X, data.draw(nudged(base)))
     same_diagnosis(check_lie_action(act), ref_check_lie_action(act))
 
@@ -955,7 +983,7 @@ def test_xmod_check_matches_loop_oracle(A, data):
     # and failing the Peiffer identity from any other
     X = data.draw(st.sampled_from((A,) + ALGEBRAS))
     if X == A:
-        d, rho = identity_mat(X.dim), X.adjoint.rho
+        d, rho = identity_mat(X.dim), fk.rho(X.adjoint)
     else:
         d, rho = zero_mat(A.dim, X.dim), zero_action(A, X)
     d, *rho = data.draw(nudged((d,) + rho))
@@ -967,7 +995,7 @@ def test_peiffer_witness_in_the_first_column():
     # solvable2 -> abelian(1) by e0 -> 1, e1 -> 0, acted on through ad(e0): a
     # crossed module but for rho(d e1) = 0, whose column 0 misses [e1, e0] = -e1
     L = solvable2()
-    ad_e0 = L.adjoint.of(basis_vec(2, 0))
+    ad_e0 = fk.of(L.adjoint, basis_vec(2, 0))
     xm = CrossedModule(LieMap(L, abelian(1), mat([[1, 0]])), LieAction(abelian(1), L, (ad_e0,)))
     want = Diagnosis(False, "Peiffer identity fails", (1, 0, fracs(0, 1)))
     assert check_lie_xmod(xm) == want == ref_check_lie_xmod(xm)
@@ -977,7 +1005,7 @@ def test_peiffer_witness_in_the_first_column():
 @given(algebras, algebras, st.data())
 def test_compatibility_matches_loop_oracle(M, N, data):
     # the adjoint pair and zero actions are compatible
-    nm, mn = (M.adjoint.rho,) * 2 if M == N else (zero_action(N, M), zero_action(M, N))
+    nm, mn = (fk.rho(M.adjoint),) * 2 if M == N else (zero_action(N, M), zero_action(M, N))
     mats = data.draw(nudged(nm + mn))
     mut = MutualActions(LieAction(N, M, mats[: N.dim]), LieAction(M, N, mats[N.dim :]))
     same_diagnosis(lie_compatible(mut), ref_lie_compatible(mut))
@@ -1014,9 +1042,9 @@ def test_packed_product_matches_integer_kernels(r, k, c, data):
     # difference reaches twice the bound on every lane where the signs align;
     # k is at least 1, as mat_mul of an r x 0 by a 0 x c matrix has no columns
     A, B = map_of(data.draw(at_height(r, k)), r, k), map_of(data.draw(at_height(k, c)), k, c)
-    C = mat_mul(A.matrix, B.matrix)
+    C = mat_mul(fk.matrix(A), fk.matrix(B))
     C = map_of(data.draw(st.sampled_from((negated(C), C)) | at_height(r, c)), r, c)
-    (a, (A_int,)), (b, (B_int,)), (s, (C_int,)) = A.forms.scaled, B.forms.scaled, C.forms.scaled
+    (a, A_int), (b, B_int), (s, C_int) = (A.D, A.matrix), (B.D, B.matrix), (C.D, C.matrix)
     L = lcm(a * b, s)
     bound = max(k * A.forms.height * B.forms.height * L // (a * b), C.forms.height * L // s)
     p, q, t = A.forms.packed(bound), B.forms.packed(bound), C.forms.packed(bound)
@@ -1032,8 +1060,8 @@ def test_packed_bracket_and_combination_match_integer_kernels(k, d, data):
     rho = tuple(data.draw(at_height(k, k)) for _ in range(d))
     act = LieAction(abelian(d), abelian(k), rho)
     u = map_of(data.draw(at_height(1, d)), 1, d)
-    (a, (A_int,)), (b, (B_int,)) = A.forms.scaled, B.forms.scaled
-    (s, rho_int), (t, (u_int,)) = act.forms.scaled, u.forms.scaled
+    (a, A_int), (b, B_int) = (A.D, A.matrix), (B.D, B.matrix)
+    (s, rho_int), (t, u_int) = (act.D, act.rho), (u.D, u.matrix)
     L = lcm(a * b, s * t)
     f, g = L // (a * b), L // (s * t)
     bound = max(2 * k * A.forms.height * B.forms.height * f, d * act.forms.height * u.forms.height * g)
@@ -1074,7 +1102,7 @@ def matrices(rows, cols):
 @st.composite
 def action_on(draw, A, X):
     """An action of A on X: the adjoint when A is X, the zero action, or drawn, then nudged."""
-    base = A.adjoint.rho if A == X else zero_action(A, X)
+    base = fk.rho(A.adjoint) if A == X else zero_action(A, X)
     return LieAction(A, X, draw(nudged(base) | st.tuples(*[matrices(X.dim, X.dim)] * A.dim)))
 
 
@@ -1120,7 +1148,7 @@ def test_packed_xmod_check_matches_integer_kernels(A, X, data):
 def test_an_adjoint_is_packed_once_for_the_checks_of_an_adjoint_pair():
     # the checks that lie-check-compat runs on b3 share one pack of each action
     L = b3()
-    act = LieAction(L, L, L.adjoint.rho)
+    act = LieAction(L, L, fk.rho(L.adjoint))
     assert validate_lie(L).ok and check_lie_action(act).ok
     assert lie_compatible(MutualActions(act, act)).ok
     assert len(L.adjoint.forms.packs) == 1 and len(act.forms.packs) == 1
@@ -1137,26 +1165,8 @@ def test_an_adjoint_is_packed_once_for_the_checks_of_an_adjoint_pair():
 
 
 def closure_adds(mut):
-    """The rows that lie_peiffer_ideal's closure adds to the span of the generators.
-
-    The closure as it ran on every pair: bracket each ideal row with every
-    basis vector of M x| N, and add what the span does not reach.
-    """
-    dm, dn = mut.M.dim, mut.N.dim
-    S = lie_semidirect(mut.xi_nm)
-    gens = [mut.xi_nm(basis_vec(dn, j), basis_vec(dm, i)) + mut.xi_mn(basis_vec(dm, i), basis_vec(dn, j))
-            for i in range(dm) for j in range(dn)]
-    rows, pivots = rref(gens)
-    added, work = [], list(rows)
-    while work:
-        v = work.pop()
-        for b in range(S.dim):
-            w = reduce_mod(rows, pivots, S.adjoint(basis_vec(S.dim, b), v))
-            if any(w):
-                rows, pivots = rref(list(rows) + [w])
-                work.append(w)
-                added.append(w)
-    return added
+    """The rows that the closure of the Fraction oracle adds to the span of the generators."""
+    return ref_ideal(mut, ref_semidirect(mut))[2]
 
 
 def adjoint_pair(brackets):
@@ -1189,7 +1199,7 @@ def xmod_over(draw, L):
     if kind == "identity":
         return CrossedModule(identity_lie_map(L), L.adjoint)
     V = abelian(L.dim if kind == "adjoint module" else draw(st.integers(0, 2)))
-    rho = L.adjoint.rho if kind == "adjoint module" else zero_action(L, V)
+    rho = fk.rho(L.adjoint) if kind == "adjoint module" else zero_action(L, V)
     return CrossedModule(LieMap(V, L, zero_mat(L.dim, V.dim)), LieAction(L, V, rho))
 
 
@@ -1200,7 +1210,7 @@ def transported(draw):
     n = L.dim
     P = [[draw(st.integers(-2, 2)) if i < j else int(i == j) for j in range(n)] for i in range(n)]
     P = [[draw(st.sampled_from((1, 2, -3))) * x for x in row] for row in P]
-    return LieAlgebra(n, mats(lie_data.transport(L.brackets, P)))
+    return LieAlgebra(n, mats(lie_data.transport(fk.brackets(L), P)))
 
 
 @oracle_settings
@@ -1211,3 +1221,88 @@ def test_the_closure_adds_no_row_for_pairs_induced_by_crossed_modules(L, data):
     assert lie_compatible(mut).ok
     assert closure_adds(mut) == []
     assert lie_peiffer(mut).disagreement is None
+
+
+# The fraction-free rref against the Fraction one, and the least denominator
+# that every way of building an object keeps.
+
+
+@st.composite
+def rational_rows(draw):
+    """Rows of Fractions as fraction_rows draws them, with zero, repeated, negated and dependent rows put in."""
+    rows = list(draw(fraction_rows(draw(st.integers(0, 5)), cols := draw(st.integers(0, 5)))))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeated", "negated", "dependent")), max_size=4)):
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero" or not rows:
+            rows.insert(at, zero_vec(cols))
+            continue
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.sampled_from((Fraction(2), Fraction(-1, 3), Fraction(5, 2))))
+        rows.insert(at, {"repeated": u, "negated": vscale(Fraction(-1), u), "dependent": vadd(vscale(c, u), v)}[kind])
+    return rows
+
+
+@oracle_settings
+@given(rational_rows(), st.data())
+def test_fraction_free_rref_matches_the_fraction_oracle(rows, data):
+    # each row goes in as integers at a scale of its own, its least common
+    # denominator times a drawn factor; negative factors give negative pivots
+    ints = []
+    for row in rows:
+        k = lcm(*(x.denominator for x in row)) * data.draw(st.sampled_from((1, -1, 2, -3)))
+        ints.append(tuple(int(x * k) for x in row))
+    got, pivots, D = peiffer.lie.rref(ints)
+    want, want_pivots = rref(rows)
+    assert all(type(x) is int for row in got for x in row)
+    assert fk.over(D, got) == want and pivots == want_pivots
+    assert D == lcm(*(x.denominator for row in want for x in row))  # the least D
+
+
+def test_each_way_of_building_an_object_gives_one_value():
+    # from Fractions in tuples or lists, from ints, from a loaded "p/q" file and
+    # from a copy over 2 D, each object compares and hashes as one value
+    def same(*objects):
+        assert all(x == objects[0] and hash(x) == hash(objects[0]) for x in objects), objects
+
+    def doubled(mats):
+        return tuple(tuple(tuple(2 * x for x in row) for row in m) for m in mats)
+
+    as_lists = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
+    L = solvable2()
+    same(L, LieAlgebra(2, as_lists), LieAlgebra(2, [[list(map(Fraction, v)) for v in row] for row in as_lists]),
+         lie_from_dict(pio.lie_to_dict(L)), LieAlgebra._built(2 * L.D, doubled(L.brackets)))
+    half = LieAlgebra(2, mats([[[0, 0], [0, "1/2"]], [[0, "-1/2"], [0, 0]]]))
+    assert half.D == 2 and half.brackets[0][1] == (0, 1)
+    same(half, lie_from_dict(pio.lie_to_dict(half)), LieAlgebra._built(2 * half.D, doubled(half.brackets)))
+    for A in (L, half):
+        act = A.adjoint
+        same(act, LieAction(A, A, fk.rho(act)), LieAction(A, A, [list(map(list, m)) for m in fk.rho(act)]),
+             lie_action_from_dict(pio.lie_action_to_dict(act)), LieAction._built(A, A, 2 * act.D, doubled(act.rho)))
+    same(L.adjoint, LieAction(L, L, (((0, 0), (0, 1)), ((0, 0), (-1, 0)))))
+    f = LieMap(L, half, mat([["1/2", 0], [0, 1]]))
+    assert f.D == 2 and f.matrix == ((1, 0), (0, 2))
+    same(f, LieMap(L, half, [[Fraction(1, 2), 0], [0, 1]]), LieMap(L, half, pio.mat([["1/2", "0"], ["0", "1"]])),
+         LieMap._built(L, half, 4, ((2, 0), (0, 4))))
+    xm = identity_xmod(L)
+    same(xm.boundary, LieMap(L, L, ((1, 0), (0, 1))), lie_xmod_from_dict(pio.lie_xmod_to_dict(xm)).boundary)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_pipeline_keeps_the_least_denominator(seed):
+    # on the dense b3 adjoint pair, whose P is over a D above 1, every object the
+    # constructions build keeps the least D: it equals itself rebuilt from its rationals
+    L = LieAlgebra(6, mats(lie_data.dense_b3(seed)))
+    pp = lie_peiffer(MutualActions(L.adjoint, L.adjoint))
+    xm = identity_xmod(L)
+    built = {"S": lie_semidirect(L.adjoint), "P": pp.product, "lM": pp.lM, "lN": pp.lN,
+             "on_M": pp.actions[0], "on_N": pp.actions[1], "universal": lie_universal_map(pp, xm, xm),
+             "pullback": lie_induced_actions(*peiffer_xmods(pp)).xi_nm}
+    assert pp.product.D > 1 and L.D > 1
+    for name, x in built.items():
+        if isinstance(x, LieAlgebra):
+            rebuilt = LieAlgebra(x.dim, fk.brackets(x))
+        elif isinstance(x, LieAction):
+            rebuilt = LieAction(x.acting, x.target, fk.rho(x))
+        else:
+            rebuilt = LieMap(x.dom, x.cod, fk.matrix(x))
+        assert rebuilt == x and hash(rebuilt) == hash(x) and rebuilt.D == x.D, name

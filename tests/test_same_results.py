@@ -24,20 +24,27 @@ re-recorded since, each for a change of report alone:
   reach lie-peiffer-xmods, whose error became that of the groups:
   "induced action disagrees across a coset, witness=(side, row)".
 
+The three verbs of a session on the dense b5 adjoint pair (dim 15) are pinned
+by the sha256 of their stdout, run as the console script runs them.
+
 To see the digests of the current tree:
 
     PYTHONPATH=src python tests/test_same_results.py
 """
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
-from lie_data import dense_b3, sparse_b3, upper_triangular
+from lie_data import dense_b3, dense_b5, sparse_b3, upper_triangular
 from peiffer.cli import main
 from peiffer.compat import check_compatible
 from peiffer.groups import Hom
@@ -135,12 +142,12 @@ def _rational(x) -> str:
     return str(Fraction(x))
 
 
-def lie_files(brackets, rho=None, boundary=None, xm_rho=None, nm=None, mn=None) -> dict:
+def lie_files(brackets, rho=None, boundary=None, xm_rho=None, nm=None, mn=None, name=None) -> dict:
     """The input files of the adjoint pair on brackets, with any file replaced.
 
     rho is the action of lie-check-action and lie-semidirect; nm and mn the
     pair's actions; boundary and xm_rho the crossed module's.  Each defaults
-    to the adjoint action or the identity map.
+    to the adjoint action or the identity map.  name, if given, names the algebra.
     """
     n = len(brackets)
     L = {
@@ -150,6 +157,8 @@ def lie_files(brackets, rho=None, boundary=None, xm_rho=None, nm=None, mn=None) 
             for i in range(n) for j in range(i + 1, n) if any(brackets[i][j])
         ],
     }
+    if name is not None:
+        L["name"] = name
     ad = [[[brackets[a][j][i] for j in range(n)] for i in range(n)] for a in range(n)]
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -244,6 +253,36 @@ def test_broken_lie_case_fails_where_it_is_broken(lie_outputs, case):
     if case != "action":
         denominators = re.findall(r"Fraction\(-?[0-9]+, ([0-9]+)\)", text) + re.findall(r'"-?[0-9]+/([0-9]+)"', text)
         assert any(int(d) > 1 for d in denominators)
+
+
+# stdout of each verb on b5 over the dense change of basis of the lie_dense
+# workload, named "b5"; recorded while the Lie constructions still ran on Fractions
+B5_SHA256 = {
+    "lie-check-compat": "6070003516e613f5b3ef989c6816b9b196e5e79ac07ddfc04591dccdd34e00ca",
+    "lie-peiffer-xmods": "8571bb71e0a2f5d15aea349ad1d62b9bd9c8ec73d9fc848c6aa9035b9bf72175",
+    "lie-universal-map": "125e30cbfec26d16b401ecffa6b0eed01cbd43afc5329ff536535b1d9c50192c",
+}
+
+
+def test_dense_b5_session_reports_are_pinned(tmp_path):
+    paths = {}
+    for key, data in lie_files(dense_b5(), name="b5").items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(data, fh)
+    pair = [paths["L"], paths["L"], paths["nm"], paths["nm"]]
+    argv = {"lie-check-compat": pair, "lie-peiffer-xmods": pair, "lie-universal-map": pair + [paths["xm"]] * 2}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for verb, args in argv.items():
+        proc = subprocess.run([sys.executable, "-m", "peiffer.cli", verb, *args], env=env, capture_output=True,
+                              timeout=120)
+        text = proc.stdout.decode("utf-8")
+        assert proc.returncode == 0, (verb, text[:500])
+        # byte for byte what json.dumps writes for the same report
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", verb
+        assert hashlib.sha256(proc.stdout).hexdigest() == B5_SHA256[verb], verb
+    assert json.loads(text)["matrix"] and len(json.loads(text)["matrix"]) == 15
 
 
 if __name__ == "__main__":
