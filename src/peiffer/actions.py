@@ -3,7 +3,6 @@ products and the enumeration of actions."""
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
 
 from .groups import (
     Diagnosis,
@@ -16,6 +15,7 @@ from .groups import (
     _greedy_generators,
     _is_index,
     _per_group,
+    _pick,
     all_homs,
     aut_group,
 )
@@ -137,14 +137,6 @@ def semidirect_order(psi: Action, cap: int) -> int:
     if n > cap:
         raise GroupError(f"cap exceeded: semidirect order {n} > {cap}")
     return n
-
-
-def _pick(indices):
-    """itemgetter(*indices) that returns a tuple for a single index too."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
 
 
 def semidirect_quotient(psi: Action, K) -> tuple[FiniteGroup, tuple]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import conjugation_action
-from .groups import _first_difference
+from .groups import FiniteGroup, _first_difference, _greedy_generators
 
 M_SIDE = 0
 N_SIDE = 1
@@ -71,26 +71,50 @@ class CompatVerdict:
     witness: CompatWitness | None = None
 
 
+def _first_failure(A, B, on_a, on_b, elements):
+    """The first (a, b, x, lhs, rhs) over elements(A) and elements(B) at which
+    equation 1 fails for A and B, on_a the action of B on A and on_b that of
+    A on B.
+
+    Rows are compared whole: the row of the word (a, b, a^-1) is
+    conj(a) o on_a[b] o conj(a^-1).
+    """
+    conj = conjugation_action(A).table
+    for a in elements(A):
+        ca, cinv, a_on_b = conj[a], conj[A.inverses[a]], on_b[a]
+        for b in elements(B):
+            xb = on_a[b]
+            lhs, rhs = on_a[a_on_b[b]], tuple([ca[xb[v]] for v in cinv])
+            if lhs != rhs:
+                x = _first_difference(lhs, rhs)
+                return a, b, x, lhs[x], rhs[x]
+    return None
+
+
 def check_compatible(mut: MutualActions) -> CompatVerdict:
-    """Exhaustive check of both compatibility equations.
+    """Both compatibility equations, each decided on pairs of generators.
 
     Equation 1: ( (m n) acting on m' ) = ( m n m^-1 acting on m' ), where
     (m n) means n acted on by m; symmetrically for equation 2.
+
+    Precondition: both tables are actions (the loaders check them, and
+    enumerate_actions and the constructions give actions).  Then for fixed m
+    the maps n -> xi_nm((m n)) and n -> c_m xi_nm(n) c_m^-1 are both homs
+    N -> Aut(M), so they agree once they agree on generators of N; and the m
+    for which they agree are closed under products, as (m m' n) = (m (m' n)).
+    So greedy generators of M and of N decide each equation.  An equation
+    that fails on them is scanned in full for its lexicographically first
+    witness, equation 1 before equation 2.
     """
     # equation 2 is equation 1 for the swapped pair; its witness names m, n
-    # of the original pair.  Rows are compared whole: the row of the word
-    # (a, b, a^-1) is conj(a) o xi_nm[b] o conj(a^-1).
-    for equation, pair in ((1, mut), (2, mut.swapped())):
-        A = pair.M
-        conj = conjugation_action(A).table
-        on_a = [list(row) for row in pair.xi_nm.table]
-        for a, a_on_b in enumerate(pair.xi_mn.table):
-            ca, cinv = conj[a], conj[A.inverses[a]]
-            for b, ab in enumerate(a_on_b):
-                xb = on_a[b]
-                lhs, rhs = on_a[ab], [ca[xb[v]] for v in cinv]
-                if lhs != rhs:
-                    x = _first_difference(lhs, rhs)
-                    m, n = (a, b) if equation == 1 else (b, a)
-                    return CompatVerdict(False, CompatWitness(equation, m, n, x, lhs[x], rhs[x]))
+    # of the original pair
+    equations = (
+        (1, mut.M, mut.N, mut.xi_nm.table, mut.xi_mn.table),
+        (2, mut.N, mut.M, mut.xi_mn.table, mut.xi_nm.table),
+    )
+    for equation, *sides in equations:
+        if _first_failure(*sides, _greedy_generators) is not None:
+            a, b, x, lhs, rhs = _first_failure(*sides, FiniteGroup.elements)
+            m, n = (a, b) if equation == 1 else (b, a)
+            return CompatVerdict(False, CompatWitness(equation, m, n, x, lhs, rhs))
     return CompatVerdict(True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import product as iproduct
 from math import prod
+from operator import itemgetter
 
 
 class GroupError(ValueError):
@@ -65,8 +66,9 @@ def _axioms(table, check: bool = False):
     """The identity and the inverses of a table, or the first failed axiom.
 
     With check the raw table is validated in full: shape, entry types and
-    ranges, and associativity (O(n^3)).  The identity and inverse search is
-    the same pass either way.
+    ranges, and associativity, decided by Light's test on generators
+    (_light_passes) with the O(n^3) scan kept for the first failing
+    (a, b, c).  The identity and inverse search is the same pass either way.
     """
     n = len(table)
     if n == 0:
@@ -75,6 +77,9 @@ def _axioms(table, check: bool = False):
         for i, row in enumerate(table):
             if len(row) != n:
                 return Diagnosis(False, "table is not square", (i,))
+            # a row of plain ints in range passes whole; any other is read entry by entry
+            if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+                continue
             for j, v in enumerate(row):
                 if not _is_index(v, n):
                     return Diagnosis(False, "entry out of range", (i, j, _bounded(v)))
@@ -87,13 +92,18 @@ def _axioms(table, check: bool = False):
         return Diagnosis(False, "no identity element", ())
     inverses = []
     for x, row in enumerate(table):
-        invs = [y for y in range(n) if row[y] == identity and table[y][x] == identity]
+        # in a group the identity appears once in each row, at the inverse
+        if row.count(identity) == 1:
+            y = row.index(identity)
+            invs = [y] if table[y][x] == identity else []
+        else:
+            invs = [y for y in range(n) if row[y] == identity and table[y][x] == identity]
         if not invs:
             return Diagnosis(False, f"no inverse for element {x}", (x,))
         if len(invs) > 1:
             return Diagnosis(False, f"inverse of element {x} not unique", (x,))
         inverses.append(invs[0])
-    if check:
+    if check and not _light_passes(tuple(map(tuple, table)), identity, inverses):
         for a in range(n):
             ra = table[a]
             for b in range(n):
@@ -103,6 +113,27 @@ def _axioms(table, check: bool = False):
                     if table[ab][c] != ra[rb[c]]:
                         return Diagnosis(False, "associativity fails", (a, b, c))
     return identity, tuple(inverses)
+
+
+def _light_passes(rows: tuple, identity: int, inverses) -> bool:
+    """Light's associativity test: (x t) y = x (t y) for every x and y and
+    each t of a generating set of the table, taken greedily under its own
+    right products from the identity.
+
+    The t that pass are closed under products: if t and u pass, then
+    x (t u) = (x t) u, so (x (t u)) y = ((x t) u) y = (x t) (u y) =
+    x (t (u y)) = x ((t u) y).  Every element is a product of the generating
+    set, so the table is associative exactly when they all pass.  O(n^2)
+    for each of the few generators; the O(n^3) scan in _axioms runs only
+    when this fails, for the first failing (a, b, c).
+    """
+    T = _built_group(rows, identity, tuple(inverses))
+    for t in _greedy_generators(T):
+        # row x t of the table against x (t y) for every y, read from row x
+        times_t = _pick(rows[t])
+        if any(rows[rx[t]] != times_t(rx) for rx in rows):
+            return False
+    return True
 
 
 def validate_table(table) -> Diagnosis:
@@ -189,6 +220,9 @@ class Hom:
         self.mapping = tuple(mapping)
 
     def check(self) -> Diagnosis:
+        """Length, range, the identity, then multiplicativity on generators of
+        the domain; the full scan runs only when that fails, for the first
+        (a, b).  The domain and codomain must be groups."""
         dt, ct, mp = self.dom.table, self.cod.table, self.mapping
         if len(mp) != self.dom.order:
             return Diagnosis(False, "map length does not match the domain order", (len(mp),))
@@ -197,6 +231,8 @@ class Hom:
                 return Diagnosis(False, "map value out of range", (x, _bounded(v)))
         if mp[self.dom.identity] != self.cod.identity:
             return Diagnosis(False, "identity not preserved", (self.dom.identity,))
+        if _multiplicative_on_generators(self.dom, self.cod, mp):
+            return VALID
         for a in range(self.dom.order):
             for b in range(self.dom.order):
                 if mp[dt[a][b]] != ct[mp[a]][mp[b]]:
@@ -308,21 +344,44 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def _per_group(derive):
-    """Compute derive(G) once per group object and keep it on the group.
+    """Compute derive(x) once per object and keep it on the object.
 
-    A group is immutable once built, so anything derived from its table is
-    too; the value lives exactly as long as the group does.
+    For any object that is immutable once built, as a group or an action
+    is: anything derived from it is too, and the value lives exactly as long
+    as the object does.
     """
     key = f"_{derive.__name__}"
 
     @wraps(derive)
-    def once(G: FiniteGroup):
-        cache = G.__dict__
+    def once(x):
+        cache = x.__dict__
         if key not in cache:
-            cache[key] = derive(G)
+            cache[key] = derive(x)
         return cache[key]
 
     return once
+
+
+def _pick(indices):
+    """itemgetter(*indices) that returns a tuple for a single index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+def _multiplicative_on_generators(G: FiniteGroup, H: FiniteGroup, mp) -> bool:
+    """mp(e) = e and mp(g x) = mp(g) mp(x) for greedy generators g of G and every x.
+
+    That is the whole hom property for a map of valid indices: the g for
+    which the second holds for every x are closed under products, as
+    mp(g g' x) = mp(g) mp(g' x) = mp(g) mp(g') mp(x) and x = e gives
+    mp(g g') = mp(g) mp(g').
+    """
+    if mp[G.identity] != H.identity:
+        return False
+    on_mp = _pick(mp)
+    return all(_pick(G.table[g])(mp) == on_mp(H.table[mp[g]]) for g in _greedy_generators(G))
 
 
 @_per_group

@@ -191,9 +191,11 @@ class LieAlgebra:
             validate_lie(self).expect("Lie axioms", LieError)
 
     @classmethod
-    def _built(cls, D: int, brackets) -> LieAlgebra:
+    def _built(cls, D: int, brackets, least: bool = False) -> LieAlgebra:
+        """The algebra of integer brackets over D, divided by their gcd unless D is known to be least."""
         L = cls.__new__(cls)
-        L.dim, L.name, (L.D, L.brackets) = len(brackets), None, _least(D, brackets)
+        L.dim, L.name = len(brackets), None
+        L.D, L.brackets = (D, brackets) if least else _least(D, brackets)
         return L
 
     @cached_property
@@ -433,6 +435,12 @@ def lie_semidirect(rho: LieAction) -> LieAlgebra:
 
     Block by block, [m_i, m_j] = [m_i, m_j]_M, [n_a, m_j] = rho(n_a) m_j = -[m_j, n_a]
     and [n_a, n_b] = [n_a, n_b]_N; rho(n_a) m_j is column j of rho.rho[a].  All over lcm(M.D, N.D, rho.D).
+
+    That D is already least, so no gcd pass runs: every entry of M, N and rho
+    appears in M x| N, scaled by D over its own D.  A prime p dividing D
+    divides, to the full power it has in D, the D of one of the three, say
+    M.D; then p does not divide D // M.D, so p dividing every entry of
+    M x| N would divide every entry of M and M.D, which are coprime.
     """
     M, N = rho.target, rho.acting
     D = lcm(M.D, N.D, rho.D)
@@ -450,7 +458,7 @@ def lie_semidirect(rho: LieAction) -> LieAlgebra:
         for a in range(dn)
     ]
     # Jacobi holds because M and N do and rho is a Lie hom into Der(M)
-    return LieAlgebra._built(D, tuple(rows))
+    return LieAlgebra._built(D, tuple(rows), least=True)
 
 
 class LiePeifferProduct:

@@ -10,28 +10,33 @@ induced_actions and peiffer_xmods also take lie.lie_peiffer's product.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import eq
 
 from .actions import (
     Action,
     DEFAULT_SEMIDIRECT_CAP,
     SemidirectData,
-    _pick,
     conjugation_action,
     semidirect,
     semidirect_order,
     semidirect_quotient,
 )
-from .compat import M_SIDE, N_SIDE, MutualActions, coproduct_eval
+from .compat import MutualActions, coproduct_eval
 from .groups import (
     Diagnosis,
+    FiniteGroup,
     GroupError,
     Hom,
     VALID,
     _first_difference,
+    _greedy_generators,
+    _multiplicative_on_generators,
+    _per_group,
+    _pick,
     _shown,
     quotient,  # noqa: F401 -- unused; perfbench's wrapper self-test asserts this binding
 )
-from .xmod import CrossedModule, induced_mutual_actions
+from .xmod import CrossedModule
 
 
 class PeifferProduct:
@@ -129,7 +134,60 @@ def _relator_subgroup(mut: MutualActions) -> list[tuple[int, int]]:
     return [divmod(k, nn) for k in elems]
 
 
+@_per_group
+def _m_side_rows(psi: Action) -> tuple:
+    """conj(x) o psi(a) at the index x |A| + a, for every x in X and a in A.
+
+    For psi = xi_nm these are the rows of the action on M of each (m, n) of
+    M x| N, at its index m |N| + n: conjugation in M x| N on j_M(M).  Built
+    once per action and kept on it, as every pair that has psi as its action
+    of N on M reads the same rows.
+    """
+    picks = [_pick(row) for row in psi.table]
+    return tuple([pick(cx) for cx in conjugation_action(psi.target).table for pick in picks])
+
+
+@_per_group
+def _n_side_rows(psi: Action) -> tuple:
+    """psi(a) o conj(x) at the index a |X| + x, for every a in A and x in X.
+
+    For psi = xi_mn these are the rows on N of each (m, n) of M x| N, at its
+    index m |N| + n.  Built once per action and kept on it.
+    """
+    picks = [_pick(cx) for cx in conjugation_action(psi.target).table]
+    return tuple([pick(row) for row in psi.table for pick in picks])
+
+
+def _coset_representatives(proj, order: int) -> list[int]:
+    """The least index of each coset: read backwards, its last entry in proj."""
+    least = dict(zip(reversed(proj), reversed(range(len(proj)))))
+    return list(map(least.__getitem__, range(order)))
+
+
+def _constant_on_cosets(rows, at_reps, proj) -> bool:
+    """Whether each index's row is its coset representative's row, at_reps[p] for the coset p."""
+    return all(map(eq, rows, map(at_reps.__getitem__, proj)))
+
+
+def _first_disagreement(proj, reps, on_m, on_n):
+    """The first index whose row on M, then on N, differs from its coset representative's."""
+    for s, p in enumerate(proj):
+        r = reps[p]
+        for side, rows in enumerate((on_m, on_n)):
+            want, got = rows[r], rows[s]
+            if got != want:
+                x = _first_difference(want, got)
+                return (p, r, s, side, x, want[x], got[x])
+    return None
+
+
 def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> PeifferProduct:
+    """M x| N along xi_nm modulo the relators, with its structure maps and
+    the actions it induces on M and on N.
+
+    Precondition: both tables of mut are actions (the loaders check them,
+    and enumerate_actions and the constructions give actions).
+    """
     semidirect_order(mut.xi_nm, cap)
     M, N = mut.M, mut.N
     nn = N.order
@@ -137,41 +195,23 @@ def peiffer_product(mut: MutualActions, cap: int = DEFAULT_SEMIDIRECT_CAP) -> Pe
     lM = Hom(M, P, proj[N.identity::nn])
     lN = Hom(N, P, proj[M.identity * nn:(M.identity + 1) * nn])
 
-    conj_m, xi_mn = conjugation_action(M).table, mut.xi_mn.table
     # induced actions on M and on N, one row per side from each (m, n) of S:
-    # conj(m) o xi_nm[n] and xi_mn[m] o conj(n).  Every representative of a
-    # coset must give the rows of the first one.
-    per_n = [(_pick(a), _pick(b)) for a, b in zip(mut.xi_nm.table, conjugation_action(N).table)]
-    reps, rows = [None] * P.order, [None] * P.order
-
-    def first_disagreement():
-        s = 0
-        for cm, xm in zip(conj_m, xi_mn):
-            for xi_n, conj_n in per_n:
-                p = proj[s]
-                got = (xi_n(cm), conj_n(xm))
-                if rows[p] is None:
-                    reps[p], rows[p] = s, got
-                elif rows[p] != got:
-                    side = M_SIDE if rows[p][M_SIDE] != got[M_SIDE] else N_SIDE
-                    want = rows[p][side]
-                    x = _first_difference(want, got[side])
-                    return (p, reps[p], s, side, x, want[x], got[side][x])
-                s += 1
-        return None
-
+    # conj(m) o xi_nm[n] and xi_mn[m] o conj(n), read from the tables of the
+    # two actions.  Every index's rows must be its coset representative's.
+    #
     # With no disagreement both tables are actions of P.  The M-side rows are
     # conjugation in S on the normal subgroup j_M(M).  The N-side rows form a
     # hom S -> Aut(N) exactly when compatibility equation 2 holds, and it does
     # when the rows of j_M(m) j_N(n) j_M(m)^-1 and j_N(mn), which lie in one
     # coset, agree.
-    disagreement = first_disagreement()
-    actions = None
-    if disagreement is None:
-        actions = tuple(
-            Action(P, G, [got[side] for got in rows])
-            for side, G in enumerate((M, N))
-        )
+    on_m, on_n = _m_side_rows(mut.xi_nm), _n_side_rows(mut.xi_mn)
+    reps = _coset_representatives(proj, P.order)
+    rows_m, rows_n = [on_m[r] for r in reps], [on_n[r] for r in reps]
+    actions = disagreement = None
+    if _constant_on_cosets(on_m, rows_m, proj) and _constant_on_cosets(on_n, rows_n, proj):
+        actions = (Action(P, M, rows_m), Action(P, N, rows_n))
+    else:
+        disagreement = _first_disagreement(proj, reps, on_m, on_n)
     return PeifferProduct(P, proj, lM, lN, mut, actions, disagreement)
 
 
@@ -197,6 +237,17 @@ def strong_relation_check(pp: PeifferProduct, bound: int = 2) -> Diagnosis:
     does (induction on length): the first failure is always a single letter,
     and every bound >= 1 gives the same verdict and witness.  The empty word
     always passes.
+
+    The generator letters, at generators x of each side, decide it when lM
+    and lN are homs, which is tested first, on generators.  For one letter
+    c both sides, x -> l(c x) and x -> l(c) l(x) l(c)^-1, are then homs on
+    each side, as c acts by an automorphism, so they agree once they agree
+    on generators.  The letters c of M that pass are closed under products:
+    the row of c c' is the row of c after the row of c' (conjugation and
+    xi_mn are actions), and lM(c c') = lM(c) lM(c'), so
+    l(c c' x) = lM(c) lM(c') l(x) lM(c')^-1 lM(c)^-1; likewise on N.  A map
+    that is not a hom gets no generator pass.  Every letter is scanned at
+    every x only when the pass fails, for the first witness.
     """
     if bound < 0:
         raise GroupError(f"strong word bound must be non-negative, got {bound}")
@@ -204,47 +255,62 @@ def strong_relation_check(pp: PeifferProduct, bound: int = 2) -> Diagnosis:
     if bound == 0:
         return VALID
     mut = pp.source
-    M, N = mut.M, mut.N
-    letters = [(M_SIDE, m) for m in M.elements() if m != M.identity]
-    letters += [(N_SIDE, n) for n in N.elements() if n != N.identity]
+    groups = (mut.M, mut.N)
     ells = (pp.lM.mapping, pp.lN.mapping)
-    T, inv = pp.product.table, pp.product.inverses
-    for c in letters:
+    P = pp.product
+    T, inv = P.table, P.inverses
+
+    def fails(c, points):
+        """The first failure of the letter c at the points(G) of each side."""
         q = ells[c[0]][c[1]]
         tq, q_inv = T[q], inv[q]
-        for side, G in enumerate((M, N)):
-            ell = ells[side]
-            # ell o (the letter's row, from the element-wise reference)
-            lhs = [ell[coproduct_eval(mut, (c,), side, x)] for x in G.elements()]
-            # conjugation by q on ell's image only
-            rhs = [T[tq[v]][q_inv] for v in ell]
+        for side, G in enumerate(groups):
+            ell, xs = ells[side], points(G)
+            # ell o (the letter's row, from the element-wise reference), and
+            # conjugation by q on ell
+            lhs = [ell[coproduct_eval(mut, (c,), side, x)] for x in xs]
+            rhs = [T[tq[ell[x]]][q_inv] for x in xs]
             if lhs != rhs:
-                x = _first_difference(lhs, rhs)
+                k = _first_difference(lhs, rhs)
                 return Diagnosis(
                     False,
                     "conjugation does not match the word action",
-                    ((c,), side, x, lhs[x], rhs[x]),
+                    ((c,), side, xs[k], lhs[k], rhs[k]),
                 )
-    return VALID
+        return None
+
+    generators = [(side, g) for side, G in enumerate(groups) for g in _greedy_generators(G)]
+    homs = all(_multiplicative_on_generators(G, P, ell) for G, ell in zip(groups, ells))
+    if homs and not any(fails(c, _greedy_generators) for c in generators):
+        return VALID
+    letters = [(side, g) for side, G in enumerate(groups) for g in G.elements() if g != G.identity]
+    return next(filter(None, (fails(c, FiniteGroup.elements) for c in letters)), VALID)
 
 
 def universal_map(pp: PeifferProduct, xm_m: CrossedModule, xm_n: CrossedModule) -> Hom:
     """The unique map P -> L through which both structure maps factor.
 
     Precondition: the crossed modules live over a common base L and the
-    mutual actions they induce equal the source pair of pp.
+    mutual actions they induce equal the source pair of pp.  Their actions
+    must be actions and their boundaries homs (the loaders check both, and
+    crossed modules built here are ones by theorem).  The pulled-back
+    actions are then actions, as are the pair's, so they are compared on
+    generators.
     """
     mut = pp.source
     if xm_m.X != mut.M or xm_n.X != mut.N:
         raise GroupError("crossed modules are not over M and N")
-    if induced_mutual_actions(xm_m, xm_n) != mut:
+    if xm_m.A != xm_n.A:
+        raise GroupError("crossed modules have different base groups")
+    mu, nu = xm_m.boundary.mapping, xm_n.boundary.mapping
+    # the action of n on M is that of nu(n) through xm_m, and of m on N that of mu(m) through xm_n
+    pulled = ((xm_m.action.table, nu, mut.xi_nm.table, mut.N), (xm_n.action.table, mu, mut.xi_mn.table, mut.M))
+    if any(psi[d[g]] != xi[g] for psi, d, xi, G in pulled for g in _greedy_generators(G)):
         raise GroupError("crossed modules do not induce the given actions")
-    L = xm_m.A
-    mu, nu = xm_m.boundary, xm_n.boundary
+    TL = xm_m.A.table
     nn = mut.N.order
-    # mu(m) nu(n) is constant on cosets: mu and nu are equivariant, so relators map to 1
-    h = [None] * pp.product.order
-    for s, p in enumerate(pp.proj):
-        m, n = divmod(s, nn)
-        h[p] = L.mul(mu(m), nu(n))
-    return Hom(pp.product, L, h)
+    # mu(m) nu(n) is constant on cosets: mu and nu are equivariant, so relators
+    # map to 1; it is read at each coset's representative
+    reps = _coset_representatives(pp.proj, pp.product.order)
+    h = [TL[mu[m]][nu[n]] for m, n in (divmod(s, nn) for s in reps)]
+    return Hom(pp.product, xm_m.A, h)

@@ -3,16 +3,17 @@
 A test helper, not collected by pytest: homomorphism algebra (composition,
 kernel, inverse), the plain isomorphism search, subgroups as groups in their
 own right, points (split epimorphisms) and the action each one gives, the
-identity and inclusion crossed modules, and every crossed module over the
-catalog.  No verb or pipeline stage needs them.
+identity and inclusion crossed modules, every crossed module over the
+catalog, and the groups of order 8 that need two or three generators.  No
+verb or pipeline stage needs them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from peiffer.actions import Action, conjugation_action, enumerate_actions
-from peiffer.catalog import catalog
+from peiffer.actions import Action, conjugation_action, enumerate_actions, semidirect
+from peiffer.catalog import catalog, cyclic
 from peiffer.groups import (
     FiniteGroup,
     GroupError,
@@ -20,6 +21,7 @@ from peiffer.groups import (
     _greedy_generators,
     _map_from_images,
     all_homs,
+    direct_product,
     identity_hom,
     is_normal,
     is_subgroup,
@@ -135,3 +137,42 @@ def catalog_xmods() -> list[CrossedModule]:
             for d in all_homs(X, A):
                 found.extend(xm for xm in (CrossedModule(d, psi) for psi in actions) if check_xmod(xm).ok)
     return found
+
+
+def dihedral_4() -> FiniteGroup:
+    """D4 as Z4 x| Z2, Z2 acting by inversion."""
+    Z2, Z4 = cyclic(2), cyclic(4)
+    return semidirect(Action(Z2, Z4, (range(4), (0, 3, 2, 1)))).group
+
+
+# the product of the units 1, i, j, k (indices 0-3) as (sign, unit), sign 1 for minus
+_UNITS = {
+    (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
+    (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
+    (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
+    (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
+}
+
+
+def quaternion_8() -> FiniteGroup:
+    """Q8 on +-1, +-i, +-j, +-k: the index 4 s + u for the sign s (1 for minus) and the unit u."""
+    table = [[0] * 8 for _ in range(8)]
+    for (u, v), (sign, w) in _UNITS.items():
+        for s, t in iproduct(range(2), repeat=2):
+            table[4 * s + u][4 * t + v] = 4 * ((s + t + sign) % 2) + w
+    return FiniteGroup(table, name="Q8")
+
+
+def two_generator_groups() -> dict[str, FiniteGroup]:
+    """Groups that need two or three greedy generators: V4, S3 and the groups
+    of order 8 other than Z8."""
+    Z2 = cyclic(2)
+    V4 = direct_product(Z2, Z2)
+    return {
+        "V4": V4,
+        "S3": next(G for G in catalog() if G.name == "S3"),
+        "Z2xZ4": direct_product(Z2, cyclic(4)),
+        "D4": dihedral_4(),
+        "Q8": quaternion_8(),
+        "Z2^3": direct_product(V4, Z2),
+    }

@@ -26,7 +26,7 @@ from peiffer.io import mat
 
 from constructions import Point, catalog_xmods, identity_xmod, inclusion_xmod, point_to_action, subgroup_group
 from free_words import eval_flat_action
-from lie_data import identity_lie_map, mats, small_lie_family, trivial_lie_action
+from lie_data import dense_b3, identity_lie_map, mats, small_lie_family, sparse_b3, trivial_lie_action
 
 
 def report(num, name, ok):
@@ -119,6 +119,18 @@ def test_lie_family_counts(lie_family_sample):
     assert pairs == 677221
     compatible = sum(ok for _, ok, _ in lie_family_sample)
     assert (len(lie_family_sample), compatible) == (4746, 288)
+
+
+def test_lie_semidirect_keeps_the_least_denominator_without_a_gcd_pass(lie_family_sample):
+    # lie_semidirect builds M x| N over lcm(M.D, N.D, rho.D) and divides by no
+    # gcd: that D is least already, so the gcd pass would change nothing
+    actions = [act for mut, _, _ in lie_family_sample for act in (mut.xi_nm, mut.xi_mn)]
+    for seed in range(2):
+        for basis in (sparse_b3(seed), dense_b3(seed)):
+            actions.append(lie.LieAlgebra(6, mats(basis)).adjoint)
+    built = [lie.lie_semidirect(rho) for rho in actions]
+    assert all(lie._least(S.D, S.brackets) == (S.D, S.brackets) for S in built)
+    assert max(S.D for S in built) > 1
 
 
 def test_lie_criterion_1_forward_round_trip(lie_family_sample):

@@ -5,6 +5,7 @@ construction that now works on whole table rows.  The two must agree on
 verdicts and on the lexicographically first witness, for valid inputs and
 for corrupted ones.
 """
+import random
 import re
 from itertools import permutations, product as iproduct
 
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import peiffer.actions
 import peiffer.groups
 import peiffer.product
-from peiffer.actions import Action, check_action_table, semidirect, trivial_action
+import peiffer.xmod
+from peiffer.actions import Action, check_action_table, enumerate_actions, semidirect, trivial_action
 from peiffer.catalog import (
     cyclic,
     enumerate_family,
@@ -28,6 +30,7 @@ from peiffer.compat import (
     CompatVerdict,
     CompatWitness,
     MutualActions,
+    check_compatible,
     coproduct_eval,
 )
 from peiffer.groups import (
@@ -35,7 +38,11 @@ from peiffer.groups import (
     Diagnosis,
     FiniteGroup,
     Hom,
+    GroupError,
     _axioms,
+    _greedy_generators,
+    all_homs,
+    automorphisms,
     direct_product,
     is_normal,
     normal_closure,
@@ -48,10 +55,11 @@ from peiffer.product import (
     peiffer_relators,
     peiffer_xmods,
     strong_relation_check,
+    universal_map,
 )
 from peiffer.xmod import CrossedModule, check_xmod
 
-from constructions import compose, kernel
+from constructions import compose, kernel, two_generator_groups
 
 fixture_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -204,6 +212,23 @@ def ref_check_xmod(xm):
         for x2 in X.elements():
             if psi.table[d(x)][x2] != X.conj(x, x2):
                 return Diagnosis(False, "Peiffer identity fails", (x, x2))
+    return VALID
+
+
+def ref_hom_check(f):
+    """Length, range and the identity, then f(a b) = f(a) f(b) for every a and b."""
+    mp = f.mapping
+    if len(mp) != f.dom.order:
+        return Diagnosis(False, "map length does not match the domain order", (len(mp),))
+    for x, v in enumerate(mp):
+        if not 0 <= v < f.cod.order:
+            return Diagnosis(False, "map value out of range", (x, v))
+    if mp[f.dom.identity] != f.cod.identity:
+        return Diagnosis(False, "identity not preserved", (f.dom.identity,))
+    for a in f.dom.elements():
+        for b in f.dom.elements():
+            if mp[f.dom.mul(a, b)] != f.cod.mul(mp[a], mp[b]):
+                return Diagnosis(False, "not multiplicative", (a, b))
     return VALID
 
 
@@ -556,6 +581,17 @@ def test_xmod_check_matches_reference_with_a_doctored_boundary(family, data):
     assert check_xmod(doctored) == ref_check_xmod(doctored)
 
 
+def test_xmod_check_refuses_a_boundary_that_misses_the_identity_on_the_trivial_group():
+    # X = 1 has no generators, so only d(e) = e keeps the generator pass
+    # from passing a boundary that is not a hom: here d(e) is a
+    # transposition of S3, which is not equivariant for the trivial action
+    S3, one = symmetric_3(), cyclic(1)
+    t = next(a for a in S3.elements() if S3.element_order(a) == 2)
+    xm = CrossedModule(Hom(one, S3, [t]), trivial_action(S3, one))
+    assert check_xmod(xm) == ref_check_xmod(xm)
+    assert check_xmod(xm).reason == "boundary is not equivariant"
+
+
 def test_action_check_needs_automorphism_rows():
     # left multiplication satisfies unit and composition, but its rows are
     # not automorphisms
@@ -576,3 +612,177 @@ def test_action_check_needs_every_generator():
     got = check_action_table(V, Z5, table)
     assert got == ref_check_action_table(V, Z5, table)
     assert got == Diagnosis(False, "composition axiom fails", (2, 2, 1))
+
+
+# ----------------------------------- groups that need two or three generators
+#
+# Most catalog groups are cyclic, where a generator pass has one generator to
+# check.  Here V4, S3, Z2 x Z4, D4, Q8 and Z2^3 meet each other: a pass that
+# skips a generator misses the failures that only that generator shows.
+
+
+class TwoGenerators:
+    """Every action among the groups of two_generator_groups() with |A||X| <= 64,
+    and a seeded sample of their mutual pairs, up to 60 for each ordered pair
+    of groups; compatible holds the sample's compatible pairs, by the oracle."""
+
+    def __init__(self):
+        self.groups = two_generator_groups()
+        self.actions = {
+            (a, x): enumerate_actions(A, X)
+            for a, A in self.groups.items()
+            for x, X in self.groups.items()
+            if A.order * X.order <= 64
+        }
+        rng, self.pairs = random.Random(0), []
+        for m, n in self.actions:
+            nm, mn = self.actions[n, m], self.actions[m, n]
+            for k in rng.sample(range(len(nm) * len(mn)), min(60, len(nm) * len(mn))):
+                self.pairs.append(MutualActions(nm[k // len(mn)], mn[k % len(mn)]))
+        self.compatible = [mut for mut in self.pairs if ref_check_compatible(mut).compatible]
+
+    def name(self, G):
+        return next(k for k, H in self.groups.items() if H is G)
+
+
+@pytest.fixture(scope="module")
+def two_generators():
+    return TwoGenerators()
+
+
+def test_the_two_generator_sample_is_varied(two_generators):
+    assert {len(_greedy_generators(G)) for G in two_generators.groups.values()} == {2, 3}
+    assert len(two_generators.pairs) == 2160
+    assert 200 < len(two_generators.compatible) < len(two_generators.pairs)
+
+
+@fixture_settings
+@given(st.data())
+def test_two_generator_pairs_match_references(two_generators, data):
+    mut = data.draw(st.sampled_from(two_generators.pairs))
+    assert check_compatible(mut) == ref_check_compatible(mut)
+    pp = peiffer_product(mut)
+    want = ref_induced_tables(mut, pp.proj, pp.product.order)
+    assert (tuple(act.table for act in pp.actions) if pp.compatible else pp.disagreement) == want
+
+
+@fixture_settings
+@given(st.data())
+def test_two_generator_products_pass_their_checks(two_generators, data):
+    mut = data.draw(st.sampled_from(two_generators.compatible))
+    pp = peiffer_product(mut)
+    for xm in peiffer_xmods(pp):
+        assert check_xmod(xm) == ref_check_xmod(xm) == VALID
+    assert strong_relation_check(pp, 2) == ref_strong_relation_check(pp, 2) == VALID
+    h = universal_map(pp, *peiffer_xmods(pp))
+    assert h.mapping == tuple(range(pp.product.order))
+
+
+@fixture_settings
+@given(st.data())
+def test_two_generator_strong_check_with_another_hom(two_generators, data):
+    # lM or lN after an automorphism of its domain, or the trivial map: a hom
+    # that is not the product's own, so the generator pass decides
+    pp = peiffer_product(data.draw(st.sampled_from(two_generators.compatible)))
+    side = data.draw(st.sampled_from([M_SIDE, N_SIDE]))
+    ells = [pp.lM, pp.lN]
+    G = ells[side].dom
+    alpha = data.draw(st.sampled_from([a.mapping for a in automorphisms(G)] + [(G.identity,) * G.order]))
+    ells[side] = Hom(G, pp.product, [ells[side].mapping[v] for v in alpha])
+    doctored = PeifferProduct(pp.product, pp.proj, *ells, pp.source, pp.actions, pp.disagreement)
+    bound = data.draw(st.integers(1, 2))
+    assert strong_relation_check(doctored, bound) == ref_strong_relation_check(doctored, bound)
+
+
+@fixture_settings
+@given(st.data())
+def test_two_generator_universal_map_refuses_other_actions(two_generators, data):
+    # the crossed modules of one compatible pair against the product of a pair
+    # that shares one of its actions: the map exists exactly when the actions
+    # they induce are that pair's
+    mut = data.draw(st.sampled_from(two_generators.compatible))
+    xm_m, xm_n = peiffer_xmods(peiffer_product(mut))
+    m, n = two_generators.name(mut.M), two_generators.name(mut.N)
+    if data.draw(st.booleans()):
+        other = MutualActions(mut.xi_nm, data.draw(st.sampled_from(two_generators.actions[m, n])))
+    else:
+        other = MutualActions(data.draw(st.sampled_from(two_generators.actions[n, m])), mut.xi_mn)
+    pp = peiffer_product(other)
+    if peiffer.xmod.induced_mutual_actions(xm_m, xm_n) == other:
+        assert universal_map(pp, xm_m, xm_n).mapping == tuple(range(pp.product.order))
+    else:
+        with pytest.raises(GroupError, match="do not induce the given actions"):
+            universal_map(pp, xm_m, xm_n)
+
+
+@fixture_settings
+@given(st.data())
+def test_two_generator_xmod_candidates_match_reference(two_generators, data):
+    # every hom X -> A with every action of A on X: most are not crossed
+    # modules, and their first failure is at any generator
+    x, a = data.draw(st.sampled_from(sorted(k for k in two_generators.actions if k[0] != k[1])))
+    X, A = two_generators.groups[x], two_generators.groups[a]
+    d = data.draw(st.sampled_from(all_homs(X, A)))
+    psi = data.draw(st.sampled_from(two_generators.actions[a, x]))
+    xm = CrossedModule(d, psi)
+    assert check_xmod(xm) == ref_check_xmod(xm)
+
+
+def multiplicative_on_one_generator(G, H, phi, j, row, y):
+    """phi changed on one right coset <g> r, g the j-th greedy generator of G,
+    to g^k r -> phi(g)^k y: it still sends g x to phi(g) phi'(x) for every x."""
+    g = _greedy_generators(G)[j]
+    mp = list(phi)
+    x, v = row, y
+    for _ in range(G.element_order(g)):
+        mp[x] = v
+        x, v = G.mul(g, x), H.mul(phi[g], v)
+    return mp
+
+
+@fixture_settings
+@given(st.data())
+def test_hom_check_matches_full_scan_on_maps_multiplicative_for_one_generator(two_generators, data):
+    names = st.sampled_from(sorted(two_generators.groups))
+    G, H = (two_generators.groups[data.draw(names)] for _ in range(2))
+    phi = data.draw(st.sampled_from(all_homs(G, H))).mapping
+    j = data.draw(st.integers(0, len(_greedy_generators(G)) - 1))
+    row = data.draw(st.integers(0, G.order - 1).filter(lambda r: r != G.identity))
+    mp = multiplicative_on_one_generator(G, H, phi, j, row, data.draw(st.integers(0, H.order - 1)))
+    f = Hom(G, H, mp)
+    assert f.check() == ref_hom_check(f)
+
+
+# a loop of order 6: a Latin square with identity 0 and two-sided inverses,
+# not associative, whose element 1 reaches every element by right products
+LOOP_6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 4, 3, 5, 2, 0],
+    [2, 5, 0, 4, 3, 1],
+    [3, 2, 1, 0, 5, 4],
+    [4, 3, 5, 1, 0, 2],
+    [5, 0, 4, 2, 1, 3],
+]
+
+
+def test_associativity_check_needs_every_generator():
+    # in L x Z3 the first greedy generator is (e, 1), which associates with
+    # everything, and only the second fails; in Z3 x L it is the other way round
+    L, Z3 = FiniteGroup(LOOP_6), cyclic(3)
+    for G, passing in ((direct_product(L, Z3), 0), (direct_product(Z3, L), 1)):
+        gens = _greedy_generators(G)
+        assert len(gens) == 2
+        T = G.table
+        assert all(T[T[x][gens[passing]]][y] == T[x][T[gens[passing]][y]] for x in range(18) for y in range(18))
+        got = _axioms(T, check=True)
+        assert got == ref_axioms(T, True)
+        assert got.reason == "associativity fails"
+
+
+def test_row_tables_are_built_once_per_action(family):
+    # every pair with the same action of N on M reads the same M-side rows
+    for rec in family[:40]:
+        for psi, side_rows in ((rec.mut.xi_nm, peiffer.product._m_side_rows),
+                               (rec.mut.xi_mn, peiffer.product._n_side_rows)):
+            assert side_rows(psi) is side_rows(psi)
+            assert side_rows(psi) is vars(psi)[f"_{side_rows.__name__}"]

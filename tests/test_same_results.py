@@ -24,8 +24,10 @@ re-recorded since, each for a change of report alone:
   reach lie-peiffer-xmods, whose error became that of the groups:
   "induced action disagrees across a coset, witness=(side, row)".
 
-The three verbs of a session on the dense b5 adjoint pair (dim 15) are pinned
-by the sha256 of their stdout, run as the console script runs them.
+The three verbs of a session on the dense b5 adjoint pair (dim 15), and the
+peiffer reports of S4 and Z60 and of a swap of Z2 factors (|M x| N| = 1440
+each), are pinned by the sha256 of their stdout, run as the console script
+runs them.
 
 To see the digests of the current tree:
 
@@ -40,6 +42,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -264,25 +267,72 @@ B5_SHA256 = {
 }
 
 
-def test_dense_b5_session_reports_are_pinned(tmp_path):
+def run_pinned_verb(verb, args, sha256):
+    """stdout of a verb run as the console script runs it, in a child process
+    with PYTHONPATH=src, held to json.dumps byte for byte and to its sha256."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "peiffer.cli", verb, *args], env=env, capture_output=True,
+                          timeout=120)
+    text = proc.stdout.decode("utf-8")
+    assert proc.returncode == 0, (verb, text[:500])
+    # byte for byte what json.dumps writes for the same report
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", verb
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256, verb
+    return text
+
+
+def write_inputs(tmp_path, inputs) -> dict:
     paths = {}
-    for key, data in lie_files(dense_b5(), name="b5").items():
+    for key, data in inputs.items():
         paths[key] = str(tmp_path / f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(data, fh)
+    return paths
+
+
+def test_dense_b5_session_reports_are_pinned(tmp_path):
+    paths = write_inputs(tmp_path, lie_files(dense_b5(), name="b5"))
     pair = [paths["L"], paths["L"], paths["nm"], paths["nm"]]
     argv = {"lie-check-compat": pair, "lie-peiffer-xmods": pair, "lie-universal-map": pair + [paths["xm"]] * 2}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for verb, args in argv.items():
-        proc = subprocess.run([sys.executable, "-m", "peiffer.cli", verb, *args], env=env, capture_output=True,
-                              timeout=120)
-        text = proc.stdout.decode("utf-8")
-        assert proc.returncode == 0, (verb, text[:500])
-        # byte for byte what json.dumps writes for the same report
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", verb
-        assert hashlib.sha256(proc.stdout).hexdigest() == B5_SHA256[verb], verb
+        text = run_pinned_verb(verb, args, B5_SHA256[verb])
     assert json.loads(text)["matrix"] and len(json.loads(text)["matrix"]) == 15
+
+
+def symmetric_table(k):
+    perms = sorted(permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
+
+
+def test_large_peiffer_reports_are_pinned(tmp_path):
+    # S4 and Z60 with trivial actions both ways (|M x| N| = 1440, P = M x N),
+    # a 24.7 MB report; and Z2 swapping the Z2 factors of Z2 x Z2 x Z180,
+    # which acts trivially back (|M x| N| = 1440, a kernel of order 2,
+    # |P| = 720), a 12.3 MB report whose 720-element table the loader checks
+    # for associativity.  Each sha256 is the one the report has had since its
+    # writer was json.dumps.
+    k, n = 180, 720
+    z2z2zk = [[((i // k) ^ (j // k)) * k + (i + j) % k for j in range(n)] for i in range(n)]
+    # (a, b, c) in Z2 x Z2 x Z180 is the index (2a + b) 180 + c
+    swap = [(2 * (i % 2) + i // 2) * k + c for i in range(4) for c in range(k)]
+    paths = write_inputs(tmp_path, {
+        "s4": {"order": 24, "table": symmetric_table(4), "name": "S4"},
+        "z60": {"order": 60, "table": [[(i + j) % 60 for j in range(60)] for i in range(60)], "name": "Z60"},
+        "on_s4": {"table": [list(range(24))] * 60},
+        "on_z60": {"table": [list(range(60))] * 24},
+        "z2z2z180": {"order": n, "table": z2z2zk, "name": "Z2xZ2xZ180"},
+        "z2": {"order": 2, "table": [[0, 1], [1, 0]], "name": "Z2"},
+        "swap": {"table": [list(range(n)), swap]},
+        "on_z2": {"table": [[0, 1]] * n},
+    })
+    s4_z60 = run_pinned_verb("peiffer", [paths[key] for key in ("s4", "z60", "on_s4", "on_z60")],
+                             "fcb773d574edda8f628fcf06b1c94c40e75bc69d9107cb1d779e0e41327ea19c")
+    assert json.loads(s4_z60)["order"] == 1440
+    swapped = run_pinned_verb("peiffer", [paths[key] for key in ("z2z2z180", "z2", "swap", "on_z2")],
+                              "4dcba7191b1300dbacf36ae5345ab3355e1adbecace2faa50660ae8f472920cb")
+    assert json.loads(swapped)["order"] == 720
 
 
 if __name__ == "__main__":
